@@ -1,8 +1,9 @@
-# Sweep qubit counts and compare empirical Clifford-conjugation moments against
-# the 2-design predictions (mean 2^-n, second moment 2(1 - 2^-n)/(4^n - 1)),
-# plus the heavy-outcome tail fraction against the (1-a)^2/2 floor.
-#
-# Usage: python3 scripts/run_anticoncentration.py --n-max 6 --samples 2000
+"""Sweep qubit counts and compare empirical Clifford-conjugation moments against
+the 2-design predictions (mean 2^-n, second moment 2(1 - 2^-n)/(4^n - 1)),
+plus the heavy-outcome tail fraction against the (1-a)^2/2 floor.
+
+Usage: python3 scripts/run_anticoncentration.py --n-max 6 --samples 2000
+"""
 
 import argparse
 

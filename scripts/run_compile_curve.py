@@ -1,9 +1,10 @@
-# Compile a target single-qubit unitary from a Clifford-plus-gadget generator
-# set and print the best phase-invariant distance at each word-length budget.
-# The curve should be monotone non-increasing; how fast it falls tells you how
-# useful the injected non-Clifford gate is.
-#
-# Usage: python3 scripts/run_compile_curve.py --target "rz=pi*1/4" --max-length 12
+"""Compile a target single-qubit unitary from a Clifford-plus-gadget generator
+set and print the best phase-invariant distance at each word-length budget.
+The curve should be monotone non-increasing; how fast it falls tells you how
+useful the injected non-Clifford gate is.
+
+Usage: python3 scripts/run_compile_curve.py --target "rz=pi*1/4" --max-length 12
+"""
 
 import argparse
 import math

@@ -1,7 +1,8 @@
-# Classify a conjugating unitary, then brute-force the two-wire postselection
-# gadgets built from it and report what non-Clifford actions fall out.
-#
-# Usage: python3 scripts/run_gadget_search.py --u "rz=pi*1/3 rx=pi*1/2" --limit 5
+"""Classify a conjugating unitary, then brute-force the two-wire postselection
+gadgets built from it and report what non-Clifford actions fall out.
+
+Usage: python3 scripts/run_gadget_search.py --u "rz=pi*1/3 rx=pi*1/2" --limit 5
+"""
 
 import argparse
 import time

@@ -129,6 +129,9 @@ def parse_angle(text: str) -> ExactAngle:
             raise ParseError(f"zero denominator in angle {text!r}")
         return ExactAngle.rational(sign * p, q)
     try:
-        return ExactAngle.from_radians(float(text))
+        radians = float(text)
     except ValueError:
         raise ParseError(f"cannot parse angle {text!r}") from None
+    if not math.isfinite(radians):
+        raise ParseError(f"angle {text!r} is not finite")
+    return ExactAngle.from_radians(radians)

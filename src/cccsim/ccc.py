@@ -184,15 +184,6 @@ def classify(dec: UnitaryDecomposition) -> ClassificationVerdict:
     return ClassificationVerdict("iv", PH_SUPREME)
 
 
-def is_clifford_single_qubit(u: np.ndarray, tol: float = 1e-9) -> bool:
-    """True iff conjugation by u maps both X and Z to signed Paulis."""
-    u = np.asarray(u, dtype=complex)
-    ud = u.conj().T
-    return linalg.is_signed_pauli(u @ linalg.GATES["X"] @ ud, tol) and linalg.is_signed_pauli(
-        u @ linalg.GATES["Z"] @ ud, tol
-    )
-
-
 # -- instances and reference simulation ---------------------------------------
 
 

@@ -40,7 +40,6 @@ from .gadgets import (
     compile_word,
     gadget_action,
     parse_gadget_file,
-    pauli_conjugation_test,
     search_gadgets,
 )
 from .stabilizer import parse_circuit, random_clifford_circuit
@@ -161,7 +160,11 @@ def cmd_gadget_analyze(args) -> dict:
         "is_unitary": bool(action.is_unitary),
         "is_clifford": bool(action.is_clifford),
         "gamma": None if action.gamma is None else float(action.gamma),
-        "pauli_conjugation": pauli_conjugation_test(action.matrix)
+        "pauli_conjugation": (
+            ("CLIFFORD" if action.is_clifford else "UNITARY_NON_CLIFFORD")
+            if action.is_unitary
+            else "NON_UNITARY"
+        )
         if gadget.l == 1
         else None,
         "action": _matrix_json(action.matrix),

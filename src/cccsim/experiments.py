@@ -140,6 +140,8 @@ def anticoncentration_trial(
     U^n|0^n> and U^n|y> are built once and each draw costs one Clifford
     synthesis plus a statevector pass.
     """
+    if n < 1:
+        raise ValueError(f"need at least one qubit, got n={n}")
     if n > linalg.dense_cap():
         raise CapabilityError(
             f"anticoncentration trial at n={n} exceeds the dense cap of "

@@ -17,12 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CapabilityError, ParseError
-from .stabilizer import (
-    CliffordCircuit,
-    PauliString,
-    enumerate_clifford_words,
-    parse_circuit,
-)
+from .stabilizer import CliffordCircuit, enumerate_clifford_words, parse_circuit
 
 GADGET_WIRE_CAP = 12
 WORD_LENGTH_CAP = 14
@@ -75,56 +70,6 @@ class GadgetAction:
     is_clifford: bool
 
 
-def match_pauli_string(m: np.ndarray, tol: float = 1e-9) -> PauliString | None:
-    """The PauliString p with i^phase scaling such that m = p, or None.
-
-    Detection reads the permutation-with-signs structure: the X mask is the
-    index XOR of the single nonzero per row, the Z mask comes from sign
-    flips between rows, the phase from the residual unit factor.
-    """
-    m = np.asarray(m, dtype=complex)
-    dim = m.shape[0]
-    n = dim.bit_length() - 1
-    if m.shape != (dim, dim) or 2**n != dim:
-        return None
-    hot = np.abs(m) > 0.5
-    if not (hot.sum(axis=1) == 1).all():
-        return None
-    cols = hot.argmax(axis=1)
-    xor = int(cols[0])
-    x = 0
-    for j in range(n):
-        if (xor >> (n - 1 - j)) & 1:
-            x |= 1 << j
-    z = 0
-    v0 = m[0, xor]
-    for j in range(n):
-        r = 1 << (n - 1 - j)
-        ratio = m[r, r ^ xor] / v0
-        if abs(ratio - 1) > 0.5 and abs(ratio + 1) > 0.5:
-            return None
-        if abs(ratio + 1) <= 0.5:
-            z |= 1 << j
-    base = PauliString(n, x, z, 0)
-    alpha = v0 / base.to_matrix()[0, xor]
-    p = round(np.angle(alpha) / (math.pi / 2)) % 4
-    candidate = PauliString(n, x, z, p)
-    if np.max(np.abs(m - candidate.to_matrix())) > tol:
-        return None
-    return candidate
-
-
-def _is_clifford_action(a: np.ndarray, l: int, tol: float = 1e-9) -> bool:
-    atilde = linalg.normalized_action(a, l)
-    ad = atilde.conj().T
-    for w in range(l):
-        for letter in ("X", "Z"):
-            image = atilde @ PauliString.single(l, letter, w).to_matrix() @ ad
-            if match_pauli_string(image, tol) is None:
-                return False
-    return True
-
-
 def gadget_action(g: Gadget) -> GadgetAction:
     """Contract the gadget fragment exactly and classify the result."""
     if g.k > GADGET_WIRE_CAP:
@@ -153,24 +98,9 @@ def gadget_action(g: Gadget) -> GadgetAction:
         for w, b in sorted(zip(g.postselect_set, g.postselect_bits), reverse=True):
             tensor = np.take(tensor, b, axis=w)
         a[:, i] = tensor.reshape(-1)
-    return _classify_action(a, g.l)
-
-
-def _classify_action(a: np.ndarray, l: int) -> GadgetAction:
-    unitary = linalg.is_unitary_up_to_scale(a, 1e-8)
-    gamma = linalg.unitary_scale(a) if unitary else None
-    clifford = unitary and _is_clifford_action(a, l)
-    return GadgetAction(a, gamma, unitary, clifford)
-
-
-def pauli_conjugation_test(a: np.ndarray) -> str:
-    """CLIFFORD / UNITARY_NON_CLIFFORD / NON_UNITARY for a 2x2 action."""
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (2, 2):
-        raise ValueError("expected a 2x2 action matrix")
-    if not linalg.is_unitary_up_to_scale(a, 1e-8):
-        return "NON_UNITARY"
-    return "CLIFFORD" if _is_clifford_action(a, 1) else "UNITARY_NON_CLIFFORD"
+    unitary = bool(linalg.is_unitary_up_to_scale(a))
+    gamma = float(linalg.unitary_scale(a)) if unitary else None
+    return GadgetAction(a, gamma, unitary, bool(linalg.is_clifford(a)))
 
 
 def build_gadget_I(phi: float, theta: float, u: np.ndarray | None = None) -> Gadget:
@@ -222,21 +152,28 @@ def gadget_J_closed_form(theta: float) -> np.ndarray:
 _SEARCH_KEY_DECIMALS = 8
 
 
-def _phase_canonical_key(m: np.ndarray) -> bytes:
-    flat = m.reshape(-1)
-    lead = flat[np.argmax(np.abs(flat) > 1e-6)]
-    canon = flat * (lead.conjugate() / abs(lead))
-    return np.round(canon, _SEARCH_KEY_DECIMALS).tobytes()
+def _phase_canonical_keys(stack: np.ndarray) -> list[bytes]:
+    """One hashable key per matrix of an (N, d, d) stack, equal up to phase.
+
+    Each matrix is rotated so its first entry above 1e-6 in modulus is real
+    positive, then rounded.  Rounding a tiny negative part gives -0.0, whose
+    bytes differ from those of 0.0; `+ 0.0` turns it into 0.0.
+    """
+    flat = stack.reshape(len(stack), stack.shape[-2] * stack.shape[-1])
+    lead = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > 1e-6, axis=1)]
+    canon = np.round(flat * (lead.conj() / np.abs(lead))[:, None], _SEARCH_KEY_DECIMALS) + 0.0
+    return [row.tobytes() for row in canon]
 
 
 def search_gadgets(u: np.ndarray, k: int) -> list[tuple[Gadget, GadgetAction]]:
     """All 2-to-1 gadget classes over U whose action is unitary non-Clifford.
 
     Enumerates every Clifford class modulo phase (11520 at k=2), every
-    ancilla bit, postselect wire and postselect bit, classifies all actions
-    in one vectorized pass, and deduplicates by the normalized action up to
-    global phase.  Results are sorted by canonical key, so the order is
-    stable across runs.
+    ancilla bit, postselect wire and postselect bit.  Each of the 8 slices
+    of 11520 actions is classified in one batched pass, and the survivors
+    are deduplicated by their action up to scale and global phase before
+    any Gadget is built; the first one found represents its class.  Results
+    are sorted by canonical key, so the order is stable across runs.
     """
     u = np.asarray(u, dtype=complex)
     if k < 2:
@@ -288,13 +225,12 @@ def search_gadgets(u: np.ndarray, k: int) -> list[tuple[Gadget, GadgetAction]]:
                 else:
                     rows = [b_bit, 2 + b_bit]
                 actions = w[:, rows][:, :, cols]
-                keep = _vectorized_non_clifford(actions)
-                for idx in np.flatnonzero(keep):
-                    action = _classify_action(actions[idx], 1)
-                    assert action.is_unitary and not action.is_clifford
-                    key = _phase_canonical_key(
-                        linalg.normalized_action(action.matrix, 1)
-                    )
+                keep = np.flatnonzero(
+                    linalg.is_unitary_up_to_scale(actions) & ~linalg.is_clifford(actions)
+                )
+                gammas = linalg.unitary_scale(actions[keep])
+                keys = _phase_canonical_keys(actions[keep] / np.sqrt(gammas)[:, None, None])
+                for idx, gamma, key in zip(keep, gammas, keys):
                     if key in results:
                         continue
                     gadget = Gadget(
@@ -306,36 +242,8 @@ def search_gadgets(u: np.ndarray, k: int) -> list[tuple[Gadget, GadgetAction]]:
                         (post_wire,),
                         (b_bit,),
                     )
-                    results[key] = (gadget, action)
+                    results[key] = (gadget, GadgetAction(actions[idx], float(gamma), True, False))
     return [results[key] for key in sorted(results)]
-
-
-def _vectorized_non_clifford(actions: np.ndarray) -> np.ndarray:
-    """Boolean mask: action unitary up to scale but not Clifford (2x2 batch)."""
-    adag = np.conj(np.swapaxes(actions, -1, -2))
-    prod = adag @ actions
-    gammas = np.trace(prod, axis1=-2, axis2=-1).real / 2.0
-    resid = np.abs(prod - gammas[:, None, None] * np.eye(2)).max(axis=(-2, -1))
-    unitary = (gammas > 1e-8) & (resid <= 1e-8 * np.maximum(1.0, gammas))
-    dets = (
-        actions[:, 0, 0] * actions[:, 1, 1] - actions[:, 0, 1] * actions[:, 1, 0]
-    )
-    safe = np.where(unitary, dets, 1.0)
-    atilde = actions / np.sqrt(safe)[:, None, None]
-    atdag = np.conj(np.swapaxes(atilde, -1, -2))
-    clifford = np.ones(len(actions), dtype=bool)
-    paulis = [linalg.GATES["X"], linalg.GATES["Y"], linalg.GATES["Z"]]
-    for p in (linalg.GATES["X"], linalg.GATES["Z"]):
-        image = atilde @ p @ atdag
-        coeffs = np.stack(
-            [np.trace(q @ image, axis1=-2, axis2=-1) / 2.0 for q in paulis], axis=1
-        )
-        mags = np.abs(coeffs)
-        is_pauli = (np.abs(mags.max(axis=1) - 1.0) <= 1e-9) & (
-            np.sort(mags, axis=1)[:, :-1] <= 1e-9
-        ).all(axis=1)
-        clifford &= is_pauli
-    return unitary & ~clifford
 
 
 # -- bounded-budget word search (stand-in for a real compiler) -----------------
@@ -369,17 +277,15 @@ def compile_word(
     best_word: tuple[int, ...] = ()
     best_dist = float(linalg.phase_invariant_distance(np.eye(2), target))
     beam: list[tuple[np.ndarray, tuple[int, ...]]] = [(np.eye(2, dtype=complex), ())]
-    seen = {_phase_canonical_key(np.eye(2, dtype=complex))}
+    seen = set(_phase_canonical_keys(np.eye(2, dtype=complex)[None]))
     for _ in range(max_length):
+        expanded = [(g @ m, word + (gi,)) for m, word in beam for gi, g in enumerate(gens)]
         candidates: list[tuple[np.ndarray, tuple[int, ...]]] = []
-        for m, word in beam:
-            for gi, g in enumerate(gens):
-                m2 = g @ m
-                key = _phase_canonical_key(m2)
-                if key in seen:
-                    continue
-                seen.add(key)
-                candidates.append((m2, word + (gi,)))
+        for cand, key in zip(expanded, _phase_canonical_keys(np.stack([m for m, _ in expanded]))):
+            if key in seen:
+                continue
+            seen.add(key)
+            candidates.append(cand)
         if not candidates:
             break
         stack = np.stack([m for m, _ in candidates])

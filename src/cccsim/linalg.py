@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
+from functools import reduce
 
 import numpy as np
 
@@ -83,13 +84,6 @@ def basis_state(n: int, bits: str) -> np.ndarray:
     return state
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def apply_gate(state: np.ndarray, g: np.ndarray, targets: tuple[int, ...] | list[int]) -> np.ndarray:
     """Apply a 2**t x 2**t gate to the target qubits of a statevector."""
     n = int(round(math.log2(state.size)))
@@ -147,22 +141,33 @@ def proportional_up_to_phase(
     return bool(np.max(np.abs(a - alpha * b)) <= tol)
 
 
-def is_unitary_up_to_scale(a: np.ndarray, tol: float = 1e-8) -> bool:
-    """True iff a.conj().T @ a = gamma*I for some gamma > tol."""
+def _square_stack(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    m = a.conj().T @ a
-    gamma = float(np.trace(m).real) / a.shape[0]
-    if gamma <= tol:
-        return False
-    return bool(np.max(np.abs(m - gamma * np.eye(a.shape[0]))) <= tol * max(1.0, gamma))
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
+    return a
 
 
-def unitary_scale(a: np.ndarray) -> float:
-    """The gamma in a.conj().T @ a = gamma*I (meaningful when unitary-up-to-scale)."""
-    a = np.asarray(a, dtype=complex)
-    return float(np.trace(a.conj().T @ a).real) / a.shape[0]
+def is_unitary_up_to_scale(a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """For each matrix of a (..., d, d) stack: a^dag a = gamma*I, gamma > tol?
+
+    A 2-D input gives a numpy bool scalar, a stack an array of the stack's
+    leading shape.
+    """
+    a = _square_stack(a)
+    m = a.conj().swapaxes(-1, -2) @ a
+    gamma = np.trace(m, axis1=-2, axis2=-1).real / a.shape[-1]
+    resid = np.abs(m - gamma[..., None, None] * np.eye(a.shape[-1])).max(axis=(-2, -1))
+    return (gamma > tol) & (resid <= tol * np.maximum(1.0, gamma))
+
+
+def unitary_scale(a: np.ndarray) -> np.ndarray:
+    """The gamma in a^dag a = gamma*I, for each matrix of a (..., d, d) stack.
+
+    Meaningful where the matrix is unitary up to scale: tr(a^dag a) / d.
+    """
+    a = _square_stack(a)
+    return np.trace(a.conj().swapaxes(-1, -2) @ a, axis1=-2, axis2=-1).real / a.shape[-1]
 
 
 def is_unitary(a: np.ndarray, tol: float = 1e-8) -> bool:
@@ -170,14 +175,38 @@ def is_unitary(a: np.ndarray, tol: float = 1e-8) -> bool:
     return bool(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) <= tol)
 
 
-def is_signed_pauli(a: np.ndarray, tol: float = 1e-9) -> bool:
-    """True iff a is +P or -P for a single-qubit Pauli P in {X, Y, Z}."""
-    a = np.asarray(a, dtype=complex)
-    for name in ("X", "Y", "Z"):
-        p = GATES[name]
-        if np.max(np.abs(a - p)) <= tol or np.max(np.abs(a + p)) <= tol:
-            return True
-    return False
+def is_clifford(a: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """For each matrix of a (..., d, d) stack, d = 2**l: Clifford up to scale?
+
+    True iff the matrix is unitary up to scale (see is_unitary_up_to_scale)
+    and conjugation by it maps every single-qubit X_w and Z_w to a Pauli
+    string up to phase.  The image a P a^dag / gamma has Pauli coefficients
+    c_Q = tr(Q image) / d with sum |c_Q|^2 = 1; it is a Pauli iff every
+    coefficient but the largest is at most tol in modulus.  The coefficients
+    are read in one pass: tr(X^x Z^z M) = sum_c (-1)^(z.c) M[c, c^x], a
+    Walsh-Hadamard transform of the x-th diagonal of M.
+    """
+    a = _square_stack(a)
+    d = a.shape[-1]
+    l = d.bit_length() - 1
+    if d != 2**l:
+        raise ValueError(f"matrix dimension {d} is not a power of two")
+    unitary = is_unitary_up_to_scale(a)
+    gamma = np.where(unitary, unitary_scale(a), 1.0)[..., None, None]
+    ad = a.conj().swapaxes(-1, -2)
+    idx = np.arange(d)
+    diagonals = (idx[None, :], idx[None, :] ^ idx[:, None])  # [x, c] -> (c, c^x)
+    walsh = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * l, np.ones((1, 1)))
+    clifford = unitary
+    for w in range(l):
+        bit = 1 << (l - 1 - w)
+        x_w = a[..., idx ^ bit]  # a @ X_w permutes columns
+        z_w = a * np.where(idx & bit, -1.0, 1.0)  # a @ Z_w flips column signs
+        for image in (x_w @ ad / gamma, z_w @ ad / gamma):
+            coeffs = np.abs(image[..., diagonals[0], diagonals[1]] @ walsh) / d
+            flat = np.sort(coeffs.reshape(*coeffs.shape[:-2], d * d), axis=-1)
+            clifford = clifford & (flat[..., -2] <= tol)
+    return clifford
 
 
 def phase_invariant_distance(a: np.ndarray, b: np.ndarray) -> float:

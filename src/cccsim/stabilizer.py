@@ -342,13 +342,6 @@ def parse_circuit(text: str) -> CliffordCircuit:
         raise ParseError(str(exc)) from None
 
 
-def tableau_apply(t: CliffordTableau, gate: tuple[str, tuple[int, ...]]) -> CliffordTableau:
-    """Return a new tableau conjugated by one generator gate."""
-    out = t.copy()
-    out.apply(gate[0], gate[1])
-    return out
-
-
 def circuit_to_tableau(c: CliffordCircuit) -> CliffordTableau:
     t = CliffordTableau.identity(c.n)
     for name, qubits in c.gates:
@@ -548,7 +541,8 @@ def enumerate_clifford_words(n: int) -> list[tuple[tuple[str, tuple[int, ...]], 
         nxt = []
         for tab, word in frontier:
             for g in gates:
-                t2 = tableau_apply(tab, g)
+                t2 = tab.copy()
+                t2.apply(*g)
                 k = t2.key()
                 if k not in seen:
                     seen.add(k)

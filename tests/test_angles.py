@@ -111,7 +111,9 @@ def test_parse_angle_decimal():
     assert float(parse_angle("-2")) == -2.0
 
 
-@pytest.mark.parametrize("bad", ["", "pi*", "pi/2", "tau", "pi*1/0", "2pi"])
+@pytest.mark.parametrize(
+    "bad", ["", "pi*", "pi/2", "tau", "pi*1/0", "2pi", "nan", "inf", "-inf", "1e999"]
+)
 def test_parse_angle_rejects_garbage(bad):
     with pytest.raises(ParseError):
         parse_angle(bad)

@@ -37,6 +37,8 @@ def test_classify_cases(capsys):
 def test_classify_bad_spec_exits_2(capsys):
     code, _, err = run_cli(capsys, ["classify", "--u", "wat"])
     assert code == 2 and "error:" in err
+    code, _, err = run_cli(capsys, ["classify", "--u", "rz=inf"])
+    assert code == 2 and "error:" in err
 
 
 def test_simulate_easy_and_dense_agree(capsys):
@@ -150,6 +152,8 @@ def test_anticonc_report_and_csv(tmp_path, capsys):
     assert abs(np.mean(values) - d["mean_p"]) < 1e-12
     code, _, _ = run_cli(capsys, ["anticonc", "--n", "3", "--samples", "10"])
     assert code == 2
+    code, _, _ = run_cli(capsys, ["anticonc", "--n", "0", "--samples", "100"])
+    assert code == 2
 
 
 def test_params(capsys):
@@ -179,6 +183,8 @@ def test_mbqc_check(capsys):
     d = run_json(capsys, ["mbqc", "check", "--theta", "pi*1/4"])
     assert not d["universal"] and d["exact_cosines"] == ["-1/2", "-1/2"]
     code, _, _ = run_cli(capsys, ["mbqc", "check", "--theta", "0.7"])
+    assert code == 2
+    code, _, _ = run_cli(capsys, ["mbqc", "check", "--theta", "inf"])
     assert code == 2
 
 

@@ -165,6 +165,8 @@ def test_trial_is_reproducible():
 def test_trial_validation():
     with pytest.raises(ValueError):
         anticoncentration_trial(3, np.eye(2), "000", 50)
+    with pytest.raises(ValueError):
+        anticoncentration_trial(0, np.eye(2), "", 200)
     with pytest.raises(CapabilityError):
         anticoncentration_trial(99, np.eye(2), "0" * 99, 200)
     with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cccsim import linalg
 from cccsim.errors import CapabilityError
+from cccsim.stabilizer import CliffordCircuit, PauliString, random_clifford_circuit
 
 
 def random_unitary(rng, d=2):
@@ -120,14 +121,53 @@ def test_unitary_up_to_scale():
     assert linalg.is_unitary_up_to_scale(0.5 * h)
     assert math.isclose(linalg.unitary_scale(0.5 * h), 0.25)
     assert not linalg.is_unitary_up_to_scale(np.array([[1, 0], [0, 0.5]]))
+    stack = np.stack([0.5 * h, np.array([[1, 0], [0, 0.5]]), np.zeros((2, 2))])
+    assert linalg.is_unitary_up_to_scale(stack).tolist() == [True, False, False]
+    assert np.allclose(linalg.unitary_scale(stack[:1]), [0.25])
 
 
-def test_is_signed_pauli():
+# -- the Clifford-membership predicate ---------------------------------------------
+
+
+def test_is_clifford_single_qubit_inputs():
     for name in ("X", "Y", "Z"):
-        assert linalg.is_signed_pauli(linalg.GATES[name])
-        assert linalg.is_signed_pauli(-linalg.GATES[name])
-    assert not linalg.is_signed_pauli(1j * linalg.GATES["X"])
-    assert not linalg.is_signed_pauli(linalg.GATES["H"])
+        for phase in range(4):
+            assert linalg.is_clifford(1j**phase * linalg.GATES[name]), (name, phase)
+    for name in ("H", "S", "SDG"):
+        assert linalg.is_clifford(linalg.GATES[name]), name
+    assert linalg.is_clifford(0.5 * linalg.GATES["X"])  # Clifford up to scale
+    assert not linalg.is_clifford(linalg.GATES["T"])
+    assert not linalg.is_clifford(linalg.rz(3e-9))  # past the 1e-9 tolerance
+    assert not linalg.is_clifford(np.zeros((2, 2), dtype=complex))
+
+
+def test_is_clifford_pauli_strings():
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        n = int(rng.integers(1, 4))
+        p = PauliString(
+            n, int(rng.integers(0, 2**n)), int(rng.integers(0, 2**n)), int(rng.integers(0, 4))
+        )
+        assert linalg.is_clifford(p.to_matrix()), p
+
+
+def test_is_clifford_circuit_unitaries():
+    # Clifford circuits pass, scaled or not; one T inserted mid-circuit fails
+    rng = np.random.default_rng(5)
+    for l in (1, 2, 3):
+        for _ in range(4):
+            c = random_clifford_circuit(l, rng)
+            u = c.to_unitary()
+            half = len(c.gates) // 2
+            first, second = CliffordCircuit(l, c.gates[:half]), CliffordCircuit(l, c.gates[half:])
+            w = int(rng.integers(0, l))
+            t_w = np.kron(np.kron(np.eye(2**w), linalg.GATES["T"]), np.eye(2 ** (l - 1 - w)))
+            with_t = second.to_unitary() @ t_w @ first.to_unitary()
+            non_unitary = u @ np.diag(np.linspace(1.0, 2.0, 2**l))
+            stack = np.stack([u, 0.5j * u, with_t, 0.5j * with_t, non_unitary])
+            expected = [True, True, False, False, False]
+            assert linalg.is_clifford(stack).tolist() == expected, l
+            assert [bool(linalg.is_clifford(m)) for m in stack] == expected, l
 
 
 def test_phase_invariant_distance_basics():

@@ -6,7 +6,7 @@ import pytest
 
 from cccsim import linalg, mbqc
 from cccsim.angles import ExactAngle, parse_angle
-from cccsim.ccc import classify, decompose_unitary, is_clifford_single_qubit
+from cccsim.ccc import classify, decompose_unitary
 
 
 def factor_between(a, b):
@@ -154,8 +154,8 @@ def test_non_universal_exactly_when_injected_gates_are_clifford():
         g0 = mbqc.g_closed_form(float(theta), 0)
         g1 = mbqc.g_closed_form(float(theta), 1)
         universal = mbqc.universality_check(theta).universal
-        assert universal == (not is_clifford_single_qubit(g0)), (num, den)
-        assert is_clifford_single_qubit(g0) == is_clifford_single_qubit(g1)
+        assert universal == (not linalg.is_clifford(g0)), (num, den)
+        assert linalg.is_clifford(g0) == linalg.is_clifford(g1)
 
 
 def test_conjugation_by_injected_gate_is_always_easy():
