@@ -110,6 +110,25 @@ def test_gadget_J_normalized_action_is_a_z_rotation():
         assert linalg.proportional_up_to_phase(a, expected, tol=1e-9), theta
 
 
+# The two match_pauli_string tests keep their names; the routine is gone, and their
+# inputs now check linalg.is_clifford, the one Clifford-membership predicate.
+
+
+def test_match_pauli_string_single_qubit():
+    for name in ("X", "Y", "Z"):
+        for phase in range(4):
+            assert linalg.is_clifford(1j**phase * linalg.GATES[name]), (name, phase)
+
+
+def test_match_pauli_string_rejects_non_paulis():
+    # non-Paulis are not all non-Cliffords: H and 0.5X (Clifford up to scale) pass
+    assert linalg.is_clifford(linalg.GATES["H"])
+    assert linalg.is_clifford(0.5 * linalg.GATES["X"])
+    assert not linalg.is_clifford(linalg.GATES["T"])
+    assert not linalg.is_clifford(linalg.rz(3e-9))  # past the 1e-9 tolerance
+    assert not linalg.is_clifford(np.zeros((2, 2), dtype=complex))
+
+
 def test_pauli_conjugation_test_three_ways():
     def verdict(a):
         if not linalg.is_unitary_up_to_scale(a):
