@@ -14,7 +14,9 @@ from cccsim.linalg import GATES
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument("--n-min", type=int, default=2)
     parser.add_argument("--n-max", type=int, default=6)
     parser.add_argument("--samples", type=int, default=2000)

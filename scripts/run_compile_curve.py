@@ -16,7 +16,9 @@ from cccsim.linalg import GATES, normalized_action
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument("--target", default="rz=pi*1/4")
     parser.add_argument("--theta", type=float, default=math.pi / 3,
                         help="injection angle for the always-unitary gadget")

@@ -14,7 +14,9 @@ from cccsim.gadgets import search_gadgets
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument("--u", default="rz=pi*1/3 rx=pi*1/2",
                         help="unitary spec, e.g. 'T', 'rz=0.7 rx=pi*1/2', or 8 reals")
     parser.add_argument("--k", type=int, default=2, help="gadget wire count")

@@ -14,7 +14,7 @@ from .ccc import (
     simulate_easy_weak,
     tv_distance,
 )
-from .errors import CapabilityError, ParseError
+from .errors import CapabilityError, InvariantError, ParseError
 from .gadgets import build_gadget_I, build_gadget_J, gadget_action, search_gadgets
 from .stabilizer import CliffordCircuit, CliffordTableau, PauliString, random_clifford
 
@@ -25,6 +25,7 @@ __all__ = [
     "CliffordCircuit",
     "CliffordTableau",
     "ExactAngle",
+    "InvariantError",
     "ParseError",
     "PauliString",
     "PH_SUPREME",

@@ -22,14 +22,13 @@ import numpy as np
 
 from . import linalg
 from .angles import ExactAngle, parse_angle
-from .errors import ParseError
+from .errors import InvariantError, ParseError
 from .stabilizer import (
     CliffordCircuit,
-    CliffordTableau,
     PauliString,
     circuit_to_tableau,
+    compile_measurement,
     conjugate_pauli,
-    sample_measurement,
 )
 
 PWEAK = "PWEAK"
@@ -126,7 +125,9 @@ def decompose_unitary(u: np.ndarray) -> UnitaryDecomposition:
     # folding is lossless except when theta falls in the reconstruction
     # window of 0 or pi without hitting the entrywise degeneracy tolerance;
     # that sliver costs at most ~2e-9, hence the loose internal bound here
-    assert np.max(np.abs(dec.recompose() - u)) < 1e-8
+    residual = np.max(np.abs(dec.recompose() - u))
+    if not residual < 1e-8:
+        raise InvariantError(f"Euler angles recompose the input only to {residual:.2e}")
     return dec
 
 
@@ -288,13 +289,23 @@ def _easy_reduction(instance: CccInstance) -> tuple[CliffordCircuit, bool]:
     return prefix.then(v).then(suffix), False
 
 
-def simulate_easy_weak(instance: CccInstance, rng: np.random.Generator) -> str:
-    """One exact sample from the model distribution via the stabilizer path."""
+_NEGATE = str.maketrans("01", "10")
+
+
+def simulate_easy_weak(
+    instance: CccInstance, rng: np.random.Generator, shots: int
+) -> list[str]:
+    """Exact samples from the model distribution via the stabilizer path.
+
+    Reduces, replays and compiles the measurement once; each shot is then a
+    draw of the compiled sampler, which uses rng as sample_measurement would.
+    """
     circuit, negate = _easy_reduction(instance)
-    y = sample_measurement(circuit_to_tableau(circuit), rng)
+    sampler = compile_measurement(circuit_to_tableau(circuit))
+    samples = [sampler.draw(rng) for _ in range(shots)]
     if negate:
-        y = "".join("1" if b == "0" else "0" for b in y)
-    return y
+        samples = [y.translate(_NEGATE) for y in samples]
+    return samples
 
 
 def easy_reduction_distribution(instance: CccInstance) -> OutcomeDistribution:

@@ -45,12 +45,13 @@ from .gadgets import (
 from .stabilizer import parse_circuit, random_clifford_circuit
 
 
-def _load_instance(args):
+def _load_instance(args, rng: np.random.Generator):
+    """The (U, V) instance of --u and --circuit/--random-v; rng draws a random V."""
     spec = parse_unitary_spec(args.u)
     if args.circuit:
         v = parse_circuit(Path(args.circuit).read_text())
     elif args.random_v:
-        v = random_clifford_circuit(args.random_v, np.random.default_rng(args.seed))
+        v = random_clifford_circuit(args.random_v, rng)
     else:
         raise ValueError("provide a circuit with --circuit FILE or --random-v N")
     return make_instance(spec.matrix, v, spec.decomposition)
@@ -85,7 +86,7 @@ def cmd_classify(args) -> dict:
 
 
 def cmd_simulate(args) -> dict:
-    instance = _load_instance(args)
+    instance = _load_instance(args, np.random.default_rng(args.seed))
     verdict = classify(instance.decomposition)
     method = args.method
     if method == "auto":
@@ -104,18 +105,11 @@ def cmd_simulate(args) -> dict:
 
 def cmd_sample(args) -> dict:
     rng = np.random.default_rng(args.seed)
-    spec = parse_unitary_spec(args.u)
-    if args.circuit:
-        v = parse_circuit(Path(args.circuit).read_text())
-    elif args.random_v:
-        v = random_clifford_circuit(args.random_v, rng)
-    else:
-        raise ValueError("provide a circuit with --circuit FILE or --random-v N")
-    instance = make_instance(spec.matrix, v, spec.decomposition)
+    instance = _load_instance(args, rng)
     verdict = classify(instance.decomposition)
     if verdict.complexity_class == PWEAK:
         method = "stabilizer"
-        samples = [simulate_easy_weak(instance, rng) for _ in range(args.samples)]
+        samples = simulate_easy_weak(instance, rng, args.samples)
     else:
         if instance.n > linalg.dense_cap():
             raise CapabilityError(
@@ -131,7 +125,7 @@ def cmd_sample(args) -> dict:
 
 
 def cmd_marginal(args) -> dict:
-    instance = _load_instance(args)
+    instance = _load_instance(args, np.random.default_rng(args.seed))
     p0 = float(marginal_single_qubit(instance, args.qubit))
     return {"n": instance.n, "qubit": args.qubit, "p0": p0, "p1": 1.0 - p0}
 
@@ -286,13 +280,13 @@ def cmd_params(args) -> dict:
 
 
 def cmd_audit(args) -> dict:
-    instance = _load_instance(args)
+    instance = _load_instance(args, np.random.default_rng(args.seed))
     exact = dense_distribution(instance)
     if args.approx_samples:
         rng = np.random.default_rng(args.seed)
         counts = np.zeros(2**instance.n)
-        for _ in range(args.approx_samples):
-            counts[int(simulate_easy_weak(instance, rng), 2)] += 1
+        for y in simulate_easy_weak(instance, rng, args.approx_samples):
+            counts[int(y, 2)] += 1
         approx = OutcomeDistribution(instance.n, counts / args.approx_samples)
         approx_method = "empirical_stabilizer"
     else:

@@ -7,3 +7,7 @@ class ParseError(ValueError):
 
 class CapabilityError(RuntimeError):
     """The request is well-formed but exceeds a documented desk-scale cap."""
+
+
+class InvariantError(RuntimeError):
+    """A library invariant failed: a bug or corrupted internal state, not bad input."""

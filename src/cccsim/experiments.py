@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .ccc import OutcomeDistribution, apply_circuit, tv_distance
-from .errors import CapabilityError
+from .errors import CapabilityError, InvariantError
 from .stabilizer import random_clifford, tableau_to_circuit
 
 MIN_TRIAL_SAMPLES = 100
@@ -195,5 +195,6 @@ def markov_set_audit(exact: OutcomeDistribution, approx: OutcomeDistribution, c)
         raise ValueError("qubit count mismatch")
     threshold = 2 * tv_distance(exact, approx) / (c * 2**exact.n)
     fraction = float(np.mean(np.abs(approx.probs - exact.probs) <= threshold))
-    assert fraction >= 1 - c
+    if fraction < 1 - c:
+        raise InvariantError(f"Markov bound broken: {fraction} of outcomes within, below 1 - c")
     return fraction

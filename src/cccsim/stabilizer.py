@@ -6,8 +6,9 @@ qubit j has letter X if only bit j of x is set, Z if only bit j of z, Y if
 both.  A Clifford operation is stored as a tableau of 2n rows: row i < n is
 the image of X_i under conjugation (destabilizer), row n+i the image of Z_i
 (stabilizer).  Global phases are never tracked; every consumer here is
-phase-insensitive.  Row bit masks are plain Python ints, so row operations
-are word-wise XOR/AND at any n.
+phase-insensitive.  The tableau is held by columns: per qubit, its X bits and
+its Z bits over all 2n rows are one Python int each, so a gate is a few
+word-wise XOR/AND operations at any n.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import CapabilityError, ParseError
+from .errors import CapabilityError, InvariantError, ParseError
 
 #: gates the tableau engine applies natively
 GENERATOR_GATES = ("H", "S", "CNOT")
@@ -94,24 +95,53 @@ class PauliString:
 
 
 class CliffordTableau:
-    """Mutable tableau; clone with copy() before destructive use."""
+    """Mutable tableau in column layout; clone with copy() before destructive use.
 
-    __slots__ = ("n", "xs", "zs", "ph")
+    xcol[q] and zcol[q] are bitsets over the 2n rows: bit i of xcol[q] is the
+    X bit of row i at qubit q.  The row phases are two more bitsets, odd
+    (bit 0 of the phase) and sign (bit 1), so row i carries
+    i^(odd_i + 2 sign_i).  A gate is then a few big-int operations on one or
+    two columns and the sign, at any n (the CHP/Stim layout).
+    """
 
-    def __init__(self, n: int, xs: list[int], zs: list[int], ph: list[int]):
+    __slots__ = ("n", "xcol", "zcol", "odd", "sign")
+
+    def __init__(self, n: int, xcol: list[int], zcol: list[int], odd: int = 0, sign: int = 0):
         self.n = n
-        self.xs = xs
-        self.zs = zs
-        self.ph = ph
+        self.xcol = xcol
+        self.zcol = zcol
+        self.odd = odd
+        self.sign = sign
 
     @staticmethod
     def identity(n: int) -> "CliffordTableau":
-        xs = [1 << i for i in range(n)] + [0] * n
-        zs = [0] * n + [1 << i for i in range(n)]
-        return CliffordTableau(n, xs, zs, [0] * 2 * n)
+        return CliffordTableau(n, [1 << q for q in range(n)], [1 << (n + q) for q in range(n)])
+
+    @staticmethod
+    def from_rows(
+        n: int, xs: list[int], zs: list[int], ph: list[int] | None = None
+    ) -> "CliffordTableau":
+        """The tableau whose row i is i^ph[i] times the Pauli with masks xs[i], zs[i]."""
+        ph = [0] * (2 * n) if ph is None else ph
+        if not len(xs) == len(zs) == len(ph) == 2 * n:
+            raise ValueError(f"need {2 * n} rows for n={n}")
+        if any(m >> n for m in (*xs, *zs)):
+            raise ValueError(f"row mask wider than n={n} qubits")
+        xcol, zcol = [0] * n, [0] * n
+        odd = sign = 0
+        for i in range(2 * n):
+            bit = 1 << i
+            for q in range(n):
+                if xs[i] >> q & 1:
+                    xcol[q] |= bit
+                if zs[i] >> q & 1:
+                    zcol[q] |= bit
+            odd |= (ph[i] & 1) << i
+            sign |= (ph[i] >> 1 & 1) << i
+        return CliffordTableau(n, xcol, zcol, odd, sign)
 
     def copy(self) -> "CliffordTableau":
-        return CliffordTableau(self.n, list(self.xs), list(self.zs), list(self.ph))
+        return CliffordTableau(self.n, list(self.xcol), list(self.zcol), self.odd, self.sign)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CliffordTableau):
@@ -122,16 +152,34 @@ class CliffordTableau:
         return hash(self.key())
 
     def key(self) -> tuple:
-        return (self.n, tuple(self.xs), tuple(self.zs), tuple(self.ph))
+        return (self.n, tuple(self.xcol), tuple(self.zcol), self.odd, self.sign)
 
     def row(self, i: int) -> PauliString:
-        return PauliString(self.n, self.xs[i], self.zs[i], self.ph[i])
+        if not 0 <= i < 2 * self.n:
+            raise IndexError(f"row {i} out of range for n={self.n}")
+        return self._row_product(1 << i)
 
-    def destabilizer(self, i: int) -> PauliString:
-        return self.row(i)
+    def validate(self) -> None:
+        """Raise InvariantError unless the rows are a symplectic basis of Hermitian Paulis.
 
-    def stabilizer(self, i: int) -> PauliString:
-        return self.row(self.n + i)
+        Destabilizer i (row i) must anticommute with stabilizer i (row n+i)
+        and commute with every other row, and every row's phase must be real.
+        """
+        n, xcol, zcol = self.n, self.xcol, self.zcol
+        bitsets = (*xcol, *zcol, self.odd, self.sign)
+        if len(xcol) != n or len(zcol) != n or any(v >> 2 * n for v in bitsets):
+            raise InvariantError(f"bitsets do not fit {2 * n} rows over {n} qubits")
+        if self.odd:
+            raise InvariantError(f"row {_lowest(self.odd)} is not Hermitian")
+        for a in range(2 * n):
+            anti = 0  # bit b: rows a and b anticommute
+            for q in range(n):
+                if xcol[q] >> a & 1:
+                    anti ^= zcol[q]
+                if zcol[q] >> a & 1:
+                    anti ^= xcol[q]
+            if anti != 1 << (a + n if a < n else a - n):
+                raise InvariantError(f"row {a} breaks the symplectic pairing")
 
     # -- gate application (conjugates every row by the gate) --
 
@@ -151,80 +199,172 @@ class CliffordTableau:
 
     def _h(self, q: int) -> None:
         self._check(q)
-        bit = 1 << q
-        xs, zs, ph = self.xs, self.zs, self.ph
-        for i in range(2 * self.n):
-            xb, zb = xs[i] & bit, zs[i] & bit
-            if xb and zb:
-                ph[i] = (ph[i] + 2) % 4
-            if bool(xb) != bool(zb):
-                xs[i] ^= bit
-                zs[i] ^= bit
+        x, z = self.xcol[q], self.zcol[q]
+        self.sign ^= x & z
+        self.xcol[q], self.zcol[q] = z, x
 
     def _s(self, q: int) -> None:
         self._check(q)
-        bit = 1 << q
-        xs, zs, ph = self.xs, self.zs, self.ph
-        for i in range(2 * self.n):
-            xb = xs[i] & bit
-            if xb and zs[i] & bit:
-                ph[i] = (ph[i] + 2) % 4
-            if xb:
-                zs[i] ^= bit
+        x = self.xcol[q]
+        self.sign ^= x & self.zcol[q]
+        self.zcol[q] ^= x
 
     def _cnot(self, c: int, t: int) -> None:
         self._check(c)
         self._check(t)
         if c == t:
             raise ValueError("CNOT control and target coincide")
-        cb, tb = 1 << c, 1 << t
-        xs, zs, ph = self.xs, self.zs, self.ph
-        for i in range(2 * self.n):
-            xc = (xs[i] >> c) & 1
-            zt = (zs[i] >> t) & 1
-            if xc and zt and ((xs[i] >> t) ^ (zs[i] >> c) ^ 1) & 1:
-                ph[i] = (ph[i] + 2) % 4
-            if xc:
-                xs[i] ^= tb
-            if zt:
-                zs[i] ^= cb
+        xcol, zcol = self.xcol, self.zcol
+        self.sign ^= xcol[c] & zcol[t] & ~(xcol[t] ^ zcol[c])
+        xcol[t] ^= xcol[c]
+        zcol[c] ^= zcol[t]
+
+    # -- row algebra over bitsets of rows --
+
+    def _row_product(self, rows: int) -> PauliString:
+        """The product of the rows in the bitset, in increasing row order.
+
+        Writing each row as i^(phase + |Y|) X^x Z^z and moving every X to the
+        left picks up a -1 for each pair a < b with Z at a and X at b on the
+        same qubit; per qubit that count's parity is a prefix-parity scan.
+        """
+        n = self.n
+        x = z = 0
+        phase = (self.odd & rows).bit_count() + 2 * (self.sign & rows).bit_count()
+        for q in range(n):
+            rx, rz = self.xcol[q] & rows, self.zcol[q] & rows
+            if not (rx or rz):
+                continue
+            xb, zb = rx.bit_count() & 1, rz.bit_count() & 1
+            phase += (rx & rz).bit_count() - (xb & zb) + 2 * (rx & _parity_below(rz, 2 * n)).bit_count()
+            x |= xb << q
+            z |= zb << q
+        return PauliString(n, x, z, phase % 4)
+
+    def _multiply_rows(self, p: int, rows: int) -> None:
+        """Replace every row r in the bitset (p not in it) by row_p * row_r."""
+        xcol, zcol = self.xcol, self.zcol
+        lo = hi = 0  # per-row phase of the product, mod 4, as two bitsets
+        for q in range(self.n):
+            px, pz = xcol[q] >> p & 1, zcol[q] >> p & 1
+            if not (px or pz):
+                continue
+            rx, rz = xcol[q] & rows, zcol[q] & rows
+            # one-qubit products: X.Y, Z.X, Y.Z give +i; X.Z, Z.Y, Y.X give -i
+            if px and pz:
+                up, down = rz & ~rx, rx & ~rz
+            elif px:
+                up, down = rx & rz, rz & ~rx
+            else:
+                up, down = rx & ~rz, rx & rz
+            hi ^= lo & up
+            lo ^= up
+            hi ^= ~lo & down
+            lo ^= down
+            if px:
+                xcol[q] ^= rows
+            if pz:
+                zcol[q] ^= rows
+        if self.odd >> p & 1:
+            hi ^= lo & rows
+            lo ^= rows
+        if self.sign >> p & 1:
+            hi ^= rows
+        self.sign ^= hi ^ (lo & self.odd)
+        self.odd ^= lo
 
     # -- measurement of the state (tableau of V doubles as the state V|0^n>) --
+
+    def _pivot(self, q: int) -> int:
+        """The first stabilizer row with X support at q, or -1 if Z_q is determined."""
+        stabs = self.xcol[q] >> self.n
+        return self.n + _lowest(stabs) if stabs else -1
+
+    def _collapse(self, q: int, pivot: int) -> None:
+        """The random-outcome step of measuring Z_q, leaving the pivot row +Z_q.
+
+        Every other row with X support at q is multiplied by the pivot row,
+        then the pivot row moves to its destabilizer slot.
+        """
+        n = self.n
+        self._multiply_rows(pivot, self.xcol[q] & ~(1 << pivot))
+        for cols in (self.xcol, self.zcol):
+            for j in range(n):
+                cols[j] = _move_bit(cols[j], pivot, pivot - n)
+        self.odd = _move_bit(self.odd, pivot, pivot - n)
+        self.sign = _move_bit(self.sign, pivot, pivot - n)
+        self.zcol[q] |= 1 << pivot
+
+    def _z_rows(self, q: int) -> int:
+        """With no pivot at q: the stabilizer rows whose product is +/- Z_q.
+
+        They are the ones picked out by the destabilizers' X-support at q.
+        """
+        return (self.xcol[q] & ((1 << self.n) - 1)) << self.n
 
     def measure(self, q: int, rng: np.random.Generator) -> int:
         """Measure qubit q in Z basis, collapsing in place; returns the bit."""
         self._check(q)
-        n = self.n
-        bit = 1 << q
-        pivot = -1
-        for i in range(n, 2 * n):
-            if self.xs[i] & bit:
-                pivot = i
-                break
+        pivot = self._pivot(q)
         if pivot >= 0:
-            # outcome is a fair coin; all other rows with X support at q are
-            # multiplied by the pivot row, then the pivot is replaced
-            prow = self.row(pivot)
-            for i in range(2 * n):
-                if i != pivot and self.xs[i] & bit:
-                    new = prow * self.row(i)
-                    self.xs[i], self.zs[i], self.ph[i] = new.x, new.z, new.phase
+            self._collapse(q, pivot)
             outcome = int(rng.integers(2))
-            self.xs[pivot - n] = prow.x
-            self.zs[pivot - n] = prow.z
-            self.ph[pivot - n] = prow.phase
-            self.xs[pivot] = 0
-            self.zs[pivot] = bit
-            self.ph[pivot] = 2 * outcome
+            self.sign |= outcome << pivot
             return outcome
-        # deterministic outcome: the product of stabilizers selected by the
-        # destabilizer X-support at q equals +/- Z_q
-        acc = PauliString.identity(n)
-        for i in range(n):
-            if self.xs[i] & bit:
-                acc = acc * self.stabilizer(i)
-        assert acc.x == 0 and acc.z == bit and acc.phase in (0, 2)
-        return 1 if acc.phase == 2 else 0
+        return _z_outcome(self._row_product(self._z_rows(q)), q)
+
+
+def _lowest(v: int) -> int:
+    """Index of the lowest set bit of v > 0."""
+    return (v & -v).bit_length() - 1
+
+
+def _move_bit(v: int, src: int, dst: int) -> int:
+    """v with bit dst set to bit src, and bit src cleared."""
+    return (v & ~(1 << dst) & ~(1 << src)) | ((v >> src & 1) << dst)
+
+
+def _parity_below(v: int, width: int) -> int:
+    """Bit b is the parity of the bits of v below b, for b < width."""
+    p, shift = v << 1, 1
+    while shift < width:
+        p ^= p << shift
+        shift <<= 1
+    return p
+
+
+def _z_outcome(product: PauliString, q: int) -> int:
+    """The bit read off a product of stabilizers that must equal +/- Z_q."""
+    if product.x or product.z != 1 << q or product.phase & 1:
+        raise InvariantError(f"stabilizer product {product} is not +/- Z_{q}")
+    return product.phase >> 1
+
+
+@dataclass(frozen=True)
+class CompiledMeasurement:
+    """The Z-basis outcome of a stabilizer state as an affine map of coins.
+
+    terms[q] is None when bit q is a fresh coin, else (c, mask): bit q is c
+    XOR the parity of the earlier coins in mask (coin k is bit k).  The
+    outcomes form the affine subspace of Dehaene and De Moor, with its basis
+    in measurement order.
+    """
+
+    terms: tuple[tuple[int, int] | None, ...]
+
+    def draw(self, rng: np.random.Generator) -> str:
+        """One outcome; consumes rng exactly as sample_measurement does."""
+        coins = k = 0
+        bits = []
+        for term in self.terms:
+            if term is None:
+                bit = int(rng.integers(2))
+                coins |= bit << k
+                k += 1
+            else:
+                bit = term[0] ^ ((coins & term[1]).bit_count() & 1)
+            bits.append(bit)
+        return "".join(map(str, bits))
 
 
 @dataclass(frozen=True)
@@ -355,6 +495,35 @@ def sample_measurement(t: CliffordTableau, rng: np.random.Generator) -> str:
     return "".join(str(work.measure(q, rng)) for q in range(t.n))
 
 
+def compile_measurement(t: CliffordTableau) -> CompiledMeasurement:
+    """Measure qubits 0..n-1 once, symbolically, for any number of draws.
+
+    Runs the same collapse as sample_measurement with each random outcome
+    left as a coin, and carries each row's sign as its constant part plus
+    the set of coins it depends on: forms[k] is the bitset of rows whose sign
+    carries coin k.  The rows' Pauli letters never depend on an outcome, so
+    one pass fixes which bits are coins and which are parities of coins.
+    """
+    n = t.n
+    work = t.copy()
+    forms: list[int] = []
+    terms: list[tuple[int, int] | None] = []
+    for q in range(n):
+        pivot = work._pivot(q)
+        if pivot >= 0:
+            rows = work.xcol[q] & ~(1 << pivot)
+            forms = [f ^ rows if f >> pivot & 1 else f for f in forms]
+            work._collapse(q, pivot)
+            forms = [_move_bit(f, pivot, pivot - n) for f in forms]
+            forms.append(1 << pivot)
+            terms.append(None)
+        else:
+            rows = work._z_rows(q)
+            mask = sum(1 << k for k, f in enumerate(forms) if (f & rows).bit_count() & 1)
+            terms.append((_z_outcome(work._row_product(rows), q), mask))
+    return CompiledMeasurement(tuple(terms))
+
+
 def conjugate_pauli(
     t: CliffordTableau, p: PauliString, inverse: bool = False
 ) -> PauliString:
@@ -367,14 +536,8 @@ def conjugate_pauli(
         raise ValueError("qubit count mismatch")
     if inverse:
         t = tableau_inverse(t)
-    acc = PauliString(p.n, 0, 0, (p.phase + (p.x & p.z).bit_count()) % 4)
-    for j in range(p.n):
-        if (p.x >> j) & 1:
-            acc = acc * t.destabilizer(j)
-    for j in range(p.n):
-        if (p.z >> j) & 1:
-            acc = acc * t.stabilizer(j)
-    return acc
+    acc = t._row_product(p.x | p.z << p.n)
+    return PauliString(p.n, acc.x, acc.z, (acc.phase + p.phase + (p.x & p.z).bit_count()) % 4)
 
 
 def tableau_to_circuit(t: CliffordTableau) -> CliffordCircuit:
@@ -393,10 +556,10 @@ def tableau_to_circuit(t: CliffordTableau) -> CliffordCircuit:
         applied.append((name, qs))
 
     def xbit(i: int, q: int) -> int:
-        return (work.xs[i] >> q) & 1
+        return (work.xcol[q] >> i) & 1
 
     def zbit(i: int, q: int) -> int:
-        return (work.zs[i] >> q) & 1
+        return (work.zcol[q] >> i) & 1
 
     for j in range(n):
         srow = n + j
@@ -407,7 +570,9 @@ def tableau_to_circuit(t: CliffordTableau) -> CliffordCircuit:
                     do("S", q)
                 do("H", q)
         if not zbit(srow, j):
-            q = next(q for q in range(j + 1, n) if zbit(srow, q))
+            q = next((q for q in range(j + 1, n) if zbit(srow, q)), None)
+            if q is None:
+                raise InvariantError(f"stabilizer {j} is not independent of the ones before")
             do("CNOT", j, q)
         for q in range(j + 1, n):
             if zbit(srow, q):
@@ -423,15 +588,16 @@ def tableau_to_circuit(t: CliffordTableau) -> CliffordCircuit:
         if zbit(j, j):
             do("S", j)
     for j in range(n):
-        if work.ph[n + j]:  # -Z_j: conjugate by X_j
+        if work.sign >> (n + j) & 1:  # -Z_j: conjugate by X_j
             do("H", j)
             do("S", j)
             do("S", j)
             do("H", j)
-        if work.ph[j]:  # -X_j: conjugate by Z_j
+        if work.sign >> j & 1:  # -X_j: conjugate by Z_j
             do("S", j)
             do("S", j)
-    assert work == CliffordTableau.identity(n)
+    if work != CliffordTableau.identity(n):
+        raise InvariantError("tableau does not reduce to the identity: not a Clifford tableau")
     return CliffordCircuit(n, tuple(applied)).inverse()
 
 
@@ -510,7 +676,7 @@ def random_clifford(n: int, rng: np.random.Generator) -> CliffordTableau:
                 updated.append(nb)
         basis = _independent(updated)
     ph = [int(2 * b) for b in rng.integers(0, 2, size=2 * n)]
-    return CliffordTableau(n, xs, zs, ph)
+    return CliffordTableau.from_rows(n, xs, zs, ph)
 
 
 def random_clifford_circuit(n: int, rng: np.random.Generator) -> CliffordCircuit:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cccsim import linalg
 from cccsim.angles import ExactAngle
 from cccsim.ccc import (
+    _easy_reduction,
     PH_SUPREME,
     PWEAK,
     OutcomeDistribution,
@@ -24,7 +25,12 @@ from cccsim.ccc import (
     tv_distance,
 )
 from cccsim.errors import ParseError
-from cccsim.stabilizer import CliffordCircuit, random_clifford_circuit
+from cccsim.stabilizer import (
+    CliffordCircuit,
+    circuit_to_tableau,
+    random_clifford_circuit,
+    sample_measurement,
+)
 
 angles = st.floats(-math.pi, math.pi, allow_nan=False)
 
@@ -244,7 +250,7 @@ def test_conjugated_hadamard_is_uniform_not_deterministic():
     e = easy_reduction_distribution(inst)
     assert np.allclose(e.probs, [0.5, 0.5])
     rng = np.random.default_rng(33)
-    seen = {simulate_easy_weak(inst, rng) for _ in range(64)}
+    seen = set(simulate_easy_weak(inst, rng, 64))
     assert seen == {"0", "1"}
 
 
@@ -272,11 +278,34 @@ def test_easy_reduction_matches_dense_everywhere():
             assert tv < 1e-10, (text, n, tv)
 
 
+@pytest.mark.parametrize(
+    "spec, case, negated",
+    [("rz=0.7", "i", False), ("rz=0.4 rx=pi", "i", True), ("H", "ii", False),
+     ("rz=pi*1/2 rx=pi*1/2", "ii", False)],
+)
+def test_weak_sampler_matches_measurement_oracle_after_reduction(spec, case, negated):
+    # the compiled sampler against one sample_measurement per shot on the
+    # reduced circuit, seed for seed, including past the dense cap
+    s = parse_unitary_spec(spec)
+    assert classify(s.decomposition or decompose_unitary(s.matrix)).case_tag == case
+    rng = np.random.default_rng(39)
+    for n in (1, 5, 12, 70):
+        inst = make_instance(s.matrix, random_clifford_circuit(n, rng), s.decomposition)
+        circuit, negate = _easy_reduction(inst)
+        assert negate == negated
+        t = circuit_to_tableau(circuit)
+        oracle_rng = np.random.default_rng(n)
+        oracle = [sample_measurement(t, oracle_rng) for _ in range(6)]
+        if negate:
+            oracle = ["".join("1" if b == "0" else "0" for b in y) for y in oracle]
+        assert simulate_easy_weak(inst, np.random.default_rng(n), 6) == oracle, (spec, n)
+
+
 def test_simulate_easy_weak_refuses_supreme():
     s = parse_unitary_spec("rx=pi*1/3")
     inst = make_instance(s.matrix, bell_circuit(), s.decomposition)
     with pytest.raises(ValueError):
-        simulate_easy_weak(inst, np.random.default_rng(0))
+        simulate_easy_weak(inst, np.random.default_rng(0), 1)
 
 
 def test_weak_sampling_tracks_dense_distribution():
@@ -286,8 +315,7 @@ def test_weak_sampling_tracks_dense_distribution():
     dense = dense_distribution(inst)
     draws = 6000
     counts = {}
-    for _ in range(draws):
-        y = simulate_easy_weak(inst, rng)
+    for y in simulate_easy_weak(inst, rng, draws):
         counts[y] = counts.get(y, 0) + 1
     tv = 0.5 * sum(
         abs(counts.get(format(i, "02b"), 0) / draws - dense.probs[i]) for i in range(4)

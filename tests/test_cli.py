@@ -1,11 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cccsim.cli import main
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run_cli(capsys, argv):
@@ -220,3 +224,78 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["valid"] is True
+
+
+# Outputs of the stabilizer route as n destructive measurements per shot
+# (sample_measurement) gave them: the seed -> output map must not move.
+GOLDEN_SAMPLES = [
+    (
+        ["--u", "H", "--random-v", "64", "--samples", "16", "--seed", "3"],
+        [
+            "0101001111001010100101101110100010110111100100010101010101100001",
+            "0011010100001100110010000011101101001001000011011001000000001111",
+            "0010101010111010001110011000000000001111011111010010010101111010",
+            "1010101110100010000101010111110000111011010010000100000011100001",
+            "1101001001101011000010011101110011001011111101011010101000001011",
+            "0111011100000111111110100101010110110100110110111111100011101010",
+            "1001010101111011011011100001001001011110001111101010011101000000",
+            "1110110010101101011110000100101001011100101101011001101001001101",
+            "1010001111010100101010011000010011001101011111110101011010000110",
+            "0011101000111100111100100110111101001110100010001001010100000111",
+            "0010111110001100110110110001101011000010100000101010001000010110",
+            "0001001011101011100110100000011000110111000000001001001000000001",
+            "0111101001100000010010001011010000000000011010101011101010110111",
+            "0100110010001111011110011101011011111001011010111001000011111101",
+            "0011001111111100000100101101101001001100111100110000010001010011",
+            "1110100111010100101110001101111111100011101010011001011000011011",
+        ],
+    ),
+    (
+        ["--u", "rz=pi*1/3 rx=pi", "--random-v", "64", "--samples", "4", "--seed", "5"],
+        [
+            "0000001111101101110000110111111100100101110000101111101011100001",
+            "1001000101011010011001110011010100000001101001110001101001110100",
+            "0111101100011011011000000001100100101100011000111100011101010000",
+            "1011011110101100100010100000011101110111101000010100011011111001",
+        ],
+    ),
+    (
+        ["--u", "rz=pi*1/2 rx=pi*1/2", "--random-v", "20", "--samples", "8", "--seed", "9"],
+        [
+            "11000001001011101100",
+            "00110111110000101000",
+            "01001110101100110111",
+            "10010000000100110100",
+            "11101100010100010010",
+            "01101111100110101100",
+            "10101000100001101110",
+            "11101011011101110001",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, samples", GOLDEN_SAMPLES)
+def test_sample_golden_outputs(capsys, argv, samples):
+    d = run_json(capsys, ["sample", *argv])
+    assert d["method"] == "stabilizer" and d["samples"] == samples
+
+
+def test_audit_golden_output(capsys):
+    d = run_json(
+        capsys,
+        ["audit", "--u", "H", "--random-v", "3", "--seed", "7", "--c", "1/2", "--approx-samples", "4000"],
+    )
+    assert d["approx_method"] == "empirical_stabilizer"
+    assert d["epsilon_realized"] == 0.01850000000000001
+    assert d["threshold"] == 0.009250000000000005
+    assert d["fraction_within"] == 0.875
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS.glob("run_*.py")), ids=lambda p: p.name)
+def test_script_help_keeps_the_usage_line(script):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SCRIPTS.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, str(script), "--help"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert any(line.startswith(f"Usage: python3 scripts/{script.name} ") for line in lines), proc.stdout

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cccsim import linalg
-from cccsim.errors import CapabilityError, ParseError
+from cccsim.errors import CapabilityError, InvariantError, ParseError
 from cccsim.stabilizer import (
     CliffordCircuit,
     CliffordTableau,
     PauliString,
     circuit_to_tableau,
+    compile_measurement,
     conjugate_pauli,
     enumerate_clifford_words,
     parse_circuit,
@@ -115,6 +116,7 @@ def test_conjugation_matches_dense():
         for _ in range(8):
             c = random_circuit(n, rng)
             t = circuit_to_tableau(c)
+            t.validate()
             u = c.to_unitary()
             word = "".join(rng.choice(list(LETTERS)) for _ in range(n))
             p = pauli_from_letters(word)
@@ -214,8 +216,88 @@ def test_measurement_collapses_tableau_state():
     for _ in range(20):
         t = circuit_to_tableau(c)
         first = [t.measure(q, rng) for q in range(4)]
+        t.validate()
         second = [t.measure(q, rng) for q in range(4)]
         assert first == second
+
+
+def _oracle_and_compiled(t, seed, shots):
+    oracle_rng, draw_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    sampler = compile_measurement(t)
+    oracle = [sample_measurement(t, oracle_rng) for _ in range(shots)]
+    compiled = [sampler.draw(draw_rng) for _ in range(shots)]
+    # both generators must also stand at the same point afterwards
+    return oracle + [oracle_rng.integers(2**62)], compiled + [draw_rng.integers(2**62)]
+
+
+def test_compiled_sampler_matches_sample_measurement():
+    rng = np.random.default_rng(40)
+    for n in range(1, 13):
+        for t in (random_clifford(n, rng), circuit_to_tableau(random_circuit(n, rng, depth=3 * n))):
+            for seed in range(3):
+                oracle, compiled = _oracle_and_compiled(t, seed, 8)
+                assert oracle == compiled, (n, seed)
+
+
+def test_compiled_sampler_matches_past_the_dense_cap():
+    n = 200
+    assert n > linalg.dense_cap()
+    rng = np.random.default_rng(41)
+    ghz = CliffordCircuit.build(n, [("H", (0,))] + [("CNOT", (q, q + 1)) for q in range(n - 1)])
+    for t in (random_clifford(n, rng), circuit_to_tableau(ghz.then(random_circuit(n, rng, 300)))):
+        oracle, compiled = _oracle_and_compiled(t, 42, 3)
+        assert oracle == compiled
+
+
+def test_compiled_sampler_terms():
+    # GHZ: the first bit is a coin and every other bit repeats it
+    c = CliffordCircuit.build(3, [("H", (0,)), ("CNOT", (0, 1)), ("CNOT", (1, 2)), ("X", (2,))])
+    sampler = compile_measurement(circuit_to_tableau(c))
+    assert sampler.terms == (None, (0, 1), (1, 1))
+    rng = np.random.default_rng(43)
+    assert {sampler.draw(rng) for _ in range(50)} == {"001", "110"}
+
+
+# -- invariants -------------------------------------------------------------------
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_gate_words_keep_the_tableau_valid(n, seed):
+    rng = np.random.default_rng(seed)
+    t = circuit_to_tableau(random_circuit(n, rng, depth=40))
+    t.validate()
+    for q in range(n):
+        t.measure(q, rng)
+        t.validate()
+
+
+def test_validate_rejects_broken_tableaux():
+    # destabilizer 1 equals destabilizer 0: the pairing is broken
+    broken = CliffordTableau.from_rows(2, [1, 1, 0, 0], [0, 0, 1, 2])
+    with pytest.raises(InvariantError):
+        broken.validate()
+    # +iZ_0 as a stabilizer is not Hermitian
+    t = CliffordTableau.from_rows(1, [1, 0], [0, 1], [0, 1])
+    with pytest.raises(InvariantError):
+        t.validate()
+    CliffordTableau.from_rows(1, [1, 0], [0, 1], [2, 2]).validate()
+
+
+def test_tableau_to_circuit_raises_a_typed_error():
+    broken = CliffordTableau.from_rows(2, [1, 1, 0, 0], [0, 0, 1, 2])
+    with pytest.raises(InvariantError):
+        tableau_to_circuit(broken)
+
+
+def test_from_rows_matches_rows():
+    rng = np.random.default_rng(44)
+    t = random_clifford(4, rng)
+    rows = [t.row(i) for i in range(8)]
+    again = CliffordTableau.from_rows(4, [r.x for r in rows], [r.z for r in rows], [r.phase for r in rows])
+    assert again == t
+    with pytest.raises(ValueError):
+        CliffordTableau.from_rows(2, [1, 2], [0, 0])
 
 
 # -- synthesis and inversion -----------------------------------------------------
@@ -226,7 +308,9 @@ def test_synthesis_round_trip_exact():
     for n in (1, 2, 3, 5):
         for _ in range(10):
             t = random_clifford(n, rng)
+            t.validate()
             back = circuit_to_tableau(tableau_to_circuit(t))
+            back.validate()
             assert back == t, n
 
 
