@@ -19,11 +19,6 @@ from .errors import ParseError
 
 RECONSTRUCT_MAX_DENOMINATOR = 64
 RECONSTRUCT_TOL = 1e-9
-# Half-width of the band around RECONSTRUCT_TOL where snapping is decided by
-# rounding: two computations of one angle that differ by a few hundred ulps
-# (a global phase multiplied into the matrix is enough) may fall on either
-# side of the tolerance.  No sharp tolerance avoids such a band.
-RECONSTRUCT_BAND = 1e-13
 
 _ANGLE_RE = re.compile(r"^([+-]?)pi(?:\*(-?\d+)(?:/(\d+))?)?$")
 
@@ -116,13 +111,6 @@ def _reconstruct(radians: float) -> Fraction | None:
     if abs(float(frac) * math.pi - radians) <= RECONSTRUCT_TOL:
         return frac
     return None
-
-
-def near_reconstruct_edge(radians: float, max_denominator: int = RECONSTRUCT_MAX_DENOMINATOR) -> bool:
-    """True iff the distance from `radians` to its nearest multiple of pi/q
-    (q <= max_denominator) lies within RECONSTRUCT_BAND of RECONSTRUCT_TOL."""
-    frac = Fraction(radians / math.pi).limit_denominator(max_denominator)
-    return abs(abs(float(frac) * math.pi - radians) - RECONSTRUCT_TOL) <= RECONSTRUCT_BAND
 
 
 def parse_angle(text: str) -> ExactAngle:

@@ -21,7 +21,7 @@ from functools import reduce
 import numpy as np
 
 from . import linalg
-from .angles import ExactAngle, near_reconstruct_edge, parse_angle
+from .angles import ExactAngle, parse_angle
 from .errors import InvariantError, ParseError
 from .stabilizer import (
     CliffordCircuit,
@@ -146,7 +146,6 @@ class ClassificationVerdict:
     complexity_class: str
     gamma_word: tuple[str, ...] | None = None
     canonical_lam: ExactAngle | None = None
-    on_boundary: bool = False
 
     def canonical_matrix(self) -> np.ndarray | None:
         """Gamma * Rz(lambda) for PWEAK verdicts, None otherwise."""
@@ -169,28 +168,21 @@ def classify(dec: UnitaryDecomposition) -> ClassificationVerdict:
           phi   in (pi/2) Z          -> easy, U ~ S^j H S^m H Rz(lambda)
       iii theta in (pi/2) Z_odd      -> hard
       iv  theta not in (pi/2) Z      -> hard
-
-    on_boundary is set when an angle that decided the case (theta, and phi
-    once theta is an odd multiple of pi/2) lies in the rounding band of the
-    reconstruction tolerance.  Only such verdicts can change when U is
-    recomputed with a few ulps of difference, e.g. times a global phase.
     """
     phi, theta, lam = dec.phi, dec.theta, dec.lam
-    edge = near_reconstruct_edge(float(theta), 2)
     if theta.in_pi_z():
         k = int(theta.as_pi_fraction())
         if k % 2 == 0:
-            return ClassificationVerdict("i", PWEAK, (), phi + lam, edge)
-        return ClassificationVerdict("i", PWEAK, ("X",), lam - phi, edge)
+            return ClassificationVerdict("i", PWEAK, (), phi + lam)
+        return ClassificationVerdict("i", PWEAK, ("X",), lam - phi)
     if theta.in_half_pi_z_odd():
-        edge = edge or near_reconstruct_edge(float(phi), 2)
         if phi.in_half_pi_z():
             j = int(2 * phi.as_pi_fraction()) % 4
             m = int(2 * theta.as_pi_fraction()) % 4
             word = ("S",) * j + ("H",) + ("S",) * m + ("H",)
-            return ClassificationVerdict("ii", PWEAK, word, lam, edge)
-        return ClassificationVerdict("iii", PH_SUPREME, on_boundary=edge)
-    return ClassificationVerdict("iv", PH_SUPREME, on_boundary=edge)
+            return ClassificationVerdict("ii", PWEAK, word, lam)
+        return ClassificationVerdict("iii", PH_SUPREME)
+    return ClassificationVerdict("iv", PH_SUPREME)
 
 
 # -- instances and reference simulation ---------------------------------------

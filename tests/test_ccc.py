@@ -169,29 +169,7 @@ def test_classification_ignores_alpha_and_is_total(alpha, phi, theta, lam):
     v1 = classify(decompose_unitary(u))
     v2 = classify(decompose_unitary(np.exp(0.6j) * u))
     assert v1.case_tag in ("i", "ii", "iii", "iv")
-    # a global phase moves the extracted angles by a few ulps, which can
-    # carry one across the reconstruction tolerance; both verdicts then say so
-    assert v1.complexity_class == v2.complexity_class or (
-        v1.on_boundary and v2.on_boundary
-    )
-
-
-def test_phase_flips_only_verdicts_on_the_tolerance_edge():
-    # theta = 1e-9 is RECONSTRUCT_TOL itself: snapped to 0 in one
-    # computation, one ulp past it after a global phase
-    u = euler_matrix(1.0, 0.0, 1e-9, 2.1875)
-    v1 = classify(decompose_unitary(u))
-    v2 = classify(decompose_unitary(np.exp(0.6j) * u))
-    assert (v1.complexity_class, v2.complexity_class) == (PWEAK, PH_SUPREME)
-    assert v1.on_boundary and v2.on_boundary
-    # phi decides once theta is an odd multiple of pi/2
-    v = classify(decompose_unitary(euler_matrix(0.0, math.pi / 2 + 1e-9, math.pi / 2, 0.3)))
-    assert v.on_boundary
-    # exact and generic angles are well inside or outside the tolerance
-    for phi, theta in [(0.0, 0.0), (0.8, math.pi), (math.pi / 2, math.pi / 2),
-                       (0.8, math.pi / 2), (0.3, 1.1), (0.0, 2e-9)]:
-        v = classify(decompose_unitary(euler_matrix(0.0, phi, theta, 0.2)))
-        assert not v.on_boundary, (phi, theta)
+    assert v1.complexity_class == v2.complexity_class
 
 
 def test_case_predicates_match_angle_lattices():
