@@ -22,13 +22,15 @@ import numpy as np
 
 from . import linalg
 from .angles import ExactAngle, parse_angle
-from .errors import InvariantError, ParseError
+from .errors import CapabilityError, InvariantError, ParseError
 from .stabilizer import (
     CliffordCircuit,
+    CliffordTableau,
     PauliString,
     circuit_to_tableau,
     compile_measurement,
     conjugate_pauli,
+    tableau_to_circuit,
 )
 
 PWEAK = "PWEAK"
@@ -190,20 +192,31 @@ def classify(dec: UnitaryDecomposition) -> ClassificationVerdict:
 
 @dataclass(frozen=True, eq=False)
 class CccInstance:
+    """U, and V as its tableau; word is V's gate word when V was given as one.
+
+    Only the dense route reads word: it applies the user's gates as given
+    and synthesizes a word from the tableau when there is none.
+    """
+
     u: np.ndarray
     decomposition: UnitaryDecomposition
-    v: CliffordCircuit
+    v: CliffordTableau
     n: int
+    word: CliffordCircuit | None = None
 
 
 def make_instance(
-    u: np.ndarray, v: CliffordCircuit, decomposition: UnitaryDecomposition | None = None
+    u: np.ndarray,
+    v: CliffordCircuit | CliffordTableau,
+    decomposition: UnitaryDecomposition | None = None,
 ) -> CccInstance:
     u = np.asarray(u, dtype=complex)
     if decomposition is None:
         decomposition = decompose_unitary(u)
     elif not linalg.is_unitary(u, 1e-10):
         raise ValueError("matrix is not unitary within 1e-10")
+    if isinstance(v, CliffordCircuit):
+        return CccInstance(u, decomposition, circuit_to_tableau(v), v.n, v)
     return CccInstance(u, decomposition, v, v.n)
 
 
@@ -239,7 +252,8 @@ def _conjugated_state(instance: CccInstance) -> np.ndarray:
     state = linalg.zero_state(instance.n)
     for q in range(instance.n):
         state = linalg.apply_gate(state, instance.u, (q,))
-    state = apply_circuit(state, instance.v)
+    word = instance.word if instance.word is not None else tableau_to_circuit(instance.v)
+    state = apply_circuit(state, word)
     ud = instance.u.conj().T
     for q in range(instance.n):
         state = linalg.apply_gate(state, ud, (q,))
@@ -261,32 +275,29 @@ def outcome_probability(instance: CccInstance, y: str) -> float:
 # -- easy-case weak simulation -------------------------------------------------
 
 
-def _easy_reduction(instance: CccInstance) -> tuple[CliffordCircuit, bool]:
-    """Reduce a PWEAK instance to (Clifford circuit, negate outputs?).
+def _easy_reduction(instance: CccInstance) -> tuple[CliffordTableau, bool]:
+    """Reduce a PWEAK instance to (Clifford tableau, negate outputs?).
 
-    The returned circuit C satisfies: the model's distribution is
+    The returned tableau C, a copy, satisfies: the model's distribution is
     |<y|C|0^n>|^2, up to bitwise negation of y when the flag is set.
     """
     verdict = classify(instance.decomposition)
     if verdict.complexity_class != PWEAK:
         raise ValueError("instance is not weakly simulable by the easy path")
-    n, v = instance.n, instance.v
+    t = instance.v.copy()
     word = verdict.gamma_word
-    if word == ():
-        return v, False
     if word == ("X",):
         # U ~ X Rz(.): inputs become |1..1>, outputs are read negated
-        prefix = CliffordCircuit.build(n, [("X", (q,)) for q in range(n)])
-        return prefix.then(v), True
-    # case ii: conjugate V by the Clifford word on every wire
-    prefix = CliffordCircuit.build(
-        n, [(g, (q,)) for q in range(n) for g in reversed(word)]
-    )
-    inverse_word = ["SDG" if g == "S" else g for g in word]
-    suffix = CliffordCircuit.build(
-        n, [(g, (q,)) for q in range(n) for g in inverse_word]
-    )
-    return prefix.then(v).then(suffix), False
+        t.prepend_layer("X")
+        return t, True
+    # case ii: C = gamma-dagger^(x)n V gamma^(x)n (case i plain: C = V)
+    for g in word:
+        t.prepend_layer(g)
+    for g in word:
+        for q in range(instance.n):
+            for _ in range(3 if g == "S" else 1):  # S-dagger = S^3
+                t.apply(g, (q,))
+    return t, False
 
 
 _NEGATE = str.maketrans("01", "10")
@@ -297,11 +308,11 @@ def simulate_easy_weak(
 ) -> list[str]:
     """Exact samples from the model distribution via the stabilizer path.
 
-    Reduces, replays and compiles the measurement once; each shot is then a
-    draw of the compiled sampler, which uses rng as sample_measurement would.
+    Reduces and compiles the measurement once; each shot is then a draw of
+    the compiled sampler, which uses rng as sample_measurement would.
     """
-    circuit, negate = _easy_reduction(instance)
-    sampler = compile_measurement(circuit_to_tableau(circuit))
+    tableau, negate = _easy_reduction(instance)
+    sampler = compile_measurement(tableau)
     samples = [sampler.draw(rng) for _ in range(shots)]
     if negate:
         samples = [y.translate(_NEGATE) for y in samples]
@@ -309,13 +320,21 @@ def simulate_easy_weak(
 
 
 def easy_reduction_distribution(instance: CccInstance) -> OutcomeDistribution:
-    """Dense distribution of the reduced circuit (for oracle comparisons)."""
-    circuit, negate = _easy_reduction(instance)
-    amps = apply_circuit(linalg.zero_state(instance.n), circuit)
-    probs = np.abs(amps) ** 2
+    """The exact distribution of the reduced tableau (n-capped, for oracles).
+
+    A stabilizer state is uniform on its affine support, so every outcome
+    there has probability exactly 2^-k.
+    """
+    n = instance.n
+    if n > linalg.dense_cap():
+        raise CapabilityError(f"a distribution on {n} qubits exceeds the dense cap of {linalg.dense_cap()}")
+    tableau, negate = _easy_reduction(instance)
+    support = compile_measurement(tableau).support()
     if negate:
-        probs = probs[::-1]  # index of the bitwise complement is 2^n-1-index
-    return OutcomeDistribution(instance.n, probs)
+        support ^= (1 << n) - 1
+    probs = np.zeros(2**n)
+    probs[support] = 1.0 / len(support)
+    return OutcomeDistribution(n, probs)
 
 
 # -- strong(1): exact single-qubit marginals without dense simulation ----------
@@ -345,12 +364,11 @@ def marginal_single_qubit(instance: CccInstance, j: int) -> float:
         "Z": abs(col[0]) ** 2 - abs(col[1]) ** 2,
         "I": 1.0,
     }
-    t_inv = circuit_to_tableau(instance.v.inverse())
     expectation = 0.0
     for name in ("X", "Y", "Z"):
         if abs(coeff[name]) < 1e-15:
             continue
-        back = conjugate_pauli(t_inv, PauliString.single(n, name, j))
+        back = conjugate_pauli(instance.v, PauliString.single(n, name, j), inverse=True)
         # the pullback of a Hermitian Pauli is Hermitian: phase is 0 or 2
         sign = 1.0 if back.phase == 0 else -1.0
         value = sign

@@ -42,7 +42,7 @@ from .gadgets import (
     parse_gadget_file,
     search_gadgets,
 )
-from .stabilizer import parse_circuit, random_clifford_circuit
+from .stabilizer import parse_circuit, random_clifford
 
 
 def _load_instance(args, rng: np.random.Generator):
@@ -51,10 +51,22 @@ def _load_instance(args, rng: np.random.Generator):
     if args.circuit:
         v = parse_circuit(Path(args.circuit).read_text())
     elif args.random_v:
-        v = random_clifford_circuit(args.random_v, rng)
+        v = random_clifford(args.random_v, rng)
     else:
         raise ValueError("provide a circuit with --circuit FILE or --random-v N")
     return make_instance(spec.matrix, v, spec.decomposition)
+
+
+def _count(least: int):
+    """An argparse type: an integer that is at least `least`."""
+
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return integer
 
 
 def _matrix_json(m: np.ndarray, digits: int = 10) -> list:
@@ -356,32 +368,33 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("classify", cmd_classify, help="classify a conjugating unitary")
     p.add_argument("--u", required=True, help="unitary spec (name, rz=/rx= tokens, or 8 reals)")
 
-    for name, fn in (("simulate", cmd_simulate), ("marginal", cmd_marginal), ("audit", cmd_audit)):
-        p = add(name, fn)
+    for name, fn, text in (
+        ("simulate", cmd_simulate, "exact outcome distribution"),
+        ("sample", cmd_sample, "draw measurement outcomes"),
+        ("marginal", cmd_marginal, "exact single-qubit marginal"),
+        ("audit", cmd_audit, "Markov-set audit of the easy route"),
+    ):
+        p = add(name, fn, help=text)
         p.add_argument("--u", required=True)
-        p.add_argument("--circuit", help="circuit file")
-        p.add_argument("--random-v", type=int, help="draw a random n-qubit Clifford as V")
+        v = p.add_mutually_exclusive_group()
+        v.add_argument("--circuit", help="circuit file")
+        v.add_argument("--random-v", type=_count(1), help="draw a random n-qubit Clifford as V")
         p.add_argument("--seed", type=int, default=0)
         if name == "simulate":
             p.add_argument("--method", choices=("auto", "dense", "easy"), default="auto")
+        elif name == "sample":
+            p.add_argument("--samples", type=_count(0), default=10)
         elif name == "marginal":
             p.add_argument("--qubit", type=int, required=True)
         else:
             p.add_argument("--c", default="1/5", help="Markov set parameter in (0,1)")
             p.add_argument(
                 "--approx-samples",
-                type=int,
+                type=_count(0),
                 default=0,
                 help="audit an empirical histogram of this many weak samples "
                 "instead of the exact reduction",
             )
-
-    p = add("sample", cmd_sample, help="draw measurement outcomes")
-    p.add_argument("--u", required=True)
-    p.add_argument("--circuit")
-    p.add_argument("--random-v", type=int)
-    p.add_argument("--samples", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
 
     gadget = sub.add_parser("gadget", help="postselection gadget tools")
     gsub = gadget.add_subparsers(dest="subcommand", required=True)
@@ -396,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gadget_search, command="gadget search")
     p.add_argument("--u", required=True)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--limit", type=int, default=3, help="how many classes to print in full")
+    p.add_argument("--limit", type=_count(0), default=3, help="how many classes to print in full")
 
     p = add("anticonc", cmd_anticonc, help="anticoncentration Monte Carlo")
     p.add_argument("--n", type=int, required=True)

@@ -30,6 +30,9 @@ SUGAR = {
     "SDG": ("S", "S", "S"),
 }
 
+#: qubit count of every gate name a circuit accepts
+_ARITY = {"H": 1, "S": 1, "CNOT": 2, "CZ": 2} | dict.fromkeys(SUGAR, 1)
+
 _PHASE_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 
 
@@ -172,14 +175,19 @@ class CliffordTableau:
         if self.odd:
             raise InvariantError(f"row {_lowest(self.odd)} is not Hermitian")
         for a in range(2 * n):
-            anti = 0  # bit b: rows a and b anticommute
-            for q in range(n):
-                if xcol[q] >> a & 1:
-                    anti ^= zcol[q]
-                if zcol[q] >> a & 1:
-                    anti ^= xcol[q]
-            if anti != 1 << (a + n if a < n else a - n):
+            r = self.row(a)
+            if self._anticommuting(r.x, r.z) != 1 << (a + n if a < n else a - n):
                 raise InvariantError(f"row {a} breaks the symplectic pairing")
+
+    def _anticommuting(self, x: int, z: int) -> int:
+        """The bitset of rows that anticommute with the Pauli of masks x, z."""
+        anti = 0
+        for q in range(self.n):
+            if x >> q & 1:
+                anti ^= self.zcol[q]
+            if z >> q & 1:
+                anti ^= self.xcol[q]
+        return anti
 
     # -- gate application (conjugates every row by the gate) --
 
@@ -192,6 +200,34 @@ class CliffordTableau:
             self._cnot(*qubits)
         else:
             raise ValueError(f"tableau cannot apply gate {name!r}")
+
+    def prepend_layer(self, name: str) -> None:
+        """Turn the tableau of V into that of V G^(x)n, for G in {H, S, X}.
+
+        The layer acts before V, so each row V P V-dagger becomes
+        V (G P G-dagger) V-dagger, for all rows at once: H swaps the
+        destabilizer and stabilizer halves, S turns destabilizer i into
+        i * row i * row n+i (S X S-dagger = Y = iXZ), and X negates every
+        stabilizer (X Z X = -Z).
+        """
+        n, low = self.n, (1 << self.n) - 1
+        if name == "H":
+            def swap(v: int) -> int:
+                return v >> n | (v & low) << n
+
+            self.xcol = [swap(v) for v in self.xcol]
+            self.zcol = [swap(v) for v in self.zcol]
+            self.odd, self.sign = swap(self.odd), swap(self.sign)
+        elif name == "S":
+            # i * row i * row n+i = (-i row n+i) * row i: the factor is the
+            # stabilizer half moved down, its phase plus 3
+            odd, sign = self.odd >> n, self.sign >> n
+            down = [[v >> n for v in cols] for cols in (self.xcol, self.zcol)]
+            self._multiply_rows(low, *down, ~odd & low, (sign ^ ~odd) & low)
+        elif name == "X":
+            self.sign ^= low << n
+        else:
+            raise ValueError(f"cannot prepend a layer of {name!r}")
 
     def _check(self, q: int) -> None:
         if not 0 <= q < self.n:
@@ -241,35 +277,32 @@ class CliffordTableau:
             z |= zb << q
         return PauliString(n, x, z, phase % 4)
 
-    def _multiply_rows(self, p: int, rows: int) -> None:
-        """Replace every row r in the bitset (p not in it) by row_p * row_r."""
+    def _multiply_rows(self, rows: int, fx: list[int], fz: list[int], fodd: int, fsign: int) -> None:
+        """Replace every row r in the bitset by F_r * row_r.
+
+        The factor F_r has X and Z bits at qubit q equal to bit r of fx[q]
+        and fz[q], and phase i^(bit r of fodd + 2 * bit r of fsign).  On one
+        qubit, letters a.b = i^(|Y_a| + |Y_b| - |Y_ab|) (-1)^(z_a x_b) times the
+        letter of the XOR; the per-row phase is counted mod 4 in two
+        bitsets, lo and hi.
+        """
         xcol, zcol = self.xcol, self.zcol
-        lo = hi = 0  # per-row phase of the product, mod 4, as two bitsets
+        lo = hi = 0
         for q in range(self.n):
-            px, pz = xcol[q] >> p & 1, zcol[q] >> p & 1
-            if not (px or pz):
+            ax, az = fx[q], fz[q]
+            if not (ax or az):
                 continue
-            rx, rz = xcol[q] & rows, zcol[q] & rows
-            # one-qubit products: X.Y, Z.X, Y.Z give +i; X.Z, Z.Y, Y.X give -i
-            if px and pz:
-                up, down = rz & ~rx, rx & ~rz
-            elif px:
-                up, down = rx & rz, rz & ~rx
-            else:
-                up, down = rx & ~rz, rx & rz
-            hi ^= lo & up
-            lo ^= up
-            hi ^= ~lo & down
-            lo ^= down
-            if px:
-                xcol[q] ^= rows
-            if pz:
-                zcol[q] ^= rows
-        if self.odd >> p & 1:
-            hi ^= lo & rows
-            lo ^= rows
-        if self.sign >> p & 1:
-            hi ^= rows
+            bx, bz = xcol[q] & rows, zcol[q] & rows
+            for y in (ax & az, bx & bz):
+                hi ^= lo & y
+                lo ^= y
+            y = (ax ^ bx) & (az ^ bz)
+            hi ^= ~lo & y ^ az & bx
+            lo ^= y
+            xcol[q] ^= ax
+            zcol[q] ^= az
+        hi ^= lo & fodd ^ fsign
+        lo ^= fodd
         self.sign ^= hi ^ (lo & self.odd)
         self.odd ^= lo
 
@@ -287,7 +320,9 @@ class CliffordTableau:
         then the pivot row moves to its destabilizer slot.
         """
         n = self.n
-        self._multiply_rows(pivot, self.xcol[q] & ~(1 << pivot))
+        rows = self.xcol[q] & ~(1 << pivot)
+        fx, fz = ([rows if v >> pivot & 1 else 0 for v in cols] for cols in (self.xcol, self.zcol))
+        self._multiply_rows(rows, fx, fz, rows * (self.odd >> pivot & 1), rows * (self.sign >> pivot & 1))
         for cols in (self.xcol, self.zcol):
             for j in range(n):
                 cols[j] = _move_bit(cols[j], pivot, pivot - n)
@@ -366,6 +401,24 @@ class CompiledMeasurement:
             bits.append(bit)
         return "".join(map(str, bits))
 
+    def support(self) -> np.ndarray:
+        """All 2^k outcomes, as the integers int(y, 2), one per coin pattern.
+
+        The state is uniform on them, so each has probability exactly 2^-k.
+        """
+        n = len(self.terms)
+        coins = np.arange(2 ** sum(term is None for term in self.terms))
+        index = np.zeros_like(coins)
+        k = 0
+        for q, term in enumerate(self.terms):
+            if term is None:
+                bit = coins >> k & 1
+                k += 1
+            else:
+                bit = term[0] ^ np.bitwise_count(coins & term[1]).astype(coins.dtype) & 1
+            index |= bit << (n - 1 - q)
+        return index
+
 
 @dataclass(frozen=True)
 class CliffordCircuit:
@@ -381,38 +434,11 @@ class CliffordCircuit:
         for name, *qubits in (
             (g[0], *g[1]) if isinstance(g[1], (tuple, list)) else g for g in gates
         ):
-            name = name.upper()
-            qubits = tuple(int(q) for q in qubits)
-            if any(q < 0 or q >= n for q in qubits):
-                raise ValueError(f"qubit out of range in {name} {qubits}")
-            if name in ("H", "S"):
-                if len(qubits) != 1:
-                    raise ValueError(f"{name} takes one qubit")
-                out.append((name, qubits))
-            elif name == "CNOT":
-                if len(qubits) != 2 or qubits[0] == qubits[1]:
-                    raise ValueError("CNOT takes two distinct qubits")
-                out.append((name, qubits))
-            elif name == "CZ":
-                if len(qubits) != 2 or qubits[0] == qubits[1]:
-                    raise ValueError("CZ takes two distinct qubits")
-                c, t = qubits
-                out += [("H", (t,)), ("CNOT", (c, t)), ("H", (t,))]
-            elif name in SUGAR:
-                if len(qubits) != 1:
-                    raise ValueError(f"{name} takes one qubit")
-                out += [(g, qubits) for g in SUGAR[name]]
-            else:
-                raise ValueError(f"unknown gate {name!r}")
+            _normalize_gate(n, name.upper(), tuple(int(q) for q in qubits), out)
         return CliffordCircuit(n, tuple(out))
 
     def __len__(self) -> int:
         return len(self.gates)
-
-    def then(self, other: "CliffordCircuit") -> "CliffordCircuit":
-        if self.n != other.n:
-            raise ValueError("qubit count mismatch")
-        return CliffordCircuit(self.n, self.gates + other.gates)
 
     def inverse(self) -> "CliffordCircuit":
         inv: list[tuple[str, tuple[int, ...]]] = []
@@ -447,15 +473,41 @@ class CliffordCircuit:
         return "\n".join(lines) + "\n"
 
 
+def _normalize_gate(
+    n: int, name: str, qubits: tuple[int, ...], out: list[tuple[str, tuple[int, ...]]]
+) -> None:
+    """Append one gate to out over {H, S, CNOT}, expanding X/Y/Z/SDG/CZ sugar.
+
+    Raises ValueError for an unknown name, the wrong number of qubits, a
+    qubit outside 0..n-1 or a two-qubit gate on one qubit.
+    """
+    arity = _ARITY.get(name)
+    if arity is None:
+        raise ValueError(f"unknown gate {name!r}")
+    if len(qubits) != arity:
+        raise ValueError(f"{name} takes {'one qubit' if arity == 1 else 'two qubits'}, got {len(qubits)}")
+    for q in qubits:
+        if not 0 <= q < n:
+            raise ValueError(f"qubit {q} out of range in {name} for n={n}")
+    if arity == 2 and qubits[0] == qubits[1]:
+        raise ValueError(f"{name} takes two distinct qubits")
+    if name in GENERATOR_GATES:
+        out.append((name, qubits))
+    elif name == "CZ":
+        c, t = qubits
+        out += [("H", (t,)), ("CNOT", (c, t)), ("H", (t,))]
+    else:
+        out += [(g, qubits) for g in SUGAR[name]]
+
+
 def parse_circuit(text: str) -> CliffordCircuit:
     """Parse the line-oriented circuit format (see to_text for the inverse)."""
     n = None
     gates: list[tuple[str, tuple[int, ...]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
         if n is None:
             if fields[0] != "qubits" or len(fields) != 2:
                 raise ParseError(f"line {lineno}: expected 'qubits N' header")
@@ -466,20 +518,18 @@ def parse_circuit(text: str) -> CliffordCircuit:
             if n < 1:
                 raise ParseError(f"line {lineno}: qubit count must be positive")
             continue
-        name = fields[0].upper()
-        if name not in ("H", "S", "CNOT", "CZ", *SUGAR):
-            raise ParseError(f"line {lineno}: unknown gate {fields[0]!r}")
+        name, *indices = fields
         try:
-            qubits = tuple(int(f) for f in fields[1:])
+            qubits = tuple(map(int, indices))
         except ValueError:
-            raise ParseError(f"line {lineno}: bad qubit index in {line!r}") from None
-        gates.append((name, qubits))
+            raise ParseError(f"line {lineno}: bad qubit index in {' '.join(fields)!r}") from None
+        try:
+            _normalize_gate(n, name.upper(), qubits, gates)
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
     if n is None:
         raise ParseError("missing 'qubits N' header")
-    try:
-        return CliffordCircuit.build(n, gates)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return CliffordCircuit(n, tuple(gates))
 
 
 def circuit_to_tableau(c: CliffordCircuit) -> CliffordTableau:
@@ -527,17 +577,29 @@ def compile_measurement(t: CliffordTableau) -> CompiledMeasurement:
 def conjugate_pauli(
     t: CliffordTableau, p: PauliString, inverse: bool = False
 ) -> PauliString:
-    """V p V-dagger (or the reverse direction) with the exact sign.
+    """V p V-dagger, or V-dagger p V with inverse=True, with the exact sign.
 
     Writes p as i^(phase+|Y positions|) * prod X_j^{x_j} * prod Z_j^{z_j} and
     multiplies out the tableau rows, which are exactly the images of X_j, Z_j.
+    The inverse direction needs no inverse tableau: q = V-dagger p V has X at
+    j exactly when p anticommutes with stabilizer j (the image of Z_j), and Z
+    at j when p anticommutes with destabilizer j; one forward conjugation of q
+    then gives its sign.
     """
-    if t.n != p.n:
+    n = p.n
+    if t.n != n:
         raise ValueError("qubit count mismatch")
+    x, z = p.x, p.z
     if inverse:
-        t = tableau_inverse(t)
-    acc = t._row_product(p.x | p.z << p.n)
-    return PauliString(p.n, acc.x, acc.z, (acc.phase + p.phase + (p.x & p.z).bit_count()) % 4)
+        anti = t._anticommuting(x, z)
+        x, z = anti >> n, anti & ((1 << n) - 1)
+    acc = t._row_product(x | z << n)
+    phase = acc.phase + (x & z).bit_count()  # of the image of the Pauli x, z
+    if not inverse:
+        return PauliString(n, acc.x, acc.z, (phase + p.phase) % 4)
+    if (acc.x, acc.z) != (p.x, p.z):
+        raise InvariantError("tableau rows are not a symplectic basis")
+    return PauliString(n, x, z, (p.phase - phase) % 4)
 
 
 def tableau_to_circuit(t: CliffordTableau) -> CliffordCircuit:
@@ -599,10 +661,6 @@ def tableau_to_circuit(t: CliffordTableau) -> CliffordCircuit:
     if work != CliffordTableau.identity(n):
         raise InvariantError("tableau does not reduce to the identity: not a Clifford tableau")
     return CliffordCircuit(n, tuple(applied)).inverse()
-
-
-def tableau_inverse(t: CliffordTableau) -> CliffordTableau:
-    return circuit_to_tableau(tableau_to_circuit(t).inverse())
 
 
 # -- uniform random Cliffords ------------------------------------------------

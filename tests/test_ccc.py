@@ -24,12 +24,14 @@ from cccsim.ccc import (
     simulate_easy_weak,
     tv_distance,
 )
-from cccsim.errors import ParseError
+from cccsim.errors import CapabilityError, ParseError
 from cccsim.stabilizer import (
     CliffordCircuit,
     circuit_to_tableau,
+    random_clifford,
     random_clifford_circuit,
     sample_measurement,
+    tableau_to_circuit,
 )
 
 angles = st.floats(-math.pi, math.pi, allow_nan=False)
@@ -278,22 +280,45 @@ def test_easy_reduction_matches_dense_everywhere():
             assert tv < 1e-10, (text, n, tv)
 
 
-@pytest.mark.parametrize(
-    "spec, case, negated",
-    [("rz=0.7", "i", False), ("rz=0.4 rx=pi", "i", True), ("H", "ii", False),
-     ("rz=pi*1/2 rx=pi*1/2", "ii", False)],
-)
+REDUCTION_CASES = [
+    ("rz=0.7", "i", False), ("rz=0.4 rx=pi", "i", True), ("H", "ii", False),
+    ("rz=pi*1/2 rx=pi*1/2", "ii", False),
+]
+
+
+@pytest.mark.parametrize("spec, case, negated", REDUCTION_CASES)
+def test_easy_reduction_tableau_matches_the_reduced_circuit(spec, case, negated):
+    # the tableau-side reduction against replaying gamma^(x)n, V and
+    # gamma-dagger^(x)n as one gate word, bit for bit, past the dense cap too
+    s = parse_unitary_spec(spec)
+    verdict = classify(s.decomposition or decompose_unitary(s.matrix))
+    assert verdict.case_tag == case
+    rng = np.random.default_rng(38)
+    for n in (1, 5, 12, 70):
+        v = random_clifford_circuit(n, rng)
+        inst = make_instance(s.matrix, v, s.decomposition)
+        before = inst.v.key()
+        t, negate = _easy_reduction(inst)
+        assert negate == negated and inst.v.key() == before
+        word = verdict.gamma_word
+        inverse = [] if negated else ["SDG" if g == "S" else g for g in word]
+        prefix = CliffordCircuit.build(n, [(g, (q,)) for q in range(n) for g in reversed(word)])
+        suffix = CliffordCircuit.build(n, [(g, (q,)) for q in range(n) for g in inverse])
+        reduced = CliffordCircuit(n, prefix.gates + v.gates + suffix.gates)
+        assert t == circuit_to_tableau(reduced), (spec, n)
+
+
+@pytest.mark.parametrize("spec, case, negated", REDUCTION_CASES)
 def test_weak_sampler_matches_measurement_oracle_after_reduction(spec, case, negated):
     # the compiled sampler against one sample_measurement per shot on the
-    # reduced circuit, seed for seed, including past the dense cap
+    # reduced tableau, seed for seed, including past the dense cap
     s = parse_unitary_spec(spec)
     assert classify(s.decomposition or decompose_unitary(s.matrix)).case_tag == case
     rng = np.random.default_rng(39)
     for n in (1, 5, 12, 70):
         inst = make_instance(s.matrix, random_clifford_circuit(n, rng), s.decomposition)
-        circuit, negate = _easy_reduction(inst)
+        t, negate = _easy_reduction(inst)
         assert negate == negated
-        t = circuit_to_tableau(circuit)
         oracle_rng = np.random.default_rng(n)
         oracle = [sample_measurement(t, oracle_rng) for _ in range(6)]
         if negate:
@@ -321,6 +346,29 @@ def test_weak_sampling_tracks_dense_distribution():
         abs(counts.get(format(i, "02b"), 0) / draws - dense.probs[i]) for i in range(4)
     )
     assert tv < 0.05, tv
+
+
+def test_instance_from_a_tableau_keeps_it_and_synthesizes_for_dense():
+    rng = np.random.default_rng(40)
+    u = parse_unitary_spec("rz=pi*1/5 rx=pi*1/3").matrix
+    t = random_clifford(4, rng)
+    from_tableau = make_instance(u, t)
+    from_word = make_instance(u, tableau_to_circuit(t))
+    assert from_tableau.v is t and from_tableau.word is None
+    assert from_word.v == t and from_word.word is not None
+    assert np.array_equal(dense_distribution(from_tableau).probs, dense_distribution(from_word).probs)
+    assert marginal_single_qubit(from_tableau, 2) == marginal_single_qubit(from_word, 2)
+
+
+def test_easy_reduction_distribution_is_dyadic_and_capped():
+    rng = np.random.default_rng(41)
+    h = linalg.GATES["H"]
+    for n in (1, 3, 6):
+        probs = easy_reduction_distribution(make_instance(h, random_clifford(n, rng))).probs
+        support = probs[probs > 0]
+        assert np.all(support == 1.0 / len(support)) and math.log2(len(support)).is_integer()
+    with pytest.raises(CapabilityError):
+        easy_reduction_distribution(make_instance(h, random_clifford(linalg.dense_cap() + 1, rng)))
 
 
 def test_case_i_odd_bit_flip_route():

@@ -56,9 +56,31 @@ def test_simulate_easy_and_dense_agree(capsys):
     assert abs(sum(easy["probabilities"].values()) - 1) < 1e-9
 
 
-def test_simulate_needs_a_circuit(capsys):
+def test_simulate_needs_a_circuit(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["simulate", "--u", "H"])
     assert code == 2 and "circuit" in err
+    path = tmp_path / "bell.txt"
+    path.write_text("qubits 2\nH 0\nCNOT 0 1\n")
+    for command in ("simulate", "sample", "audit", "marginal --qubit 0"):
+        argv = [*command.split(), "--u", "H", "--circuit", str(path), "--random-v", "5"]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2 and "not allowed with" in err, command
+    code, _, err = run_cli(capsys, ["simulate", "--u", "H", "--random-v", "0"])
+    assert code == 2 and "--random-v: must be at least 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["sample", "--u", "H", "--random-v", "3", "--samples", "-2"], "--samples"),
+        (["sample", "--u", "rz=pi*1/3 rx=pi*1/3", "--random-v", "3", "--samples", "-1"], "--samples"),
+        (["gadget", "search", "--u", "H", "--limit", "-1"], "--limit"),
+        (["audit", "--u", "H", "--random-v", "3", "--approx-samples", "-5"], "--approx-samples"),
+    ],
+)
+def test_negative_counts_exit_2(capsys, argv, option):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and not out and f"argument {option}: must be at least 0" in err
 
 
 def test_sample_stabilizer_route_scales(capsys):
@@ -292,6 +314,66 @@ def test_audit_golden_output(capsys):
     assert d["fraction_within"] == 0.875
 
 
+# Outputs of the parent route that replayed a synthesized V-inverse word
+# (marginal) and of the dense statevector route: the seed -> output map must
+# not move.
+GOLDEN_MARGINALS = [
+    (1, 0, 0.49999999997298034),
+    (1, 31, 0.5000000000041143),
+    (1, 63, 0.5000000000018266),
+    (2, 0, 0.49999999999745715),
+    (2, 31, 0.5000000000013861),
+    (2, 63, 0.5000000000026652),
+    (3, 0, 0.5000000000015726),
+    (3, 31, 0.5000000000079385),
+    (3, 63, 0.5000000000001228),
+]
+
+
+@pytest.mark.parametrize("seed, qubit, p0", GOLDEN_MARGINALS)
+def test_marginal_golden_outputs(capsys, seed, qubit, p0):
+    argv = ["marginal", "--u", "rz=pi*1/5 rx=pi*1/3", "--random-v", "64", "--seed", str(seed)]
+    d = run_json(capsys, argv + ["--qubit", str(qubit)])
+    assert d["p0"] == p0 and d["p1"] == 1.0 - p0
+
+
+GOLDEN_CIRCUIT = "qubits 3\nH 0\nCNOT 0 1\nS 1\nCZ 1 2\nH 2\nY 0\nSDG 2\nCNOT 2 0\nX 1\nH 1\n"
+GOLDEN_DENSE = {
+    "circuit": [
+        0.189166983806888,
+        0.1899154770991258,
+        0.008322738728977139,
+        0.04665471403083688,
+        0.004905984675440765,
+        0.006651123439860557,
+        0.197877860398122,
+        0.3565051178207467,
+    ],
+    "random-v": [
+        0.1268146403329679,
+        0.005565817589093123,
+        0.023998870894938074,
+        0.04029757437765913,
+        0.32368427625376855,
+        0.07632509421284361,
+        0.30770949452523677,
+        0.09560423181349058,
+    ],
+}
+
+
+def test_dense_golden_outputs(capsys, tmp_path):
+    path = tmp_path / "c3.txt"
+    path.write_text(GOLDEN_CIRCUIT)
+    base = ["simulate", "--method", "dense", "--u", "rz=pi*1/5 rx=pi*1/3"]
+    d = run_json(capsys, base + ["--circuit", str(path)])
+    assert list(d["probabilities"].values()) == GOLDEN_DENSE["circuit"]
+    d = run_json(capsys, base + ["--random-v", "3", "--seed", "4"])
+    assert list(d["probabilities"].values()) == GOLDEN_DENSE["random-v"]
+    d = run_json(capsys, ["sample", *base[3:], "--random-v", "5", "--seed", "6", "--samples", "6"])
+    assert d["method"] == "dense" and d["samples"] == ["11101", "00111", "11010", "01000", "00111", "11010"]
+
+
 @pytest.mark.parametrize("script", sorted(SCRIPTS.glob("run_*.py")), ids=lambda p: p.name)
 def test_script_help_keeps_the_usage_line(script):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SCRIPTS.parent / "src"), os.environ.get("PYTHONPATH", "")]))
@@ -299,3 +381,13 @@ def test_script_help_keeps_the_usage_line(script):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert any(line.startswith(f"Usage: python3 scripts/{script.name} ") for line in lines), proc.stdout
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # [tool.setuptools] is marked beta
+def test_pyproject_reads_the_package_version():
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    from cccsim import __version__
+
+    config = read_configuration(SCRIPTS.parent / "pyproject.toml")
+    assert config["project"]["version"] == __version__

@@ -20,7 +20,6 @@ from cccsim.stabilizer import (
     random_clifford,
     random_clifford_circuit,
     sample_measurement,
-    tableau_inverse,
     tableau_to_circuit,
 )
 
@@ -122,6 +121,8 @@ def test_conjugation_matches_dense():
             p = pauli_from_letters(word)
             got = conjugate_pauli(t, p)
             assert np.allclose(got.to_matrix(), u @ p.to_matrix() @ u.conj().T)
+            back = conjugate_pauli(t, p, inverse=True)
+            assert np.allclose(back.to_matrix(), u.conj().T @ p.to_matrix() @ u)
 
 
 def test_conjugation_inverse_round_trip():
@@ -146,7 +147,7 @@ def test_desugared_gates_match_dense():
 def test_circuit_inverse_and_then():
     rng = np.random.default_rng(13)
     c = random_circuit(3, rng)
-    u = c.then(c.inverse()).to_unitary()
+    u = CliffordCircuit(3, c.gates + c.inverse().gates).to_unitary()
     assert linalg.proportional_up_to_phase(u, np.eye(8), unit_factor=True)
 
 
@@ -244,7 +245,10 @@ def test_compiled_sampler_matches_past_the_dense_cap():
     assert n > linalg.dense_cap()
     rng = np.random.default_rng(41)
     ghz = CliffordCircuit.build(n, [("H", (0,))] + [("CNOT", (q, q + 1)) for q in range(n - 1)])
-    for t in (random_clifford(n, rng), circuit_to_tableau(ghz.then(random_circuit(n, rng, 300)))):
+    for t in (
+        random_clifford(n, rng),
+        circuit_to_tableau(CliffordCircuit(n, ghz.gates + random_circuit(n, rng, 300).gates)),
+    ):
         oracle, compiled = _oracle_and_compiled(t, 42, 3)
         assert oracle == compiled
 
@@ -314,13 +318,40 @@ def test_synthesis_round_trip_exact():
             assert back == t, n
 
 
-def test_tableau_inverse():
-    rng = np.random.default_rng(20)
-    for n in (1, 2, 4):
-        t = random_clifford(n, rng)
-        inv = tableau_inverse(t)
-        c = tableau_to_circuit(t).then(tableau_to_circuit(inv))
-        assert circuit_to_tableau(c) == CliffordTableau.identity(n)
+def test_compiled_support_is_the_dense_support():
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3, 5):
+        for _ in range(6):
+            c = random_circuit(n, rng, depth=6 * n)
+            probs = np.abs(c.to_unitary()[:, 0]) ** 2
+            support = compile_measurement(circuit_to_tableau(c)).support()
+            assert sorted(support) == list(np.flatnonzero(probs > 1e-12))
+            assert np.allclose(probs[support], 1.0 / len(support))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 70])
+def test_prepend_layer_matches_replaying_the_layer_first(n):
+    rng = np.random.default_rng(20 + n)
+    word = random_circuit(n, rng, depth=4 * n)
+    for name in ("H", "S", "X"):
+        t = circuit_to_tableau(word)
+        t.prepend_layer(name)
+        t.validate()
+        layer = CliffordCircuit.build(n, [(name, (q,)) for q in range(n)])
+        assert t == circuit_to_tableau(CliffordCircuit(n, layer.gates + word.gates)), name
+    with pytest.raises(ValueError):
+        t.prepend_layer("CNOT")
+
+
+def test_conjugation_inverse_past_the_dense_cap():
+    rng = np.random.default_rng(22)
+    n = 80
+    t = random_clifford(n, rng)
+    inverse = circuit_to_tableau(tableau_to_circuit(t).inverse())
+    for _ in range(10):
+        x, z = (int(v) for v in rng.integers(0, 2**62, size=2))
+        p = PauliString(n, x << 18, z, int(rng.integers(4)))
+        assert conjugate_pauli(t, p, inverse=True) == conjugate_pauli(inverse, p)
 
 
 def test_random_clifford_circuit_matches_tableau():
@@ -411,6 +442,23 @@ def test_parse_and_to_text_round_trip():
 def test_parse_circuit_rejects(bad):
     with pytest.raises(ParseError):
         parse_circuit(bad)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("CNOT 0 5", "qubit 5 out of range"), ("H 0 1", "H takes one qubit"),
+     ("CZ 1 1", "CZ takes two distinct qubits"), ("nope 0", "unknown gate 'NOPE'")],
+)
+def test_parse_errors_name_their_line(line, message):
+    with pytest.raises(ParseError, match=f"^line 4: {message}"):
+        parse_circuit(f"qubits 2\n# comment\nH 0\n{line}\nS 1\n")
+
+
+def test_parse_matches_build():
+    text = "qubits 3\nh 0\nCNOT 0 2\nX 1\ny 2\nZ 0\nSDG 1\nCZ 2 0\nS 2\n"
+    gates = [tuple(line.split()) for line in text.splitlines()[1:]]
+    built = CliffordCircuit.build(3, [(g[0], tuple(map(int, g[1:]))) for g in gates])
+    assert parse_circuit(text) == built
 
 
 @settings(deadline=None)
