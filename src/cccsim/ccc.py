@@ -308,12 +308,12 @@ def simulate_easy_weak(
 ) -> list[str]:
     """Exact samples from the model distribution via the stabilizer path.
 
-    Reduces and compiles the measurement once; each shot is then a draw of
-    the compiled sampler, which uses rng as sample_measurement would.
+    Reduces and compiles the measurement once, then draws every shot from
+    one block of coins; rng is consumed as measuring qubit by qubit would
+    (`sample_measurement` in tests/oracles.py).
     """
     tableau, negate = _easy_reduction(instance)
-    sampler = compile_measurement(tableau)
-    samples = [sampler.draw(rng) for _ in range(shots)]
+    samples = compile_measurement(tableau).draw_many(rng, shots)
     if negate:
         samples = [y.translate(_NEGATE) for y in samples]
     return samples

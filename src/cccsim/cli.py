@@ -438,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help='comma list, e.g. "H,S,AJ(0,pi*1/3)" (AI/AJ are gadget actions)',
     )
-    p.add_argument("--max-length", type=int, default=WORD_LENGTH_CAP)
-    p.add_argument("--beam-width", type=int, default=DEFAULT_BEAM_WIDTH)
+    p.add_argument("--max-length", type=_count(0), default=WORD_LENGTH_CAP)
+    p.add_argument("--beam-width", type=_count(1), default=DEFAULT_BEAM_WIDTH)
     return parser
 
 

@@ -120,29 +120,6 @@ class CliffordTableau:
     def identity(n: int) -> "CliffordTableau":
         return CliffordTableau(n, [1 << q for q in range(n)], [1 << (n + q) for q in range(n)])
 
-    @staticmethod
-    def from_rows(
-        n: int, xs: list[int], zs: list[int], ph: list[int] | None = None
-    ) -> "CliffordTableau":
-        """The tableau whose row i is i^ph[i] times the Pauli with masks xs[i], zs[i]."""
-        ph = [0] * (2 * n) if ph is None else ph
-        if not len(xs) == len(zs) == len(ph) == 2 * n:
-            raise ValueError(f"need {2 * n} rows for n={n}")
-        if any(m >> n for m in (*xs, *zs)):
-            raise ValueError(f"row mask wider than n={n} qubits")
-        xcol, zcol = [0] * n, [0] * n
-        odd = sign = 0
-        for i in range(2 * n):
-            bit = 1 << i
-            for q in range(n):
-                if xs[i] >> q & 1:
-                    xcol[q] |= bit
-                if zs[i] >> q & 1:
-                    zcol[q] |= bit
-            odd |= (ph[i] & 1) << i
-            sign |= (ph[i] >> 1 & 1) << i
-        return CliffordTableau(n, xcol, zcol, odd, sign)
-
     def copy(self) -> "CliffordTableau":
         return CliffordTableau(self.n, list(self.xcol), list(self.zcol), self.odd, self.sign)
 
@@ -306,57 +283,17 @@ class CliffordTableau:
         self.sign ^= hi ^ (lo & self.odd)
         self.odd ^= lo
 
-    # -- measurement of the state (tableau of V doubles as the state V|0^n>) --
-
-    def _pivot(self, q: int) -> int:
-        """The first stabilizer row with X support at q, or -1 if Z_q is determined."""
-        stabs = self.xcol[q] >> self.n
-        return self.n + _lowest(stabs) if stabs else -1
-
-    def _collapse(self, q: int, pivot: int) -> None:
-        """The random-outcome step of measuring Z_q, leaving the pivot row +Z_q.
-
-        Every other row with X support at q is multiplied by the pivot row,
-        then the pivot row moves to its destabilizer slot.
-        """
-        n = self.n
-        rows = self.xcol[q] & ~(1 << pivot)
-        fx, fz = ([rows if v >> pivot & 1 else 0 for v in cols] for cols in (self.xcol, self.zcol))
-        self._multiply_rows(rows, fx, fz, rows * (self.odd >> pivot & 1), rows * (self.sign >> pivot & 1))
-        for cols in (self.xcol, self.zcol):
-            for j in range(n):
-                cols[j] = _move_bit(cols[j], pivot, pivot - n)
-        self.odd = _move_bit(self.odd, pivot, pivot - n)
-        self.sign = _move_bit(self.sign, pivot, pivot - n)
-        self.zcol[q] |= 1 << pivot
-
-    def _z_rows(self, q: int) -> int:
-        """With no pivot at q: the stabilizer rows whose product is +/- Z_q.
-
-        They are the ones picked out by the destabilizers' X-support at q.
-        """
-        return (self.xcol[q] & ((1 << self.n) - 1)) << self.n
-
-    def measure(self, q: int, rng: np.random.Generator) -> int:
-        """Measure qubit q in Z basis, collapsing in place; returns the bit."""
-        self._check(q)
-        pivot = self._pivot(q)
-        if pivot >= 0:
-            self._collapse(q, pivot)
-            outcome = int(rng.integers(2))
-            self.sign |= outcome << pivot
-            return outcome
-        return _z_outcome(self._row_product(self._z_rows(q)), q)
-
-
 def _lowest(v: int) -> int:
     """Index of the lowest set bit of v > 0."""
     return (v & -v).bit_length() - 1
 
 
-def _move_bit(v: int, src: int, dst: int) -> int:
-    """v with bit dst set to bit src, and bit src cleared."""
-    return (v & ~(1 << dst) & ~(1 << src)) | ((v >> src & 1) << dst)
+def _bits(v: int):
+    """The indices of the set bits of v, lowest first."""
+    while v:
+        low = v & -v
+        yield low.bit_length() - 1
+        v ^= low
 
 
 def _parity_below(v: int, width: int) -> int:
@@ -368,13 +305,6 @@ def _parity_below(v: int, width: int) -> int:
     return p
 
 
-def _z_outcome(product: PauliString, q: int) -> int:
-    """The bit read off a product of stabilizers that must equal +/- Z_q."""
-    if product.x or product.z != 1 << q or product.phase & 1:
-        raise InvariantError(f"stabilizer product {product} is not +/- Z_{q}")
-    return product.phase >> 1
-
-
 @dataclass(frozen=True)
 class CompiledMeasurement:
     """The Z-basis outcome of a stabilizer state as an affine map of coins.
@@ -382,24 +312,45 @@ class CompiledMeasurement:
     terms[q] is None when bit q is a fresh coin, else (c, mask): bit q is c
     XOR the parity of the earlier coins in mask (coin k is bit k).  The
     outcomes form the affine subspace of Dehaene and De Moor, with its basis
-    in measurement order.
+    in measurement order.  Draws consume the generator exactly as measuring
+    qubit by qubit does (`sample_measurement` in tests/oracles.py): one
+    rng.integers(2) per coin, in qubit order.
     """
 
     terms: tuple[tuple[int, int] | None, ...]
 
-    def draw(self, rng: np.random.Generator) -> str:
-        """One outcome; consumes rng exactly as sample_measurement does."""
-        coins = k = 0
-        bits = []
-        for term in self.terms:
-            if term is None:
-                bit = int(rng.integers(2))
-                coins |= bit << k
-                k += 1
-            else:
-                bit = term[0] ^ ((coins & term[1]).bit_count() & 1)
-            bits.append(bit)
-        return "".join(map(str, bits))
+    def draw_many(self, rng: np.random.Generator, shots: int) -> list[str]:
+        """shots outcomes, all their coins drawn as one block.
+
+        numpy fills rng.integers(0, 2, size=(shots, k)) in C order from the
+        same stream as shots * k scalar rng.integers(2) calls (so on numpy
+        2.4.6; the tests pin it), so the outcomes and the generator's end
+        state are those of one scalar draw per coin, shot after shot.  Every
+        determined bit is its constant XOR the parity of the coins, packed
+        into 64-bit words, under its mask.
+        """
+        n = len(self.terms)
+        coin_qubits = [q for q, term in enumerate(self.terms) if term is None]
+        fixed = [(q, term) for q, term in enumerate(self.terms) if term is not None]
+        k = len(coin_qubits)
+        coins = rng.integers(0, 2, size=(shots, k))
+        bits = np.empty((shots, n), dtype=np.uint8)
+        bits[:, coin_qubits] = coins
+        if fixed:
+            words = -(-k // 64)
+            packed = np.zeros((shots, 8 * words), dtype=np.uint8)
+            packed[:, : -(-k // 8)] = np.packbits(coins, axis=1, bitorder="little")
+            packed = packed.view("<u8")
+            masks = np.frombuffer(
+                b"".join(mask.to_bytes(8 * words, "little") for _, (_, mask) in fixed), dtype="<u8"
+            ).reshape(len(fixed), words)
+            parity = np.zeros((shots, len(fixed)), dtype=np.uint8)
+            for i in range(words):
+                parity ^= np.bitwise_count(packed[:, i, None] & masks[None, :, i])
+            constants = np.array([c for _, (c, _) in fixed], dtype=np.uint8)
+            bits[:, [q for q, _ in fixed]] = (parity & 1) ^ constants
+        text = (bits + ord("0")).tobytes().decode("ascii")
+        return [text[i * n : (i + 1) * n] for i in range(shots)]
 
     def support(self) -> np.ndarray:
         """All 2^k outcomes, as the integers int(y, 2), one per coin pattern.
@@ -539,38 +490,66 @@ def circuit_to_tableau(c: CliffordCircuit) -> CliffordTableau:
     return t
 
 
-def sample_measurement(t: CliffordTableau, rng: np.random.Generator) -> str:
-    """One string drawn exactly from |<y|V|0^n>|^2 for the tableau's V."""
-    work = t.copy()
-    return "".join(str(work.measure(q, rng)) for q in range(t.n))
-
-
 def compile_measurement(t: CliffordTableau) -> CompiledMeasurement:
     """Measure qubits 0..n-1 once, symbolically, for any number of draws.
 
-    Runs the same collapse as sample_measurement with each random outcome
-    left as a coin, and carries each row's sign as its constant part plus
-    the set of coins it depends on: forms[k] is the bitset of rows whose sign
-    carries coin k.  The rows' Pauli letters never depend on an outcome, so
-    one pass fixes which bits are coins and which are parities of coins.
+    Only the stabilizers (rows n..2n-1) are read.  A GF(2) echelon pass over
+    their X block, in qubit order, finds the coins: qubit q is one when a row
+    not yet used as a pivot has X at q, and that row then clears X at q from
+    the other unused rows.  The rows left without X are products of
+    stabilizers equal to +/- Z^z, each a parity constraint y.z = sign on the
+    outcome; the pass records which stabilizers each row multiplies, and one
+    _row_product per constraint gives its sign.  Reduced so that each
+    constraint alone holds its highest qubit q, it fixes bit q as its sign
+    XOR the coins below q.  Those affine forms are unique, so the terms are
+    the ones measuring qubit by qubit (Aaronson-Gottesman) would give.
     """
     n = t.n
-    work = t.copy()
-    forms: list[int] = []
+    if t.odd >> n:
+        raise InvariantError(f"stabilizer {_lowest(t.odd >> n)} is not Hermitian")
+    xs = [col >> n for col in t.xcol]  # bit r of xs[q]: row r has X at q
+    combo = [1 << r for r in range(n)]  # combo[r]: the stabilizers row r is a product of
+    unused = (1 << n) - 1
+    coins: dict[int, int] = {}  # coin qubit -> coin index
+    for q in range(n):
+        rows = xs[q] & unused
+        if not rows:
+            continue
+        pivot = _lowest(rows)
+        unused ^= 1 << pivot
+        rows ^= 1 << pivot
+        coins[q] = len(coins)
+        for q2 in range(q + 1, n):
+            if xs[q2] >> pivot & 1:
+                xs[q2] ^= rows
+        for r in _bits(rows):
+            combo[r] ^= combo[pivot]
+    tops: dict[int, tuple[int, int]] = {}  # highest qubit -> (z mask, sign) of a constraint
+    for r in _bits(unused):
+        product = t._row_product(combo[r] << n)
+        if product.x or product.phase & 1:
+            raise InvariantError("the stabilizers do not commute")
+        z, sign = product.z, product.phase >> 1
+        while z and z.bit_length() - 1 in tops:
+            z2, sign2 = tops[z.bit_length() - 1]
+            z, sign = z ^ z2, sign ^ sign2
+        if not z:
+            raise InvariantError("the stabilizers are dependent")
+        if z.bit_length() - 1 in coins:
+            raise InvariantError("the stabilizers fix a coin: they do not commute")
+        tops[z.bit_length() - 1] = (z, sign)
     terms: list[tuple[int, int] | None] = []
     for q in range(n):
-        pivot = work._pivot(q)
-        if pivot >= 0:
-            rows = work.xcol[q] & ~(1 << pivot)
-            forms = [f ^ rows if f >> pivot & 1 else f for f in forms]
-            work._collapse(q, pivot)
-            forms = [_move_bit(f, pivot, pivot - n) for f in forms]
-            forms.append(1 << pivot)
+        if q in coins:
             terms.append(None)
-        else:
-            rows = work._z_rows(q)
-            mask = sum(1 << k for k, f in enumerate(forms) if (f & rows).bit_count() & 1)
-            terms.append((_z_outcome(work._row_product(rows), q), mask))
+            continue
+        z, sign = tops[q]
+        for q2 in _bits(z ^ 1 << q):
+            if q2 not in coins:  # a lower constraint, already reduced to coins
+                z2, sign2 = tops[q2]
+                z, sign = z ^ z2, sign ^ sign2
+        tops[q] = (z, sign)
+        terms.append((sign, sum(1 << coins[q2] for q2 in _bits(z ^ 1 << q))))
     return CompiledMeasurement(tuple(terms))
 
 
@@ -666,36 +645,6 @@ def tableau_to_circuit(t: CliffordTableau) -> CliffordCircuit:
 # -- uniform random Cliffords ------------------------------------------------
 
 
-def _sp(a: int, b: int, n: int) -> int:
-    """Symplectic inner product of two packed (x | z << n) vectors."""
-    mask = (1 << n) - 1
-    return (((a & mask) & (b >> n)).bit_count() + ((a >> n) & (b & mask)).bit_count()) & 1
-
-
-def _combine(basis: list[int], coeffs) -> int:
-    v = 0
-    for b, c in zip(basis, coeffs):
-        if c:
-            v ^= b
-    return v
-
-
-def _independent(vectors: list[int]) -> list[int]:
-    """Greedy F2 elimination; keeps a maximal independent subset."""
-    pivots: dict[int, int] = {}
-    out = []
-    for v in vectors:
-        r = v
-        while r:
-            top = r.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = r
-                out.append(v)
-                break
-            r ^= pivots[top]
-    return out
-
-
 def random_clifford(n: int, rng: np.random.Generator) -> CliffordTableau:
     """Uniform over the Clifford group modulo global phase.
 
@@ -704,41 +653,67 @@ def random_clifford(n: int, rng: np.random.Generator) -> CliffordTableau:
     assigns uniform signs.  Each step is uniform over the pairs the remaining
     space admits, which by the orbit-stabilizer argument makes the symplectic
     matrix uniform.
+
+    Vectors are packed as x | z << n.  With v's halves swapped once, the
+    pairing of a basis vector with v is one AND and a popcount, so a step
+    costs O(n) big-int operations.  The projected basis spans two dimensions
+    fewer; the two vectors dropped are those a greedy elimination in basis
+    order would drop: the echelon tops of span(c, d), where c and d are the
+    coefficient vectors of v and w.
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    low = (1 << n) - 1
     basis = [1 << i for i in range(2 * n)]
-    xs: list[int] = [0] * (2 * n)
-    zs: list[int] = [0] * (2 * n)
-    mask = (1 << n) - 1
+    rows = [0] * (2 * n)
     for j in range(n):
         m2 = len(basis)
         while True:
-            coeffs = rng.integers(0, 2, size=m2)
-            if coeffs.any():
+            picked = np.flatnonzero(rng.integers(0, 2, size=m2)).tolist()
+            if picked:
                 break
-        v = _combine(basis, coeffs)
-        w0 = next(b for b in basis if _sp(v, b, n))
-        u = _combine(basis, rng.integers(0, 2, size=m2))
-        w = u if _sp(v, u, n) else u ^ w0
-        xs[j], zs[j] = v & mask, v >> n
-        xs[n + j], zs[n + j] = w & mask, w >> n
-        updated = []
-        for b in basis:
-            nb = b
-            if _sp(b, w, n):
-                nb ^= v
-            if _sp(b, v, n):
-                nb ^= w
-            if nb:
-                updated.append(nb)
-        basis = _independent(updated)
-    ph = [int(2 * b) for b in rng.integers(0, 2, size=2 * n)]
-    return CliffordTableau.from_rows(n, xs, zs, ph)
+        c, v = _combine(basis, picked)
+        v_swapped = v >> n | (v & low) << n
+        pairs_v = [(b & v_swapped).bit_count() & 1 for b in basis]
+        d, w = _combine(basis, np.flatnonzero(rng.integers(0, 2, size=m2)).tolist())
+        if not (w & v_swapped).bit_count() & 1:
+            i0 = pairs_v.index(1)  # w = u + w0, w0 the first basis vector pairing with v
+            d, w = d ^ 1 << i0, w ^ basis[i0]
+        w_swapped = w >> n | (w & low) << n
+        basis = [
+            b ^ (v if (b & w_swapped).bit_count() & 1 else 0) ^ (w if pair else 0)
+            for b, pair in zip(basis, pairs_v)
+        ]
+        hi, lo = c.bit_length() - 1, d.bit_length() - 1
+        if hi == lo:
+            lo = (c ^ d).bit_length() - 1
+        del basis[max(hi, lo)], basis[min(hi, lo)]
+        rows[j], rows[n + j] = v, w
+    cols = _transpose(rows, 2 * n)
+    return CliffordTableau(n, cols[:n], cols[n:], 0, _bitset(rng.integers(0, 2, size=2 * n)))
 
 
-def random_clifford_circuit(n: int, rng: np.random.Generator) -> CliffordCircuit:
-    return tableau_to_circuit(random_clifford(n, rng))
+def _combine(basis: list[int], picked: list[int]) -> tuple[int, int]:
+    """The picked indices as a bitset, and the XOR of the basis vectors there."""
+    c = v = 0
+    for i in picked:
+        c |= 1 << i
+        v ^= basis[i]
+    return c, v
+
+
+def _bitset(bits: np.ndarray) -> int:
+    """The int whose bit i is bits[i], for a 0/1 array."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _transpose(rows: list[int], width: int) -> list[int]:
+    """The columns of the bit matrix whose row i is rows[i], width bits wide."""
+    nbytes = -(-width // 8)
+    packed = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows), dtype=np.uint8)
+    bits = np.unpackbits(packed.reshape(len(rows), nbytes), axis=1, count=width, bitorder="little")
+    cols = np.packbits(bits, axis=0, bitorder="little").T.copy()
+    return [int.from_bytes(col.tobytes(), "little") for col in cols]
 
 
 def enumerate_clifford_words(n: int) -> list[tuple[tuple[str, tuple[int, ...]], ...]]:

@@ -34,11 +34,8 @@ from cccsim.gadgets import (
     search_gadgets,
 )
 from cccsim.mbqc import g_closed_form, g_gadget, rotation_angle, universality_check
-from cccsim.stabilizer import (
-    circuit_to_tableau,
-    random_clifford_circuit,
-    sample_measurement,
-)
+from cccsim.stabilizer import circuit_to_tableau
+from oracles import random_clifford_circuit, sample_measurement
 
 from fractions import Fraction
 

@@ -29,10 +29,9 @@ from cccsim.stabilizer import (
     CliffordCircuit,
     circuit_to_tableau,
     random_clifford,
-    random_clifford_circuit,
-    sample_measurement,
     tableau_to_circuit,
 )
+from oracles import random_clifford_circuit, sample_measurement
 
 angles = st.floats(-math.pi, math.pi, allow_nan=False)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -76,11 +77,14 @@ def test_simulate_needs_a_circuit(capsys, tmp_path):
         (["sample", "--u", "rz=pi*1/3 rx=pi*1/3", "--random-v", "3", "--samples", "-1"], "--samples"),
         (["gadget", "search", "--u", "H", "--limit", "-1"], "--limit"),
         (["audit", "--u", "H", "--random-v", "3", "--approx-samples", "-5"], "--approx-samples"),
+        (["compile", "--target", "H", "--generators", "H,S", "--max-length", "-3"], "--max-length"),
+        (["compile", "--target", "H", "--generators", "H,S", "--beam-width", "0"], "--beam-width"),
     ],
 )
 def test_negative_counts_exit_2(capsys, argv, option):
+    least = 1 if option == "--beam-width" else 0  # a beam holds at least one word
     code, out, err = run_cli(capsys, argv)
-    assert code == 2 and not out and f"argument {option}: must be at least 0" in err
+    assert code == 2 and not out and f"argument {option}: must be at least {least}" in err
 
 
 def test_sample_stabilizer_route_scales(capsys):
@@ -372,6 +376,41 @@ def test_dense_golden_outputs(capsys, tmp_path):
     assert list(d["probabilities"].values()) == GOLDEN_DENSE["random-v"]
     d = run_json(capsys, ["sample", *base[3:], "--random-v", "5", "--seed", "6", "--samples", "6"])
     assert d["method"] == "dense" and d["samples"] == ["11101", "00111", "11010", "01000", "00111", "11010"]
+
+
+# Outputs recorded before the linear-pass random_clifford, the echelon
+# compile_measurement and the bulk coin draws, each at n=200 or 200 draws:
+# the seed -> output map must not move.  Digests are of the JSON without
+# its version, keys sorted.
+GOLDEN_DIGESTS = [
+    (
+        ["sample", "--u", "H", "--random-v", "200", "--samples", "1000", "--seed", "1"],
+        "47661d7492edd5f66627da41e230b265e53a36f82b0aa3cac1cbf79051790ea2",
+    ),
+    (
+        ["marginal", "--u", "rz=pi*1/5 rx=pi*1/3", "--random-v", "200", "--qubit", "7", "--seed", "1"],
+        "1d274bac509946890a51a2bb8c5f9297b8cdd58be3d4b60aff5ed1610360f61c",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_DIGESTS, ids=["sample", "marginal"])
+def test_stabilizer_golden_digests(capsys, argv, digest):
+    d = run_json(capsys, argv)
+    d.pop("version")
+    assert hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_anticonc_golden_output(capsys):
+    # 200 Cliffords drawn by random_clifford at n=6: every moment bit for bit
+    d = run_json(capsys, ["anticonc", "--n", "6", "--samples", "200", "--u", "rz=pi*1/3 rx=pi*1/2", "--seed", "5"])
+    assert {k: d[k] for k in ("mean_p", "mean_p_squared", "mean_se", "second_moment_se", "tail_fraction")} == {
+        "mean_p": 0.016194442315762104,
+        "mean_p_squared": 0.0005046660420223135,
+        "mean_se": 0.0011036851931355107,
+        "second_moment_se": 6.838304004819862e-05,
+        "tail_fraction": 0.82,
+    }
 
 
 @pytest.mark.parametrize("script", sorted(SCRIPTS.glob("run_*.py")), ids=lambda p: p.name)

@@ -13,7 +13,7 @@ from cccsim.experiments import (
     paley_zygmund_bound,
     supremacy_parameters,
 )
-from cccsim.stabilizer import random_clifford_circuit
+from oracles import random_clifford_circuit
 
 
 # -- parameter arithmetic ----------------------------------------------------------

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from cccsim import linalg
 from cccsim.errors import CapabilityError
-from cccsim.stabilizer import CliffordCircuit, PauliString, random_clifford_circuit
+from cccsim.stabilizer import CliffordCircuit, PauliString
+from oracles import random_clifford_circuit
 
 
 def random_unitary(rng, d=2):

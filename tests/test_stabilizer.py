@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,10 +19,10 @@ from cccsim.stabilizer import (
     enumerate_clifford_words,
     parse_circuit,
     random_clifford,
-    random_clifford_circuit,
-    sample_measurement,
     tableau_to_circuit,
 )
+import oracles
+from oracles import draw, from_rows, measure, random_clifford_circuit, sample_measurement
 
 LETTERS = "IXYZ"
 
@@ -216,9 +217,9 @@ def test_measurement_collapses_tableau_state():
     c = random_circuit(4, rng, depth=30)
     for _ in range(20):
         t = circuit_to_tableau(c)
-        first = [t.measure(q, rng) for q in range(4)]
+        first = [measure(t, q, rng) for q in range(4)]
         t.validate()
-        second = [t.measure(q, rng) for q in range(4)]
+        second = [measure(t, q, rng) for q in range(4)]
         assert first == second
 
 
@@ -226,7 +227,7 @@ def _oracle_and_compiled(t, seed, shots):
     oracle_rng, draw_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     sampler = compile_measurement(t)
     oracle = [sample_measurement(t, oracle_rng) for _ in range(shots)]
-    compiled = [sampler.draw(draw_rng) for _ in range(shots)]
+    compiled = sampler.draw_many(draw_rng, shots)
     # both generators must also stand at the same point afterwards
     return oracle + [oracle_rng.integers(2**62)], compiled + [draw_rng.integers(2**62)]
 
@@ -259,7 +260,44 @@ def test_compiled_sampler_terms():
     sampler = compile_measurement(circuit_to_tableau(c))
     assert sampler.terms == (None, (0, 1), (1, 1))
     rng = np.random.default_rng(43)
-    assert {sampler.draw(rng) for _ in range(50)} == {"001", "110"}
+    assert set(sampler.draw_many(rng, 50)) == {"001", "110"}
+
+
+def test_compile_rejects_stabilizers_that_fix_no_state():
+    # +iZ_1 as a stabilizer is not Hermitian
+    with pytest.raises(InvariantError, match="Hermitian"):
+        compile_measurement(from_rows(2, [1, 2, 0, 0], [0, 0, 1, 2], [0, 0, 0, 1]))
+    # stabilizers Z_0, Z_0: dependent
+    with pytest.raises(InvariantError, match="dependent"):
+        compile_measurement(from_rows(2, [1, 2, 0, 0], [0, 0, 1, 1]))
+    # stabilizers X_0, Z_0 anticommute; Z_0 then constrains the coin at qubit 0
+    with pytest.raises(InvariantError, match="commute"):
+        compile_measurement(from_rows(2, [0, 2, 1, 0], [1, 0, 0, 1]))
+
+
+def _draws_and_end_state(sampler, seed, shots, bulk):
+    rng = np.random.default_rng(seed)
+    rng.integers(5)  # start the block mid-stream
+    draws = sampler.draw_many(rng, shots) if bulk else [draw(sampler, rng) for _ in range(shots)]
+    return draws, rng.integers(2**62), rng.random()
+
+
+def test_draw_many_matches_draw():
+    # draw_many relies on numpy drawing rng.integers(0, 2, size=(s, k)) in C
+    # order from the same stream as s * k calls of rng.integers(2), and
+    # leaving the generator where they would (checked on numpy 2.4.6)
+    rng = np.random.default_rng(45)
+    tableaux = [CliffordTableau.identity(3), circuit_to_tableau(CliffordCircuit.build(3, [("X", (1,))]))]
+    tableaux += [random_clifford(n, rng) for n in (1, 2, 5, 12, 70, 130)]
+    tableaux += [circuit_to_tableau(random_circuit(n, rng, depth=2 * n)) for n in (4, 9, 66)]
+    ks = set()
+    for t in tableaux:
+        sampler = compile_measurement(t)
+        ks.add(sum(term is None for term in sampler.terms))
+        for seed, shots in ((1, 0), (2, 1), (3, 7), (4, 40)):
+            bulk = _draws_and_end_state(sampler, seed, shots, bulk=True)
+            assert bulk == _draws_and_end_state(sampler, seed, shots, bulk=False), (t.n, shots)
+    assert 0 in ks and any(k > 64 for k in ks)  # no coins, and more than one word of them
 
 
 # -- invariants -------------------------------------------------------------------
@@ -272,24 +310,24 @@ def test_gate_words_keep_the_tableau_valid(n, seed):
     t = circuit_to_tableau(random_circuit(n, rng, depth=40))
     t.validate()
     for q in range(n):
-        t.measure(q, rng)
+        measure(t, q, rng)
         t.validate()
 
 
 def test_validate_rejects_broken_tableaux():
     # destabilizer 1 equals destabilizer 0: the pairing is broken
-    broken = CliffordTableau.from_rows(2, [1, 1, 0, 0], [0, 0, 1, 2])
+    broken = from_rows(2, [1, 1, 0, 0], [0, 0, 1, 2])
     with pytest.raises(InvariantError):
         broken.validate()
     # +iZ_0 as a stabilizer is not Hermitian
-    t = CliffordTableau.from_rows(1, [1, 0], [0, 1], [0, 1])
+    t = from_rows(1, [1, 0], [0, 1], [0, 1])
     with pytest.raises(InvariantError):
         t.validate()
-    CliffordTableau.from_rows(1, [1, 0], [0, 1], [2, 2]).validate()
+    from_rows(1, [1, 0], [0, 1], [2, 2]).validate()
 
 
 def test_tableau_to_circuit_raises_a_typed_error():
-    broken = CliffordTableau.from_rows(2, [1, 1, 0, 0], [0, 0, 1, 2])
+    broken = from_rows(2, [1, 1, 0, 0], [0, 0, 1, 2])
     with pytest.raises(InvariantError):
         tableau_to_circuit(broken)
 
@@ -298,10 +336,10 @@ def test_from_rows_matches_rows():
     rng = np.random.default_rng(44)
     t = random_clifford(4, rng)
     rows = [t.row(i) for i in range(8)]
-    again = CliffordTableau.from_rows(4, [r.x for r in rows], [r.z for r in rows], [r.phase for r in rows])
+    again = from_rows(4, [r.x for r in rows], [r.z for r in rows], [r.phase for r in rows])
     assert again == t
     with pytest.raises(ValueError):
-        CliffordTableau.from_rows(2, [1, 2], [0, 0])
+        from_rows(2, [1, 2], [0, 0])
 
 
 # -- synthesis and inversion -----------------------------------------------------
@@ -352,6 +390,64 @@ def test_conjugation_inverse_past_the_dense_cap():
         x, z = (int(v) for v in rng.integers(0, 2**62, size=2))
         p = PauliString(n, x << 18, z, int(rng.integers(4)))
         assert conjugate_pauli(t, p, inverse=True) == conjugate_pauli(inverse, p)
+
+
+def _same_draw(n, seed):
+    fast, greedy = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert random_clifford(n, fast) == oracles.random_clifford(n, greedy), (n, seed)
+    assert fast.integers(2**62) == greedy.integers(2**62), (n, seed)
+
+
+def test_random_clifford_matches_the_greedy_elimination():
+    for n in range(1, 40):
+        for seed in range(20):
+            _same_draw(n, seed)
+    for n in (64, 100, 200):
+        _same_draw(n, 50 + n)
+
+
+def stabilizer_states_by_coins(n):
+    """Entry k: how many n-qubit stabilizer states have a k-dimensional Z-basis support.
+
+    2^(n-k) affine shifts times the Gaussian binomial [n choose k]_2 of
+    supports times 2^(k(k+3)/2) phase patterns on each.
+    """
+    counts, gaussian = [], 1
+    for k in range(n + 1):
+        counts.append(2 ** (n - k) * gaussian * 2 ** (k * (k + 3) // 2))
+        gaussian = gaussian * (2 ** (n - k) - 1) // (2 ** (k + 1) - 1)
+    return counts, 2**n * math.prod(2**j + 1 for j in range(1, n + 1))
+
+
+def coin_count_law(n):
+    """P(k coins) for the measurement of V|0^n>, V uniform: every stabilizer state is equally likely."""
+    counts, total = stabilizer_states_by_coins(n)
+    return [Fraction(c, total) for c in counts]
+
+
+def test_coin_count_law_sums_to_one():
+    assert coin_count_law(1) == [Fraction(1, 3), Fraction(2, 3)]
+    assert coin_count_law(2) == [Fraction(1, 15), Fraction(6, 15), Fraction(8, 15)]
+    for n in range(1, 201):
+        counts, total = stabilizer_states_by_coins(n)
+        assert Fraction(sum(counts), total) == 1, n
+
+
+def test_coin_count_follows_the_law_past_the_dense_cap():
+    # random_clifford and compile_measurement together, where no dense
+    # oracle reaches: chi-square over k = n, n-1, n-2 and <= n-3
+    n, draws = 48, 1500
+    assert n > linalg.dense_cap()
+    law = coin_count_law(n)
+    expected = [float(p) * draws for p in (law[n], law[n - 1], law[n - 2], sum(law[: n - 2]))]
+    counts = [0] * 4
+    rng = np.random.default_rng(46)
+    for _ in range(draws):
+        k = sum(term is None for term in compile_measurement(random_clifford(n, rng)).terms)
+        counts[min(n - k, 3)] += 1
+    chi2 = sum((c - e) ** 2 / e for c, e in zip(counts, expected))
+    # 3 degrees of freedom: P(chi2 > 16.27) = 0.001
+    assert chi2 < 16.27, (counts, expected)
 
 
 def test_random_clifford_circuit_matches_tableau():
