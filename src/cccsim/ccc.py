@@ -242,18 +242,12 @@ def tv_distance(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
     return 0.5 * float(np.abs(p.probs - q.probs).sum())
 
 
-def apply_circuit(state: np.ndarray, c: CliffordCircuit) -> np.ndarray:
-    for name, qubits in c.gates:
-        state = linalg.apply_gate(state, linalg.GATES[name], qubits)
-    return state
-
-
 def _conjugated_state(instance: CccInstance) -> np.ndarray:
     state = linalg.zero_state(instance.n)
     for q in range(instance.n):
         state = linalg.apply_gate(state, instance.u, (q,))
     word = instance.word if instance.word is not None else tableau_to_circuit(instance.v)
-    state = apply_circuit(state, word)
+    state = word.apply(state)
     ud = instance.u.conj().T
     for q in range(instance.n):
         state = linalg.apply_gate(state, ud, (q,))

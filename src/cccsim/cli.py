@@ -7,6 +7,7 @@ its own output.  Exit codes: 0 success, 2 bad input, 3 capability refusal.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -349,7 +350,10 @@ def cmd_mbqc_check(args) -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; each parse_args
+    call still returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="cccsim", description="conjugated Clifford circuit toolkit"
     )

@@ -17,7 +17,7 @@ from functools import reduce
 import numpy as np
 
 from . import linalg
-from .ccc import OutcomeDistribution, apply_circuit, tv_distance
+from .ccc import OutcomeDistribution, tv_distance
 from .errors import CapabilityError, InvariantError
 from .stabilizer import random_clifford, tableau_to_circuit
 
@@ -163,7 +163,7 @@ def anticoncentration_trial(
     p_values = np.empty(num_samples)
     for i in range(num_samples):
         circuit = tableau_to_circuit(random_clifford(n, rng))
-        amp = np.vdot(phi, apply_circuit(psi, circuit))
+        amp = np.vdot(phi, circuit.apply(psi))
         p_values[i] = abs(amp) ** 2
 
     squares = p_values**2

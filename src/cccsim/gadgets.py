@@ -71,33 +71,31 @@ class GadgetAction:
 
 
 def gadget_action(g: Gadget) -> GadgetAction:
-    """Contract the gadget fragment exactly and classify the result."""
+    """Contract the gadget fragment exactly and classify the result.
+
+    All 2**l inputs are contracted at once, as the columns of one
+    (2**k, 2**l) block.
+    """
     if g.k > GADGET_WIRE_CAP:
         raise CapabilityError(
             f"gadget contraction on {g.k} wires exceeds the cap of {GADGET_WIRE_CAP}"
         )
-    dim_out = 2**g.l
+    linalg.check_dense_cap(g.k)
+    # input i and the ancilla bits make basis state i << (k-l) | anc: column i
+    dim = 2**g.l
+    anc = sum(b << (g.k - 1 - w) for w, b in zip(g.ancilla_wires, g.ancilla_bits))
+    state = np.zeros((2**g.k, dim), dtype=complex)
+    state[np.arange(dim) << (g.k - g.l) | anc, np.arange(dim)] = 1.0
+    for w in g.ancilla_wires:
+        state = linalg.apply_gate(state, g.u, (w,))
+    state = g.gamma.apply(state)
     ud = g.u.conj().T
-    a = np.zeros((dim_out, dim_out), dtype=complex)
-    anc = dict(zip(g.ancilla_wires, g.ancilla_bits))
-    out_wires = g.output_wires
-    for i in range(dim_out):
-        bits = ["0"] * g.k
-        for pos, w in enumerate(range(g.l)):
-            bits[w] = str((i >> (g.l - 1 - pos)) & 1)
-        for w, b in anc.items():
-            bits[w] = str(b)
-        state = linalg.basis_state(g.k, "".join(bits))
-        for w in g.ancilla_wires:
-            state = linalg.apply_gate(state, g.u, (w,))
-        for name, qubits in g.gamma.gates:
-            state = linalg.apply_gate(state, linalg.GATES[name], qubits)
-        for w in g.postselect_set:
-            state = linalg.apply_gate(state, ud, (w,))
-        tensor = state.reshape((2,) * g.k)
-        for w, b in sorted(zip(g.postselect_set, g.postselect_bits), reverse=True):
-            tensor = np.take(tensor, b, axis=w)
-        a[:, i] = tensor.reshape(-1)
+    for w in g.postselect_set:
+        state = linalg.apply_gate(state, ud, (w,))
+    tensor = state.reshape((2,) * g.k + (dim,))
+    for w, b in sorted(zip(g.postselect_set, g.postselect_bits), reverse=True):
+        tensor = np.take(tensor, b, axis=w)
+    a = tensor.reshape(dim, dim)
     unitary = bool(linalg.is_unitary_up_to_scale(a))
     gamma = float(linalg.unitary_scale(a)) if unitary else None
     return GadgetAction(a, gamma, unitary, bool(linalg.is_clifford(a)))
@@ -189,33 +187,19 @@ def search_gadgets(u: np.ndarray, k: int) -> list[tuple[Gadget, GadgetAction]]:
     words = enumerate_clifford_words(2)
     mats = np.empty((len(words), 4, 4), dtype=complex)
     eye = np.eye(4, dtype=complex)
-    full: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
-
-    def gate_matrix(name: str, qubits: tuple[int, ...]) -> np.ndarray:
-        key = (name, qubits)
-        if key not in full:
-            if name == "CNOT":
-                m = linalg.GATES["CNOT"]
-                if qubits == (1, 0):
-                    sw = eye[[0, 2, 1, 3]]
-                    m = sw @ m @ sw
-            else:
-                g = linalg.GATES[name]
-                m = np.kron(g, np.eye(2)) if qubits == (0,) else np.kron(np.eye(2), g)
-            full[key] = m
-        return full[key]
-
+    distinct = {gate for word in words for gate in word}
+    full = {(name, qs): linalg.apply_gate(eye, linalg.GATES[name], qs) for name, qs in distinct}
     for idx, word in enumerate(words):
         m = eye
-        for name, qubits in word:
-            m = gate_matrix(name, qubits) @ m
+        for gate in word:
+            m = full[gate] @ m
         mats[idx] = m
 
     ud = u.conj().T
     results: dict[bytes, tuple[Gadget, GadgetAction]] = {}
-    right = np.kron(np.eye(2), u)  # U feeds the ancilla wire (wire 1)
+    right = linalg.apply_gate(eye, u, (1,))  # U feeds the ancilla wire (wire 1)
     for post_wire in (0, 1):
-        left = np.kron(ud, np.eye(2)) if post_wire == 0 else np.kron(np.eye(2), ud)
+        left = linalg.apply_gate(eye, ud, (post_wire,))
         w = left @ mats @ right
         for a_bit in (0, 1):
             cols = [a_bit, 2 + a_bit]  # input wire 0 = i, wire 1 = a

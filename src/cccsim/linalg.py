@@ -1,7 +1,8 @@
 """Small dense complex linear algebra: gates, statevectors, gadget actions.
 
 Conventions used throughout the package:
-  * a statevector on n qubits is a flat complex array of length 2**n,
+  * a statevector on n qubits is a flat complex array of length 2**n, and
+    apply_gate, the one dense gate kernel, also takes (2**n, *batch) blocks,
   * qubit 0 is the most significant bit of the index, so the amplitude of
     the bitstring y is state[int(y, 2)],
   * all comparisons between operators are phase-insensitive unless stated.
@@ -66,41 +67,46 @@ def dense_cap() -> int:
     return int(raw) if raw else DEFAULT_DENSE_CAP
 
 
-def zero_state(n: int) -> np.ndarray:
+def check_dense_cap(n: int) -> None:
+    """Refuse a dense statevector on more than dense_cap() qubits."""
     if n > dense_cap():
         raise CapabilityError(
             f"dense statevector on {n} qubits exceeds the cap of {dense_cap()} "
             f"(override with {DENSE_CAP_ENV})"
         )
+
+
+def zero_state(n: int) -> np.ndarray:
+    check_dense_cap(n)
     state = np.zeros(2**n, dtype=complex)
     state[0] = 1.0
     return state
 
 
-def basis_state(n: int, bits: str) -> np.ndarray:
-    state = zero_state(n)
-    state[0] = 0.0
-    state[int(bits, 2)] = 1.0
-    return state
-
-
 def apply_gate(state: np.ndarray, g: np.ndarray, targets: tuple[int, ...] | list[int]) -> np.ndarray:
-    """Apply a 2**t x 2**t gate to the target qubits of a statevector."""
-    n = int(round(math.log2(state.size)))
+    """Apply a 2**t x 2**t gate to the target qubits of a (2**n, *batch) block.
+
+    The leading axis indexes the n-qubit basis; any trailing axes are batch
+    axes carried along, so a flat vector is one state and a 2**n x m block is
+    m states side by side.  The result has the input's shape.
+    """
+    n = state.shape[0].bit_length() - 1
+    if state.shape[0] != 2**n:
+        raise ValueError(f"leading axis {state.shape[0]} is not a power of two")
     targets = tuple(targets)
     t = len(targets)
     if g.shape != (2**t, 2**t):
         raise ValueError(f"gate shape {g.shape} does not match {t} targets")
     if len(set(targets)) != t or any(q < 0 or q >= n for q in targets):
         raise ValueError(f"bad targets {targets} for {n} qubits")
-    psi = np.moveaxis(state.reshape((2,) * n), targets, range(t))
+    psi = np.moveaxis(state.reshape((2,) * n + state.shape[1:]), targets, range(t))
     out = np.tensordot(
         g.reshape((2,) * (2 * t)),
         psi,
         axes=(tuple(range(t, 2 * t)), tuple(range(t))),
     )
     out = np.moveaxis(out, range(t), targets)
-    return np.ascontiguousarray(out).reshape(-1)
+    return np.ascontiguousarray(out).reshape(state.shape)
 
 
 def normalized_action(a: np.ndarray, l: int | None = None) -> np.ndarray:

@@ -319,56 +319,54 @@ class CompiledMeasurement:
 
     terms: tuple[tuple[int, int] | None, ...]
 
+    def _outcomes(self, coins: np.ndarray) -> np.ndarray:
+        """The (m, n) outcome bits of an (m, k) block of coins, a draw per row.
+
+        Every determined bit is its constant XOR the parity of the coins,
+        packed into 64-bit words, under its mask.
+        """
+        coin_qubits = [q for q, term in enumerate(self.terms) if term is None]
+        fixed = [(q, term) for q, term in enumerate(self.terms) if term is not None]
+        m, k = len(coins), len(coin_qubits)
+        bits = np.empty((m, len(self.terms)), dtype=np.uint8)
+        bits[:, coin_qubits] = coins
+        if fixed:
+            words = -(-k // 64)
+            packed = np.zeros((m, 8 * words), dtype=np.uint8)
+            packed[:, : -(-k // 8)] = np.packbits(coins, axis=1, bitorder="little")
+            packed = packed.view("<u8")
+            masks = np.frombuffer(
+                b"".join(mask.to_bytes(8 * words, "little") for _, (_, mask) in fixed), dtype="<u8"
+            ).reshape(len(fixed), words)
+            parity = np.zeros((m, len(fixed)), dtype=np.uint8)
+            for i in range(words):
+                parity ^= np.bitwise_count(packed[:, i, None] & masks[None, :, i])
+            constants = np.array([c for _, (c, _) in fixed], dtype=np.uint8)
+            bits[:, [q for q, _ in fixed]] = (parity & 1) ^ constants
+        return bits
+
     def draw_many(self, rng: np.random.Generator, shots: int) -> list[str]:
         """shots outcomes, all their coins drawn as one block.
 
         numpy fills rng.integers(0, 2, size=(shots, k)) in C order from the
         same stream as shots * k scalar rng.integers(2) calls (so on numpy
         2.4.6; the tests pin it), so the outcomes and the generator's end
-        state are those of one scalar draw per coin, shot after shot.  Every
-        determined bit is its constant XOR the parity of the coins, packed
-        into 64-bit words, under its mask.
+        state are those of one scalar draw per coin, shot after shot.
         """
-        n = len(self.terms)
-        coin_qubits = [q for q, term in enumerate(self.terms) if term is None]
-        fixed = [(q, term) for q, term in enumerate(self.terms) if term is not None]
-        k = len(coin_qubits)
-        coins = rng.integers(0, 2, size=(shots, k))
-        bits = np.empty((shots, n), dtype=np.uint8)
-        bits[:, coin_qubits] = coins
-        if fixed:
-            words = -(-k // 64)
-            packed = np.zeros((shots, 8 * words), dtype=np.uint8)
-            packed[:, : -(-k // 8)] = np.packbits(coins, axis=1, bitorder="little")
-            packed = packed.view("<u8")
-            masks = np.frombuffer(
-                b"".join(mask.to_bytes(8 * words, "little") for _, (_, mask) in fixed), dtype="<u8"
-            ).reshape(len(fixed), words)
-            parity = np.zeros((shots, len(fixed)), dtype=np.uint8)
-            for i in range(words):
-                parity ^= np.bitwise_count(packed[:, i, None] & masks[None, :, i])
-            constants = np.array([c for _, (c, _) in fixed], dtype=np.uint8)
-            bits[:, [q for q, _ in fixed]] = (parity & 1) ^ constants
+        n, k = len(self.terms), self.terms.count(None)
+        bits = self._outcomes(rng.integers(0, 2, size=(shots, k)))
         text = (bits + ord("0")).tobytes().decode("ascii")
         return [text[i * n : (i + 1) * n] for i in range(shots)]
 
     def support(self) -> np.ndarray:
         """All 2^k outcomes, as the integers int(y, 2), one per coin pattern.
 
-        The state is uniform on them, so each has probability exactly 2^-k.
+        Coin j of pattern p is bit j of p.  The state is uniform on the
+        outcomes, so each has probability exactly 2^-k.
         """
-        n = len(self.terms)
-        coins = np.arange(2 ** sum(term is None for term in self.terms))
-        index = np.zeros_like(coins)
-        k = 0
-        for q, term in enumerate(self.terms):
-            if term is None:
-                bit = coins >> k & 1
-                k += 1
-            else:
-                bit = term[0] ^ np.bitwise_count(coins & term[1]).astype(coins.dtype) & 1
-            index |= bit << (n - 1 - q)
-        return index
+        n, k = len(self.terms), self.terms.count(None)
+        bits = self._outcomes(np.arange(2**k)[:, None] >> np.arange(k) & 1)
+        return bits @ (1 << np.arange(n - 1, -1, -1))
 
 
 @dataclass(frozen=True)
@@ -400,23 +398,19 @@ class CliffordCircuit:
                 inv.append((name, qubits))
         return CliffordCircuit(self.n, tuple(inv))
 
+    def apply(self, state: np.ndarray) -> np.ndarray:
+        """The gates in order, applied to a (2**n, *batch) block of states."""
+        for name, qubits in self.gates:
+            state = linalg.apply_gate(state, linalg.GATES[name], qubits)
+        return state
+
     def to_unitary(self) -> np.ndarray:
         """Dense matrix of the circuit (subject to the dense cap)."""
-        n = self.n
-        dim = 2**n
-        if n > linalg.dense_cap():
+        if self.n > linalg.dense_cap():
             raise CapabilityError(
-                f"dense circuit unitary on {n} qubits exceeds the cap"
+                f"dense circuit unitary on {self.n} qubits exceeds the cap"
             )
-        # columns tracked together: first n axes index rows, last axis columns
-        t = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
-        for name, qubits in self.gates:
-            g = linalg.GATES[name].reshape((2,) * (2 * len(qubits)))
-            k = len(qubits)
-            t = np.moveaxis(t, qubits, range(k))
-            t = np.tensordot(g, t, axes=(tuple(range(k, 2 * k)), tuple(range(k))))
-            t = np.moveaxis(t, range(k), qubits)
-        return np.ascontiguousarray(t).reshape(dim, dim)
+        return self.apply(np.eye(2**self.n, dtype=complex))
 
     def to_text(self) -> str:
         lines = [f"qubits {self.n}"]

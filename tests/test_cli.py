@@ -113,6 +113,8 @@ def test_dense_cap_flag_tightens_refusal(capsys):
         ["--dense-cap", "4", "sample", "--u", "rz=pi*1/5 rx=pi*1/3", "--random-v", "5", "--seed", "1"],
     )
     assert code == 3 and "cap of 4" in err
+    code, _, err = run_cli(capsys, ["--dense-cap", "1", "gadget", "analyze", "--builtin", "J", "--theta", "0.7"])
+    assert code == 3 and "cap of 1" in err
 
 
 def test_byte_identical_reruns(capsys):
@@ -378,10 +380,13 @@ def test_dense_golden_outputs(capsys, tmp_path):
     assert d["method"] == "dense" and d["samples"] == ["11101", "00111", "11010", "01000", "00111", "11010"]
 
 
-# Outputs recorded before the linear-pass random_clifford, the echelon
-# compile_measurement and the bulk coin draws, each at n=200 or 200 draws:
-# the seed -> output map must not move.  Digests are of the JSON without
-# its version, keys sorted.
+# Digests of the JSON without its version, keys sorted.  The sample and
+# marginal outputs (n=200, 200 draws) were recorded before the linear-pass
+# random_clifford, the echelon compile_measurement and the bulk coin draws;
+# the gadget search, compile and gadget-file outputs before every dense gate
+# went through the one batched apply_gate.  The seed -> output map must not
+# move.
+GOLDEN_GADGET = "gadget k=3 l=2\nancilla 1\npost wire=2 bit=0\nqubits 3\nH 0\nCNOT 0 2\nS 2\nCZ 1 2\nH 1\nCNOT 1 0\n"
 GOLDEN_DIGESTS = [
     (
         ["sample", "--u", "H", "--random-v", "200", "--samples", "1000", "--seed", "1"],
@@ -391,11 +396,27 @@ GOLDEN_DIGESTS = [
         ["marginal", "--u", "rz=pi*1/5 rx=pi*1/3", "--random-v", "200", "--qubit", "7", "--seed", "1"],
         "1d274bac509946890a51a2bb8c5f9297b8cdd58be3d4b60aff5ed1610360f61c",
     ),
+    (
+        ["gadget", "search", "--u", "rz=pi*1/3 rx=pi*1/2", "--k", "2", "--limit", "2000"],
+        "3e43caf400fd542b9f27760dc702e225decebdf45e9a865db0cd4cb95fb6e6b3",
+    ),
+    (
+        ["compile", "--target", "rz=pi*1/4", "--generators", "H,S,AJ(0,pi*1/3)", "--max-length", "10"],
+        "2004381561e0efcc6a7c82427b837a544c000099233267f68fda235b5b1a10b4",
+    ),
+    (
+        ["gadget", "analyze", "--file", "gadget.txt", "--u", "rz=pi*1/3 rx=pi*1/2"],
+        "d5e3e934dd5102c1ac826ce1557b8daf32fa8b296f0ac1599e2a802bcdd0ec05",
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN_DIGESTS, ids=["sample", "marginal"])
-def test_stabilizer_golden_digests(capsys, argv, digest):
+@pytest.mark.parametrize(
+    "argv, digest", GOLDEN_DIGESTS, ids=["sample", "marginal", "gadget-search", "compile", "gadget-file"]
+)
+def test_golden_digests(capsys, tmp_path, monkeypatch, argv, digest):
+    monkeypatch.chdir(tmp_path)  # the gadget file's relative path is part of the output
+    (tmp_path / "gadget.txt").write_text(GOLDEN_GADGET)
     d = run_json(capsys, argv)
     d.pop("version")
     assert hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest() == digest

@@ -191,6 +191,64 @@ def test_gadget_action_wire_cap():
         gadget_action(g)
 
 
+def _kron_wires(k: int, factors: dict[int, np.ndarray]) -> np.ndarray:
+    """The k-wire operator with the given one-wire factors, identity elsewhere."""
+    m = np.eye(1, dtype=complex)
+    for w in range(k):
+        m = np.kron(m, factors.get(w, np.eye(2)))
+    return m
+
+
+def _kron_sandwich(g: Gadget) -> np.ndarray:
+    """<b| (U-dagger on the postselected wires) Gamma (U on the ancillas) |in>,
+    with Gamma multiplied out gate by gate as Kronecker products."""
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    gamma = np.eye(2**g.k, dtype=complex)
+    for name, qubits in g.gamma.gates:
+        if name == "CNOT":
+            c, t = qubits
+            m = _kron_wires(g.k, {c: p0}) + _kron_wires(g.k, {c: p1, t: linalg.GATES["X"]})
+        else:
+            m = _kron_wires(g.k, {qubits[0]: linalg.GATES[name]})
+        gamma = m @ gamma
+    full = (
+        _kron_wires(g.k, dict.fromkeys(g.postselect_set, g.u.conj().T))
+        @ gamma
+        @ _kron_wires(g.k, dict.fromkeys(g.ancilla_wires, g.u))
+    )
+    dim = 2**g.l
+    post = dict(zip(g.postselect_set, g.postselect_bits))
+    a = np.empty((dim, dim), dtype=complex)
+    for i in range(dim):
+        bits_in = [i >> (g.l - 1 - w) & 1 for w in range(g.l)] + list(g.ancilla_bits)
+        col = int("".join(map(str, bits_in)), 2)
+        for o in range(dim):
+            out = dict(zip(g.output_wires, (o >> (g.l - 1 - j) & 1 for j in range(g.l))))
+            row = int("".join(str(post[w] if w in post else out[w]) for w in range(g.k)), 2)
+            a[o, i] = full[row, col]
+    return a
+
+
+def test_gadget_action_matches_the_kron_sandwich():
+    gamma = CliffordCircuit.build(
+        3, [("H", (0,)), ("CNOT", (0, 2)), ("S", (2,)), ("CZ", (1, 2)), ("H", (1,)), ("CNOT", (2, 0))]
+    )
+    for u in (linalg.rz(math.pi / 3) @ linalg.rx(math.pi / 2), linalg.rz(0.4) @ linalg.rx(1.3)):
+        gadgets = [
+            Gadget(3, 2, u, (1,), gamma, (2,), (0,)),
+            Gadget(3, 2, u, (0,), gamma, (1,), (1,)),  # postselects input wire 1
+            Gadget(3, 1, u, (1, 0), gamma, (0, 2), (1, 0)),  # postselects input wire 0
+        ]
+        for g in gadgets:
+            assert np.max(np.abs(gadget_action(g).matrix - _kron_sandwich(g))) < 1e-12
+
+
+def test_gadget_action_respects_the_dense_cap(monkeypatch):
+    monkeypatch.setenv(linalg.DENSE_CAP_ENV, "1")
+    with pytest.raises(CapabilityError, match="cap of 1"):
+        gadget_action(build_gadget_J(0.0, 0.7))
+
+
 def test_postselect_bit_changes_the_action():
     a0 = gadget_action(build_gadget_I(0.3, 0.9)).matrix
     flipped = Gadget(

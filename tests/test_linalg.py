@@ -52,11 +52,6 @@ def test_dense_cap_env_override():
             os.environ[linalg.DENSE_CAP_ENV] = old
 
 
-def test_basis_state():
-    s = linalg.basis_state(3, "101")
-    assert s[0b101] == 1.0 and np.count_nonzero(s) == 1
-
-
 def test_apply_gate_matches_kron():
     rng = np.random.default_rng(3)
     state = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -69,6 +64,13 @@ def test_apply_gate_matches_kron():
     cnot = linalg.GATES["CNOT"]
     expect = np.kron(cnot, np.eye(2)) @ state
     assert np.allclose(linalg.apply_gate(state, cnot, (0, 1)), expect)
+    # trailing axes are a batch: the (8, 3) block is its columns side by side
+    block = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+    for g, targets in ((h, (0,)), (h, (2,)), (cnot, (0, 1)), (cnot, (2, 0))):
+        out = linalg.apply_gate(block, g, targets)
+        assert out.shape == block.shape
+        columns = [linalg.apply_gate(block[:, j], g, targets) for j in range(3)]
+        assert np.array_equal(out, np.stack(columns, axis=1))
 
 
 def test_apply_gate_reversed_targets():
@@ -89,6 +91,8 @@ def test_apply_gate_validates_targets():
         linalg.apply_gate(state, linalg.GATES["CNOT"], (0, 0))
     with pytest.raises(ValueError):
         linalg.apply_gate(state, linalg.GATES["CNOT"], (0,))
+    with pytest.raises(ValueError, match="power of two"):
+        linalg.apply_gate(np.zeros((6, 2), dtype=complex), linalg.GATES["H"], (0,))
 
 
 def test_normalized_action_has_unit_determinant():
