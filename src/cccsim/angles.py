@@ -5,8 +5,10 @@ which is meaningless on raw floats.  An ExactAngle therefore carries two
 things: the float value in radians (used for all numerics, never snapped)
 and, when known, the exact multiple of pi as a Fraction in lowest terms
 (used for all set membership).  Angles that arrive as plain floats are
-tagged by rational reconstruction with a bounded denominator; an angle that
-fails reconstruction is generic and belongs to none of the special sets.
+tagged by rational reconstruction with a bounded denominator.  Only
+rational(), from_radians() and parse_angle() tag; an untagged angle (one
+that failed reconstruction, ExactAngle.real, or a sum with one) is generic,
+belongs to none of the special sets, and is never reconstructed later.
 """
 from __future__ import annotations
 
@@ -45,34 +47,20 @@ class ExactAngle:
         frac = _reconstruct(radians)
         return ExactAngle(float(radians), frac)
 
-    @property
-    def kind(self) -> str:
-        return "RATIONAL_PI" if self.pi_multiple is not None else "REAL"
-
-    def as_pi_fraction(self) -> Fraction | None:
-        """The exact pi-multiple, reconstructing on the fly for REAL angles."""
-        if self.pi_multiple is not None:
-            return self.pi_multiple
-        return _reconstruct(self.radians)
-
     # -- membership in the sets the classification cares about --
 
     def in_pi_z(self) -> bool:
-        f = self.as_pi_fraction()
-        return f is not None and f.denominator == 1
+        return self.pi_multiple is not None and self.pi_multiple.denominator == 1
 
     def in_half_pi_z(self) -> bool:
-        f = self.as_pi_fraction()
-        return f is not None and f.denominator in (1, 2)
+        return self.pi_multiple is not None and self.pi_multiple.denominator in (1, 2)
 
     def in_half_pi_z_odd(self) -> bool:
         """True iff the angle is an odd multiple of pi/2."""
-        f = self.as_pi_fraction()
-        return f is not None and f.denominator == 2
+        return self.pi_multiple is not None and self.pi_multiple.denominator == 2
 
     def in_quarter_pi_z(self) -> bool:
-        f = self.as_pi_fraction()
-        return f is not None and f.denominator in (1, 2, 4)
+        return self.pi_multiple is not None and self.pi_multiple.denominator in (1, 2, 4)
 
     # -- arithmetic, exactness-preserving where possible --
 
@@ -88,11 +76,6 @@ class ExactAngle:
         if self.pi_multiple is not None:
             return ExactAngle.rational(-self.pi_multiple)
         return ExactAngle.real(-self.radians)
-
-    def mod_two_pi(self) -> "ExactAngle":
-        if self.pi_multiple is not None:
-            return ExactAngle.rational(self.pi_multiple % 2)
-        return ExactAngle.real(self.radians % (2 * math.pi))
 
     def __float__(self) -> float:
         return self.radians

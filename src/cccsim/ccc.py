@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .angles import ExactAngle, parse_angle
-from .errors import CapabilityError, InvariantError, ParseError
+from .errors import InvariantError, ParseError
 from .stabilizer import (
     CliffordCircuit,
     CliffordTableau,
@@ -37,6 +37,10 @@ PWEAK = "PWEAK"
 PH_SUPREME = "PH_SUPREME"
 
 _DEGENERATE_TOL = 1e-10
+# the one unitarity bound for a one-qubit U, whether parsed, decomposed or
+# handed to make_instance
+UNITARY_TOL = 1e-10
+_NOT_UNITARY = f"matrix is not unitary within {UNITARY_TOL:g}"
 
 
 def euler_matrix(alpha: float, phi: float, theta: float, lam: float) -> np.ndarray:
@@ -80,9 +84,7 @@ def _canonical_fold(
     ... X absorbs the sign flip, giving phi' = phi - lam in the odd case.
     """
     if theta.in_pi_z():
-        frac = theta.as_pi_fraction()
-        even = frac is not None and (int(frac) % 2 == 0)
-        phi = phi + lam if even else phi - lam
+        phi = phi + lam if theta.pi_multiple % 2 == 0 else phi - lam
         lam = ExactAngle.rational(0)
     return UnitaryDecomposition(alpha, phi, theta, lam)
 
@@ -97,8 +99,8 @@ def decompose_unitary(u: np.ndarray) -> UnitaryDecomposition:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got {u.shape}")
-    if not linalg.is_unitary(u, 1e-10):
-        raise ValueError("matrix is not unitary within 1e-10")
+    if not linalg.is_unitary(u, UNITARY_TOL):
+        raise ValueError(_NOT_UNITARY)
 
     if abs(u[1, 0]) <= _DEGENERATE_TOL:
         # diagonal: theta = 0, lambda folded away
@@ -173,14 +175,13 @@ def classify(dec: UnitaryDecomposition) -> ClassificationVerdict:
     """
     phi, theta, lam = dec.phi, dec.theta, dec.lam
     if theta.in_pi_z():
-        k = int(theta.as_pi_fraction())
-        if k % 2 == 0:
+        if theta.pi_multiple % 2 == 0:
             return ClassificationVerdict("i", PWEAK, (), phi + lam)
         return ClassificationVerdict("i", PWEAK, ("X",), lam - phi)
     if theta.in_half_pi_z_odd():
         if phi.in_half_pi_z():
-            j = int(2 * phi.as_pi_fraction()) % 4
-            m = int(2 * theta.as_pi_fraction()) % 4
+            j = int(2 * phi.pi_multiple) % 4
+            m = int(2 * theta.pi_multiple) % 4
             word = ("S",) * j + ("H",) + ("S",) * m + ("H",)
             return ClassificationVerdict("ii", PWEAK, word, lam)
         return ClassificationVerdict("iii", PH_SUPREME)
@@ -213,8 +214,8 @@ def make_instance(
     u = np.asarray(u, dtype=complex)
     if decomposition is None:
         decomposition = decompose_unitary(u)
-    elif not linalg.is_unitary(u, 1e-10):
-        raise ValueError("matrix is not unitary within 1e-10")
+    elif not linalg.is_unitary(u, UNITARY_TOL):
+        raise ValueError(_NOT_UNITARY)
     if isinstance(v, CliffordCircuit):
         return CccInstance(u, decomposition, circuit_to_tableau(v), v.n, v)
     return CccInstance(u, decomposition, v, v.n)
@@ -320,8 +321,7 @@ def easy_reduction_distribution(instance: CccInstance) -> OutcomeDistribution:
     there has probability exactly 2^-k.
     """
     n = instance.n
-    if n > linalg.dense_cap():
-        raise CapabilityError(f"a distribution on {n} qubits exceeds the dense cap of {linalg.dense_cap()}")
+    linalg.check_dense_cap(n, what="distribution")
     tableau, negate = _easy_reduction(instance)
     support = compile_measurement(tableau).support()
     if negate:
@@ -439,8 +439,8 @@ def parse_unitary_spec(text: str) -> UnitarySpec:
                 [complex(vals[4], vals[5]), complex(vals[6], vals[7])],
             ]
         )
-        if not linalg.is_unitary(m, 1e-8):
-            raise ParseError("matrix spec is not unitary within 1e-8")
+        if not linalg.is_unitary(m, UNITARY_TOL):
+            raise ParseError(_NOT_UNITARY)
         return UnitarySpec(m, None)
     raise ParseError(
         f"cannot parse unitary spec {text!r}: expected a gate name, "

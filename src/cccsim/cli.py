@@ -71,7 +71,8 @@ def _count(least: int):
 
 
 def _matrix_json(m: np.ndarray, digits: int = 10) -> list:
-    return [[[round(z.real, digits), round(z.imag, digits)] for z in row] for row in m]
+    # + 0.0 turns the -0.0 that rounding noise of either sign leaves into 0.0
+    return [[[round(z.real, digits) + 0.0, round(z.imag, digits) + 0.0] for z in row] for row in m]
 
 
 def _bitstrings(n: int):
@@ -124,12 +125,9 @@ def cmd_sample(args) -> dict:
         method = "stabilizer"
         samples = simulate_easy_weak(instance, rng, args.samples)
     else:
-        if instance.n > linalg.dense_cap():
-            raise CapabilityError(
-                f"U classifies as {verdict.complexity_class}: no stabilizer "
-                f"route, and n={instance.n} exceeds the dense cap of "
-                f"{linalg.dense_cap()}"
-            )
+        linalg.check_dense_cap(
+            instance.n, what=f"{verdict.complexity_class} U has no stabilizer route; dense sampling"
+        )
         method = "dense"
         dist = dense_distribution(instance)
         draws = rng.choice(2**instance.n, size=args.samples, p=dist.probs)
@@ -293,10 +291,10 @@ def cmd_params(args) -> dict:
 
 
 def cmd_audit(args) -> dict:
-    instance = _load_instance(args, np.random.default_rng(args.seed))
+    rng = np.random.default_rng(args.seed)
+    instance = _load_instance(args, rng)
     exact = dense_distribution(instance)
     if args.approx_samples:
-        rng = np.random.default_rng(args.seed)
         counts = np.zeros(2**instance.n)
         for y in simulate_easy_weak(instance, rng, args.approx_samples):
             counts[int(y, 2)] += 1

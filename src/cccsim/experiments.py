@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .ccc import OutcomeDistribution, tv_distance
-from .errors import CapabilityError, InvariantError
+from .errors import InvariantError
 from .stabilizer import random_clifford, tableau_to_circuit
 
 MIN_TRIAL_SAMPLES = 100
@@ -142,11 +142,7 @@ def anticoncentration_trial(
     """
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
-    if n > linalg.dense_cap():
-        raise CapabilityError(
-            f"anticoncentration trial at n={n} exceeds the dense cap of "
-            f"{linalg.dense_cap()}"
-        )
+    linalg.check_dense_cap(n, what="anticoncentration trial")
     if num_samples < MIN_TRIAL_SAMPLES:
         raise ValueError(f"need at least {MIN_TRIAL_SAMPLES} samples, got {num_samples}")
     if len(y) != n or set(y) - {"0", "1"}:

@@ -67,12 +67,12 @@ def dense_cap() -> int:
     return int(raw) if raw else DEFAULT_DENSE_CAP
 
 
-def check_dense_cap(n: int) -> None:
-    """Refuse a dense statevector on more than dense_cap() qubits."""
-    if n > dense_cap():
+def check_dense_cap(n: int, what: str = "dense statevector") -> None:
+    """Refuse dense work on more than dense_cap() qubits; `what` names it."""
+    cap = dense_cap()
+    if n > cap:
         raise CapabilityError(
-            f"dense statevector on {n} qubits exceeds the cap of {dense_cap()} "
-            f"(override with {DENSE_CAP_ENV})"
+            f"{what} on {n} qubits exceeds the cap of {cap} (override with {DENSE_CAP_ENV})"
         )
 
 
@@ -109,7 +109,7 @@ def apply_gate(state: np.ndarray, g: np.ndarray, targets: tuple[int, ...] | list
     return np.ascontiguousarray(out).reshape(state.shape)
 
 
-def normalized_action(a: np.ndarray, l: int | None = None) -> np.ndarray:
+def normalized_action(a: np.ndarray) -> np.ndarray:
     """Rescale a square matrix to unit determinant via the principal root.
 
     The result is canonical only up to a (dim)-th root of unity; every
@@ -117,8 +117,6 @@ def normalized_action(a: np.ndarray, l: int | None = None) -> np.ndarray:
     """
     a = np.asarray(a, dtype=complex)
     d = a.shape[0]
-    if l is not None and a.shape != (2**l, 2**l):
-        raise ValueError(f"expected a {2**l}x{2**l} matrix, got {a.shape}")
     det = complex(np.linalg.det(a))
     if abs(det) < 1e-12:
         raise ValueError("normalized action does not exist: matrix is singular")

@@ -88,9 +88,7 @@ def g_closed_form(theta, postselect_bit: int) -> np.ndarray:
 def cz_between_gadget_wires(theta) -> np.ndarray:
     """CZ conjugated by the same Rz(theta) layers; the layers cancel."""
     t = float(theta)
-    layer_in = np.kron(linalg.rz(t), linalg.rz(t))
-    layer_out = np.kron(linalg.rz(-t), linalg.rz(-t))
-    return layer_out @ linalg.GATES["CZ"] @ layer_in
+    return _two_wire(linalg.rz(-t), linalg.rz(-t), linalg.rz(t), linalg.rz(t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +142,7 @@ def universality_check(theta: ExactAngle) -> UniversalityVerdict:
     when theta is a multiple of pi/4.  Off those multiples both gates rotate
     by irrational multiples of pi, which is what universality needs.
     """
-    if theta.kind != "RATIONAL_PI":
+    if theta.pi_multiple is None:
         raise ValueError(
             "universality is decided arithmetically; theta must be an exact "
             "rational multiple of pi"
@@ -164,10 +162,9 @@ def universality_check(theta: ExactAngle) -> UniversalityVerdict:
             cos_angle_g1=cos1,
             exact_cosines=None,
         )
-    frac = theta.as_pi_fraction()
-    if frac.denominator in (1, 2):
+    if theta.in_half_pi_z():
         # cos^2 theta is 0 or 1: rotation angles are pi/2 and pi
-        exact = (Fraction(-1), Fraction(0)) if frac.denominator == 1 else (
+        exact = (Fraction(-1), Fraction(0)) if theta.in_pi_z() else (
             Fraction(0),
             Fraction(-1),
         )

@@ -84,8 +84,7 @@ class PauliString:
         return "IXZY"[xb + 2 * zb] if xb + 2 * zb != 3 else "Y"
 
     def to_matrix(self) -> np.ndarray:
-        if self.n > linalg.dense_cap():
-            raise CapabilityError(f"dense Pauli on {self.n} qubits exceeds the cap")
+        linalg.check_dense_cap(self.n, what="dense Pauli")
         m = np.array([[1]], dtype=complex)
         for q in range(self.n):
             m = np.kron(m, linalg.GATES[self.letter(q)])
@@ -406,10 +405,7 @@ class CliffordCircuit:
 
     def to_unitary(self) -> np.ndarray:
         """Dense matrix of the circuit (subject to the dense cap)."""
-        if self.n > linalg.dense_cap():
-            raise CapabilityError(
-                f"dense circuit unitary on {self.n} qubits exceeds the cap"
-            )
+        linalg.check_dense_cap(self.n, what="dense circuit unitary")
         return self.apply(np.eye(2**self.n, dtype=complex))
 
     def to_text(self) -> str:

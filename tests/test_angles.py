@@ -11,29 +11,27 @@ from cccsim.errors import ParseError
 
 def test_rational_constructor_and_kind():
     a = ExactAngle.rational(1, 3)
-    assert a.kind == "RATIONAL_PI"
-    assert a.as_pi_fraction() == Fraction(1, 3)
+    assert a.pi_multiple == Fraction(1, 3)
     assert math.isclose(float(a), math.pi / 3)
 
 
 def test_real_constructor():
     a = ExactAngle.real(0.7)
-    assert a.kind == "REAL"
-    assert a.as_pi_fraction() is None
+    assert a.pi_multiple is None
     assert float(a) == 0.7
 
 
 def test_from_radians_recognizes_near_rationals():
     a = ExactAngle.from_radians(math.pi / 2)
-    assert a.kind == "RATIONAL_PI" and a.as_pi_fraction() == Fraction(1, 2)
+    assert a.pi_multiple == Fraction(1, 2)
     # a hair outside the reconstruction tolerance stays REAL
     b = ExactAngle.from_radians(math.pi / 2 + 1e-5)
-    assert b.kind == "REAL"
+    assert b.pi_multiple is None
 
 
 def test_from_radians_respects_denominator_cap():
-    assert ExactAngle.from_radians(math.pi / 64).kind == "RATIONAL_PI"
-    assert ExactAngle.from_radians(math.pi / 65).kind == "REAL"
+    assert ExactAngle.from_radians(math.pi / 64).pi_multiple is not None
+    assert ExactAngle.from_radians(math.pi / 65).pi_multiple is None
 
 
 def test_membership_predicates():
@@ -58,35 +56,27 @@ def test_membership_predicates():
 
 
 def test_real_angles_fail_all_lattice_predicates():
-    a = ExactAngle.real(0.5)
-    assert not a.in_pi_z()
-    assert not a.in_half_pi_z()
-    assert not a.in_half_pi_z_odd()
-    assert not a.in_quarter_pi_z()
+    # pi/2 would reconstruct, but an untagged angle is never reconstructed
+    for a in (ExactAngle.real(0.5), ExactAngle.real(math.pi / 2)):
+        assert not a.in_pi_z(), a
+        assert not a.in_half_pi_z(), a
+        assert not a.in_half_pi_z_odd(), a
+        assert not a.in_quarter_pi_z(), a
 
 
 def test_exact_arithmetic_stays_rational():
     a = ExactAngle.rational(1, 3) + ExactAngle.rational(1, 6)
-    assert a.kind == "RATIONAL_PI" and a.as_pi_fraction() == Fraction(1, 2)
+    assert a.pi_multiple == Fraction(1, 2)
     b = ExactAngle.rational(1, 4) - ExactAngle.rational(1, 4)
-    assert b.as_pi_fraction() == 0
+    assert b.pi_multiple == 0
     c = -ExactAngle.rational(1, 2)
-    assert c.as_pi_fraction() == Fraction(-1, 2)
+    assert c.pi_multiple == Fraction(-1, 2)
 
 
 def test_mixed_arithmetic_degrades_to_real():
     a = ExactAngle.rational(1, 2) + ExactAngle.real(0.1)
-    assert a.kind == "REAL"
+    assert a.pi_multiple is None
     assert math.isclose(float(a), math.pi / 2 + 0.1)
-
-
-def test_mod_two_pi():
-    a = ExactAngle.rational(9, 2).mod_two_pi()
-    assert a.as_pi_fraction() == Fraction(1, 2)
-    b = ExactAngle.rational(-1, 2).mod_two_pi()
-    assert b.as_pi_fraction() == Fraction(3, 2)
-    c = ExactAngle.real(7.0).mod_two_pi()
-    assert 0 <= float(c) < 2 * math.pi
 
 
 @pytest.mark.parametrize(
@@ -102,12 +92,12 @@ def test_mod_two_pi():
 )
 def test_parse_angle_rational_forms(text, expected):
     a = parse_angle(text)
-    assert a.kind == "RATIONAL_PI" and a.as_pi_fraction() == expected
+    assert a.pi_multiple == expected
 
 
 def test_parse_angle_decimal():
     a = parse_angle("0.25")
-    assert a.kind == "REAL" and float(a) == 0.25
+    assert a.pi_multiple is None and float(a) == 0.25
     assert float(parse_angle("-2")) == -2.0
 
 
@@ -122,7 +112,7 @@ def test_parse_angle_rejects_garbage(bad):
 def test_str_round_trips_through_parse():
     for a in [ExactAngle.rational(5, 4), ExactAngle.rational(-1, 2), ExactAngle.real(0.7)]:
         b = parse_angle(str(a))
-        assert b.kind == a.kind
+        assert (b.pi_multiple is None) == (a.pi_multiple is None)
         assert math.isclose(float(b), float(a))
 
 
@@ -135,5 +125,4 @@ def test_rational_float_value_matches_fraction(p, q):
 @given(st.integers(-40, 40), st.integers(1, 64))
 def test_from_radians_round_trip(p, q):
     a = ExactAngle.from_radians(math.pi * p / q)
-    assert a.kind == "RATIONAL_PI"
-    assert a.as_pi_fraction() == Fraction(p, q)
+    assert a.pi_multiple == Fraction(p, q)

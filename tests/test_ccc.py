@@ -72,12 +72,12 @@ def test_decompose_round_trip_euler_grid():
 
 def test_decompose_named_gates_exact_angles():
     d = decompose_unitary(linalg.GATES["H"])
-    assert d.phi.as_pi_fraction() == d.theta.as_pi_fraction() == d.lam.as_pi_fraction()
-    assert d.phi.as_pi_fraction() is not None and d.phi.as_pi_fraction() * 2 == 1
+    assert d.phi.pi_multiple == d.theta.pi_multiple == d.lam.pi_multiple
+    assert d.phi.pi_multiple is not None and d.phi.pi_multiple * 2 == 1
     d = decompose_unitary(linalg.GATES["T"])
-    assert d.theta.as_pi_fraction() == 0
-    assert d.lam.as_pi_fraction() == 0  # folded into phi
-    assert d.phi.as_pi_fraction() is not None and d.phi.as_pi_fraction() * 4 == 1
+    assert d.theta.pi_multiple == 0
+    assert d.lam.pi_multiple == 0  # folded into phi
+    assert d.phi.pi_multiple is not None and d.phi.pi_multiple * 4 == 1
 
 
 def test_decompose_degenerate_antidiagonal():
@@ -85,8 +85,8 @@ def test_decompose_degenerate_antidiagonal():
     u = linalg.rz(0.4) @ linalg.rx(math.pi)
     d = decompose_unitary(u)
     assert np.max(np.abs(d.recompose() - u)) < 1e-10
-    assert d.theta.as_pi_fraction() == 1
-    assert d.lam.as_pi_fraction() == 0
+    assert d.theta.pi_multiple == 1
+    assert d.lam.pi_multiple == 0
 
 
 def test_decompose_rejects_non_unitary():
@@ -135,10 +135,10 @@ def test_classification_table():
 def test_easy_verdicts_carry_canonical_form():
     v = spec_verdict("H")
     assert v.gamma_word == ("S", "H", "S", "H")
-    assert v.canonical_lam.as_pi_fraction() is not None
+    assert v.canonical_lam.pi_multiple is not None
     v = spec_verdict("T")
     assert v.gamma_word == ()
-    assert v.canonical_lam.as_pi_fraction() * 4 == 1
+    assert v.canonical_lam.pi_multiple * 4 == 1
     v = spec_verdict("rx=pi")
     assert v.gamma_word == ("X",)
 
@@ -421,7 +421,7 @@ def test_parse_rotation_tokens():
     s = parse_unitary_spec("rz=pi*1/3 rx=pi*1/2")
     assert np.allclose(s.matrix, linalg.rz(math.pi / 3) @ linalg.rx(math.pi / 2))
     assert s.decomposition is not None
-    assert s.decomposition.phi.as_pi_fraction() * 3 == 1
+    assert s.decomposition.phi.pi_multiple * 3 == 1
     # rx alone, and rx-then-rz ordering
     s = parse_unitary_spec("rx=pi*1/2")
     assert np.allclose(s.matrix, linalg.rx(math.pi / 2))

@@ -11,6 +11,7 @@ import pytest
 from cccsim.cli import main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+H_16_DIGITS = "0.7071067811865476 0 0.7071067811865476 0 0.7071067811865476 0 -0.7071067811865476 0"
 
 
 def run_cli(capsys, argv):
@@ -104,7 +105,20 @@ def test_sample_dense_route_and_cap_refusal(capsys):
     code, _, err = run_cli(
         capsys, ["sample", "--u", "rz=pi*1/5 rx=pi*1/3", "--random-v", "30", "--seed", "1"]
     )
-    assert code == 3 and "refused:" in err and "cap" in err
+    assert code == 3 and "refused:" in err and "no stabilizer route" in err and "cap of" in err
+
+
+def test_matrix_specs_share_one_unitarity_bound(capsys):
+    h_8_digits = "0.70710678 0 0.70710678 0 0.70710678 0 -0.70710678 0"
+    for spec, code in ((h_8_digits, 2), (H_16_DIGITS, 0)):
+        for argv in (
+            ["classify", "--u", spec],
+            ["sample", "--u", spec, "--random-v", "3"],
+            ["compile", "--target", spec, "--generators", "H,S", "--max-length", "4"],
+        ):
+            got, _, err = run_cli(capsys, argv)
+            assert got == code, (argv, err)
+            assert err == ("error: matrix is not unitary within 1e-10\n" if code else ""), argv
 
 
 def test_dense_cap_flag_tightens_refusal(capsys):
@@ -309,15 +323,16 @@ def test_sample_golden_outputs(capsys, argv, samples):
     assert d["method"] == "stabilizer" and d["samples"] == samples
 
 
+# V and the audit's coins come from one generator, as in `sample`.
 def test_audit_golden_output(capsys):
     d = run_json(
         capsys,
         ["audit", "--u", "H", "--random-v", "3", "--seed", "7", "--c", "1/2", "--approx-samples", "4000"],
     )
     assert d["approx_method"] == "empirical_stabilizer"
-    assert d["epsilon_realized"] == 0.01850000000000001
-    assert d["threshold"] == 0.009250000000000005
-    assert d["fraction_within"] == 0.875
+    assert d["epsilon_realized"] == 0.01800000000000001
+    assert d["threshold"] == 0.009000000000000005
+    assert d["fraction_within"] == 0.75
 
 
 # Outputs of the parent route that replayed a synthesized V-inverse word
@@ -383,9 +398,11 @@ def test_dense_golden_outputs(capsys, tmp_path):
 # Digests of the JSON without its version, keys sorted.  The sample and
 # marginal outputs (n=200, 200 draws) were recorded before the linear-pass
 # random_clifford, the echelon compile_measurement and the bulk coin draws;
-# the gadget search, compile and gadget-file outputs before every dense gate
-# went through the one batched apply_gate.  The seed -> output map must not
-# move.
+# the compile and gadget-file outputs before every dense gate went through
+# the one batched apply_gate; the classify and mbqc outputs while a REAL angle
+# could still be reconstructed on the fly.  The gadget search was re-recorded
+# when printed matrices stopped carrying -0.0.  The seed -> output map must
+# not move.
 GOLDEN_GADGET = "gadget k=3 l=2\nancilla 1\npost wire=2 bit=0\nqubits 3\nH 0\nCNOT 0 2\nS 2\nCZ 1 2\nH 1\nCNOT 1 0\n"
 GOLDEN_DIGESTS = [
     (
@@ -398,7 +415,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["gadget", "search", "--u", "rz=pi*1/3 rx=pi*1/2", "--k", "2", "--limit", "2000"],
-        "3e43caf400fd542b9f27760dc702e225decebdf45e9a865db0cd4cb95fb6e6b3",
+        "104b0c9f4688d5cc4f92dc27963800f1d9baedbe7ad70d8d1d626552c1f86a0b",
     ),
     (
         ["compile", "--target", "rz=pi*1/4", "--generators", "H,S,AJ(0,pi*1/3)", "--max-length", "10"],
@@ -408,12 +425,26 @@ GOLDEN_DIGESTS = [
         ["gadget", "analyze", "--file", "gadget.txt", "--u", "rz=pi*1/3 rx=pi*1/2"],
         "d5e3e934dd5102c1ac826ce1557b8daf32fa8b296f0ac1599e2a802bcdd0ec05",
     ),
+    (["classify", "--u", "rz=0.7 rx=pi*1/2"], "85a9574a4d2d0d19ab1001c72d23859fce38334b6a00d7025d50fdf23915c444"),
+    (["classify", "--u", "rz=0.3 rx=pi"], "767bb45863634953dfef82ad4f94d5f148732cfccbfe9209cb8bca38832cdad1"),
+    (["classify", "--u", "rx=1.5707963272948966"], "3752630f1109e9c9a38a3eebc6c7af9507dab341c89db299909a7b032e86c9fb"),
+    (["classify", "--u", H_16_DIGITS], "022062fa469092a2fb66064c59919c8630d9a8bf5eaab1b52e56d7840cbeddfe"),
+    (["classify", "--u", "T"], "1250883d83c8daa8d41cbf49ac145e64bb6a791c9ec3f574f5f8fb371c613bac"),
+    (["mbqc", "check", "--theta", "0.7853981633974483"], "09c6dc27603acff0cde30decb981dec566351a0a397a8d34851411f1eba7fc3a"),
+    (["mbqc", "check", "--theta", "pi*2/7"], "d3ea4a1c9c608ebef28433361f0f3896f1cf2368c352c3459cdc4fc47f0067a5"),
+]
+DIGEST_IDS = ["sample", "marginal", "gadget-search", "compile", "gadget-file"] + [
+    "classify-real-phi",
+    "classify-real-phi-fold",
+    "classify-snapped-theta",
+    "classify-matrix-h",
+    "classify-t",
+    "mbqc-decimal-quarter-pi",
+    "mbqc-two-sevenths-pi",
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, digest", GOLDEN_DIGESTS, ids=["sample", "marginal", "gadget-search", "compile", "gadget-file"]
-)
+@pytest.mark.parametrize("argv, digest", GOLDEN_DIGESTS, ids=DIGEST_IDS)
 def test_golden_digests(capsys, tmp_path, monkeypatch, argv, digest):
     monkeypatch.chdir(tmp_path)  # the gadget file's relative path is part of the output
     (tmp_path / "gadget.txt").write_text(GOLDEN_GADGET)
