@@ -9,7 +9,7 @@ import argparse
 
 import numpy as np
 
-from cccsim.experiments import anticoncentration_trial
+from cccsim.experiments import MIN_TRIAL_SAMPLES, anticoncentration_trial
 from cccsim.linalg import GATES
 
 
@@ -24,6 +24,10 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--csv", help="optional path for raw p values, one row per n")
     args = parser.parse_args()
+    if args.samples < MIN_TRIAL_SAMPLES:
+        parser.error(f"--samples must be at least {MIN_TRIAL_SAMPLES}, got {args.samples}")
+    if args.n_min > args.n_max:
+        parser.error(f"--n-min {args.n_min} is above --n-max {args.n_max}")
 
     floor = (1 - args.a) ** 2 / 2
     print(f"{'n':>3} {'mean':>12} {'theory':>12} {'2nd moment':>12} {'theory':>12} "

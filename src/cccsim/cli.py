@@ -70,6 +70,16 @@ def _count(least: int):
     return integer
 
 
+def _fraction(text: str) -> Fraction:
+    """An argparse type: an exact rational, such as 1/5 or 0.2, that a float can hold."""
+    try:
+        value = Fraction(text)
+        float(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise argparse.ArgumentTypeError(f"not a finite fraction: {text!r}") from None
+    return value
+
+
 def _matrix_json(m: np.ndarray, digits: int = 10) -> list:
     # + 0.0 turns the -0.0 that rounding noise of either sign leaves into 0.0
     return [[[round(z.real, digits) + 0.0, round(z.imag, digits) + 0.0] for z in row] for row in m]
@@ -263,7 +273,7 @@ def cmd_anticonc(args) -> dict:
         u_spec.matrix,
         y,
         args.samples,
-        a=float(Fraction(args.a)),
+        a=float(args.a),
         seed=args.seed,
         u_description=args.u,
     )
@@ -275,9 +285,7 @@ def cmd_anticonc(args) -> dict:
 
 
 def cmd_params(args) -> dict:
-    params = experiments.supremacy_parameters(
-        Fraction(args.a), Fraction(args.c), Fraction(args.eps)
-    )
+    params = experiments.supremacy_parameters(args.a, args.c, args.eps)
     return {
         "a": float(params.a),
         "c": float(params.c),
@@ -303,7 +311,7 @@ def cmd_audit(args) -> dict:
     else:
         approx = easy_reduction_distribution(instance)
         approx_method = "exact_reduction"
-    c = float(Fraction(args.c))
+    c = float(args.c)
     epsilon = tv_distance(exact, approx)
     return {
         "n": instance.n,
@@ -389,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         elif name == "marginal":
             p.add_argument("--qubit", type=int, required=True)
         else:
-            p.add_argument("--c", default="1/5", help="Markov set parameter in (0,1)")
+            p.add_argument("--c", type=_fraction, default="1/5", help="Markov set parameter in (0,1)")
             p.add_argument(
                 "--approx-samples",
                 type=_count(0),
@@ -419,13 +427,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--u", default="I")
     p.add_argument("--y", help="outcome bitstring, default all zeros")
-    p.add_argument("--a", default="1/5", help="tail level in [0,1)")
+    p.add_argument("--a", type=_fraction, default="1/5", help="tail level in [0,1)")
     p.add_argument("--csv", help="write raw p values here, one per line")
 
     p = add("params", cmd_params, help="hardness-argument parameter arithmetic")
-    p.add_argument("--a", required=True)
-    p.add_argument("--c", required=True)
-    p.add_argument("--eps", required=True)
+    p.add_argument("--a", type=_fraction, required=True)
+    p.add_argument("--c", type=_fraction, required=True)
+    p.add_argument("--eps", type=_fraction, required=True)
 
     mb = sub.add_parser("mbqc", help="cluster-state gadget checks")
     msub = mb.add_subparsers(dest="subcommand", required=True)
@@ -469,7 +477,7 @@ def main(argv=None) -> int:
         "version": __version__,
         "seed": getattr(args, "seed", None),
         "config": {
-            k: v
+            k: str(v) if isinstance(v, Fraction) else v
             for k, v in vars(args).items()
             if k not in ("func", "command", "seed") and v is not None
         },

@@ -1,15 +1,19 @@
-"""Reference routes the fast stabilizer kernels are tested against.
+"""Reference routes the fast kernels are tested against.
 
 Each routine here is the direct, unoptimized form of something
-`cccsim.stabilizer` now does faster: qubit-by-qubit Aaronson–Gottesman
-measurement (`measure`, `sample_measurement`), one scalar draw per coin
-of a compiled measurement (`draw`), the greedy-elimination
+`cccsim.stabilizer` or `cccsim.experiments` now does faster: qubit-by-qubit
+Aaronson–Gottesman measurement (`measure`, `sample_measurement`), one scalar
+draw per coin of a compiled measurement (`draw`), the greedy-elimination
 random Clifford draw (`random_clifford`), synthesis of a random Clifford as
-a gate word (`random_clifford_circuit`) and building a tableau from row
-masks (`from_rows`).  They consume a generator exactly as the fast routes
-do, so tests compare the two seed for seed.
+a gate word (`random_clifford_circuit`), building a tableau from row
+masks (`from_rows`) and the anticoncentration trial's p values, one draw
+and one statevector pass at a time (`anticoncentration_p_values`).  They
+consume a generator exactly as the fast routes do, so tests compare the two
+seed for seed.
 """
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -200,3 +204,19 @@ def random_clifford(n: int, rng: np.random.Generator) -> CliffordTableau:
 def random_clifford_circuit(n: int, rng: np.random.Generator) -> CliffordCircuit:
     """A uniformly random Clifford as a gate word, drawn by the fast route."""
     return tableau_to_circuit(stabilizer.random_clifford(n, rng))
+
+
+# -- anticoncentration, one draw at a time -----------------------------------------
+
+
+def anticoncentration_p_values(n: int, u: np.ndarray, y: str, num_samples: int, seed: int) -> np.ndarray:
+    """|<y| U*^n Gamma U^n |0^n>|^2 for each of num_samples Cliffords Gamma,
+    each drawn, synthesized and applied to its own statevector in turn."""
+    u = np.asarray(u, dtype=complex)
+    psi = reduce(np.kron, [u[:, 0]] * n)
+    phi = reduce(np.kron, [u[:, int(bit)] for bit in y])
+    rng = np.random.default_rng(seed)
+    p_values = np.empty(num_samples)
+    for i in range(num_samples):
+        p_values[i] = abs(np.vdot(phi, random_clifford_circuit(n, rng).apply(psi))) ** 2
+    return p_values

@@ -88,6 +88,22 @@ def test_negative_counts_exit_2(capsys, argv, option):
     assert code == 2 and not out and f"argument {option}: must be at least {least}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["params", "--a", "1/0", "--c", "1/2", "--eps", "1/10"], "--a"),
+        (["params", "--a", "1/5", "--c", "1/2", "--eps", "1e400"], "--eps"),
+        (["anticonc", "--n", "3", "--samples", "100", "--a", "1/0"], "--a"),
+        (["anticonc", "--n", "3", "--samples", "100", "--a", "1e400"], "--a"),
+        (["audit", "--u", "H", "--random-v", "3", "--c", "1/0"], "--c"),
+        (["audit", "--u", "H", "--random-v", "3", "--c", "1e400"], "--c"),
+    ],
+)
+def test_bad_fractions_exit_2(capsys, argv, option):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and not out and f"argument {option}: not a finite fraction" in err
+
+
 def test_sample_stabilizer_route_scales(capsys):
     d = run_json(
         capsys, ["sample", "--u", "T", "--random-v", "40", "--seed", "1", "--samples", "5"]
@@ -465,13 +481,37 @@ def test_anticonc_golden_output(capsys):
     }
 
 
+def _run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SCRIPTS.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *args], capture_output=True, text=True, env=env)
+
+
 @pytest.mark.parametrize("script", sorted(SCRIPTS.glob("run_*.py")), ids=lambda p: p.name)
 def test_script_help_keeps_the_usage_line(script):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SCRIPTS.parent / "src"), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, str(script), "--help"], capture_output=True, text=True, env=env)
+    proc = _run_script(script.name, "--help")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert any(line.startswith(f"Usage: python3 scripts/{script.name} ") for line in lines), proc.stdout
+
+
+def test_anticoncentration_script_table_and_csv(tmp_path):
+    csv = tmp_path / "p.csv"
+    proc = _run_script("run_anticoncentration.py", "--n-min", "2", "--n-max", "3", "--samples", "100", "--csv", str(csv))
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[1:3]]
+    assert [row[0] for row in rows] == ["2", "3"] and all(len(row) == 7 for row in rows)
+    lines = csv.read_text().splitlines()
+    assert [line.split(",")[0] for line in lines] == ["2", "3"]
+    assert all(len(line.split(",")) == 101 for line in lines)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [(["--samples", "50"], "--samples must be at least 100"), (["--n-min", "4", "--n-max", "3"], "--n-min 4 is above")],
+)
+def test_anticoncentration_script_rejects_bad_arguments(args, message):
+    proc = _run_script("run_anticoncentration.py", *args)
+    assert proc.returncode == 2 and message in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")  # [tool.setuptools] is marked beta

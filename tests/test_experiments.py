@@ -4,8 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cccsim import linalg
-from cccsim.ccc import OutcomeDistribution, dense_distribution, easy_reduction_distribution, make_instance
+from cccsim import experiments, linalg
+from cccsim.ccc import (
+    OutcomeDistribution,
+    dense_distribution,
+    easy_reduction_distribution,
+    make_instance,
+    parse_unitary_spec,
+)
 from cccsim.errors import CapabilityError
 from cccsim.experiments import (
     anticoncentration_trial,
@@ -13,7 +19,9 @@ from cccsim.experiments import (
     paley_zygmund_bound,
     supremacy_parameters,
 )
-from oracles import random_clifford_circuit
+from oracles import anticoncentration_p_values, random_clifford_circuit
+
+HARD_U = parse_unitary_spec("rz=pi*1/3 rx=pi*1/2").matrix
 
 
 # -- parameter arithmetic ----------------------------------------------------------
@@ -160,6 +168,40 @@ def test_trial_is_reproducible():
     rep1 = anticoncentration_trial(2, np.eye(2), "00", 120, seed=9)
     rep2 = anticoncentration_trial(2, np.eye(2), "00", 120, seed=9)
     assert np.array_equal(rep1.p_values, rep2.p_values)
+
+
+@pytest.mark.parametrize(
+    "n, u, y, draws, seed",
+    [
+        (1, HARD_U, "1", 120, 4),
+        (2, linalg.rz(1.234) @ linalg.rx(0.567), "10", 200, 3),
+        (6, HARD_U, "011010", 200, 5),
+        (8, linalg.GATES["H"], "10000001", 100, 8),
+    ],
+    ids=["n1", "n2-y10", "n6-hard", "n8"],
+)
+def test_batched_trial_matches_per_draw_route(n, u, y, draws, seed):
+    # the words run side by side over one block; each row must still see its own word
+    rep = anticoncentration_trial(n, u, y, draws, a=0.2, seed=seed)
+    ref = anticoncentration_p_values(n, u, y, draws, seed)
+    assert np.max(np.abs(rep.p_values - ref)) <= 1e-14
+    assert rep.tail_fraction() == float(np.mean(ref >= 0.2 / 2**n))
+
+
+def test_trial_chunks_keep_the_draw_order(monkeypatch):
+    whole = anticoncentration_trial(3, HARD_U, "010", 130, seed=12)
+    chunks = []
+    run_words = experiments._run_words
+
+    def recording(psi, words):
+        chunks.append(len(words))
+        return run_words(psi, words)
+
+    monkeypatch.setattr(experiments, "MAX_BLOCK_AMPLITUDES", 40 * 2**3)
+    monkeypatch.setattr(experiments, "_run_words", recording)
+    chunked = anticoncentration_trial(3, HARD_U, "010", 130, seed=12)
+    assert chunks == [40, 40, 40, 10]
+    assert np.max(np.abs(chunked.p_values - whole.p_values)) <= 1e-14
 
 
 def test_trial_validation():
