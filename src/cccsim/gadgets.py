@@ -10,6 +10,7 @@ are independent.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -163,17 +164,48 @@ def _phase_canonical_keys(stack: np.ndarray) -> list[bytes]:
     return [row.tobytes() for row in canon]
 
 
+@functools.cache
+def _clifford_table() -> tuple[tuple, np.ndarray]:
+    """The words of `enumerate_clifford_words(2)`, in order, and their 4x4
+    unitaries as one read-only (11520, 4, 4) stack.
+
+    Every word past the first extends an earlier one by one gate (the
+    enumeration is breadth-first), so each product is that gate times its
+    prefix's product: the same products, in the same order, as multiplying
+    each word out gate by gate.  Built on the first search, then shared.
+    """
+    words = tuple(enumerate_clifford_words(2))
+    eye = np.eye(4, dtype=complex)
+    full = {
+        gate: linalg.apply_gate(eye, linalg.GATES[gate[0]], gate[1])
+        for gate in {gate for word in words for gate in word}
+    }
+    index = {word: idx for idx, word in enumerate(words)}
+    mats = np.empty((len(words), 4, 4), dtype=complex)
+    mats[0] = eye
+    for idx, word in enumerate(words[1:], start=1):
+        mats[idx] = full[word[-1]] @ mats[index[word[:-1]]]
+    mats.setflags(write=False)
+    return words, mats
+
+
 def search_gadgets(u: np.ndarray, k: int) -> list[tuple[Gadget, GadgetAction]]:
     """All 2-to-1 gadget classes over U whose action is unitary non-Clifford.
 
     Enumerates every Clifford class modulo phase (11520 at k=2), every
-    ancilla bit, postselect wire and postselect bit.  Each of the 8 slices
-    of 11520 actions is classified in one batched pass, and the survivors
-    are deduplicated by their action up to scale and global phase before
-    any Gadget is built; the first one found represents its class.  Results
-    are sorted by canonical key, so the order is stable across runs.
+    ancilla bit, postselect wire and postselect bit.  The classes' words and
+    4x4 unitaries do not depend on U: they are built once per process, on
+    the first search, and every search after that only sandwiches them
+    between U and U-dagger.  Each of the 8 slices of 11520 actions is
+    classified in one batched pass: the Clifford test runs on the unitary
+    actions only.  The survivors are deduplicated by their action up to
+    scale and global phase before any Gadget is built; the first one found
+    represents its class.  Results are sorted by canonical key, so the
+    order is stable across runs.
     """
     u = np.asarray(u, dtype=complex)
+    if u.shape != (2, 2) or not linalg.is_unitary(u, 1e-8):
+        raise ValueError("U must be a 2x2 unitary")
     if k < 2:
         raise ValueError("a gadget needs at least two wires")
     if k == 3:
@@ -184,17 +216,8 @@ def search_gadgets(u: np.ndarray, k: int) -> list[tuple[Gadget, GadgetAction]]:
     if k > 3:
         raise ValueError("search is specified for k of 2 or 3 only")
 
-    words = enumerate_clifford_words(2)
-    mats = np.empty((len(words), 4, 4), dtype=complex)
+    words, mats = _clifford_table()
     eye = np.eye(4, dtype=complex)
-    distinct = {gate for word in words for gate in word}
-    full = {(name, qs): linalg.apply_gate(eye, linalg.GATES[name], qs) for name, qs in distinct}
-    for idx, word in enumerate(words):
-        m = eye
-        for gate in word:
-            m = full[gate] @ m
-        mats[idx] = m
-
     ud = u.conj().T
     results: dict[bytes, tuple[Gadget, GadgetAction]] = {}
     right = linalg.apply_gate(eye, u, (1,))  # U feeds the ancilla wire (wire 1)
@@ -209,9 +232,8 @@ def search_gadgets(u: np.ndarray, k: int) -> list[tuple[Gadget, GadgetAction]]:
                 else:
                     rows = [b_bit, 2 + b_bit]
                 actions = w[:, rows][:, :, cols]
-                keep = np.flatnonzero(
-                    linalg.is_unitary_up_to_scale(actions) & ~linalg.is_clifford(actions)
-                )
+                unitary = np.flatnonzero(linalg.is_unitary_up_to_scale(actions))
+                keep = unitary[~linalg.is_clifford(actions[unitary])]
                 gammas = linalg.unitary_scale(actions[keep])
                 keys = _phase_canonical_keys(actions[keep] / np.sqrt(gammas)[:, None, None])
                 for idx, gamma, key in zip(keep, gammas, keys):

@@ -6,10 +6,12 @@ Aaronson–Gottesman measurement (`measure`, `sample_measurement`), one scalar
 draw per coin of a compiled measurement (`draw`), the greedy-elimination
 random Clifford draw (`random_clifford`), synthesis of a random Clifford as
 a gate word (`random_clifford_circuit`), building a tableau from row
-masks (`from_rows`) and the anticoncentration trial's p values, one draw
-and one statevector pass at a time (`anticoncentration_p_values`).  They
-consume a generator exactly as the fast routes do, so tests compare the two
-seed for seed.
+masks (`from_rows`), the anticoncentration trial's p values, one draw
+and one statevector pass at a time (`anticoncentration_p_values`), and the
+4x4 unitaries of the gadget search's two-qubit Clifford words, each
+multiplied out gate by gate (`word_unitaries`).  The random routes consume
+a generator exactly as the fast routes do, so tests compare the two seed
+for seed.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from functools import reduce
 
 import numpy as np
 
-from cccsim import stabilizer
+from cccsim import linalg, stabilizer
 from cccsim.errors import InvariantError
 from cccsim.stabilizer import (
     CliffordCircuit,
@@ -220,3 +222,23 @@ def anticoncentration_p_values(n: int, u: np.ndarray, y: str, num_samples: int, 
     for i in range(num_samples):
         p_values[i] = abs(np.vdot(phi, random_clifford_circuit(n, rng).apply(psi))) ** 2
     return p_values
+
+
+# -- the gadget search's Clifford table, one word at a time --------------------------
+
+
+def word_unitaries(words) -> np.ndarray:
+    """The (len(words), 4, 4) stack of two-qubit word unitaries, each word
+    multiplied out gate by gate from the identity."""
+    eye = np.eye(4, dtype=complex)
+    full = {
+        (name, qs): linalg.apply_gate(eye, linalg.GATES[name], qs)
+        for name, qs in {gate for word in words for gate in word}
+    }
+    mats = np.empty((len(words), 4, 4), dtype=complex)
+    for idx, word in enumerate(words):
+        m = eye
+        for gate in word:
+            m = full[gate] @ m
+        mats[idx] = m
+    return mats

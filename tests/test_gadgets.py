@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cccsim import linalg
+import oracles
+from cccsim import gadgets, linalg
 from cccsim.ccc import classify, decompose_unitary
 from cccsim.errors import CapabilityError, ParseError
 from cccsim.gadgets import (
@@ -18,7 +24,7 @@ from cccsim.gadgets import (
     parse_gadget_file,
     search_gadgets,
 )
-from cccsim.stabilizer import CliffordCircuit
+from cccsim.stabilizer import CliffordCircuit, enumerate_clifford_words
 
 THETA_GRID = [k * math.pi / 6 for k in range(-6, 7)] + [0.3, 1.234]
 PHI_GRID = [k * math.pi / 4 for k in range(-4, 5)] + [0.7, 2.1]
@@ -372,8 +378,10 @@ def test_search_matches_classification_verdict():
 
 
 def test_search_is_deterministic():
+    # a search with another U in between: the shared table carries nothing of U
     u = case_iv_u()
     first = search_gadgets(u, 2)
+    assert search_gadgets(linalg.GATES["H"], 2) == []
     second = search_gadgets(u, 2)
     assert len(first) == len(second)
     for (g1, a1), (g2, a2) in zip(first, second):
@@ -389,6 +397,57 @@ def test_search_capability_boundaries():
         search_gadgets(u, 3)
     with pytest.raises(ValueError):
         search_gadgets(u, 4)
+
+
+@pytest.mark.parametrize(
+    "u",
+    [np.eye(3), np.ones((2, 3)), np.array([[1, 0], [0, 0.5]]), np.zeros((2, 2)), np.eye(4)],
+)
+def test_search_rejects_a_u_that_is_not_a_2x2_unitary(u):
+    with pytest.raises(ValueError, match="U must be a 2x2 unitary"):
+        search_gadgets(u, 2)
+
+
+# -- the two-qubit Clifford table the search shares ----------------------------------
+
+
+def test_clifford_table_words_are_the_enumeration_in_order():
+    words, _ = gadgets._clifford_table()
+    assert isinstance(words, tuple)
+    assert list(words) == enumerate_clifford_words(2)
+
+
+def test_clifford_table_matches_the_word_by_word_products():
+    words, mats = gadgets._clifford_table()
+    assert mats.shape == (11520, 4, 4)
+    assert np.array_equal(mats, oracles.word_unitaries(words))
+
+
+def test_clifford_table_is_read_only_and_built_once():
+    words, mats = gadgets._clifford_table()
+    with pytest.raises(ValueError):
+        mats[0, 0, 0] = 2.0
+    again = gadgets._clifford_table()
+    assert again[0] is words and again[1] is mats
+
+
+def test_clifford_table_is_not_built_outside_a_search():
+    # in a fresh process: tests run earlier in this one may have filled the cache
+    script = textwrap.dedent(
+        """
+        import contextlib, io
+        import cccsim.cli
+        from cccsim import gadgets
+        with contextlib.redirect_stdout(io.StringIO()):
+            cccsim.cli.main(["sample", "--u", "H", "--random-v", "8", "--samples", "2"])
+        print(gadgets._clifford_table.cache_info().currsize)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 # -- word compilation ----------------------------------------------------------------
