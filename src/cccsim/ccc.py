@@ -27,10 +27,11 @@ from .stabilizer import (
     CliffordCircuit,
     CliffordTableau,
     PauliString,
+    apply_canonical_forms,
+    canonical_form,
     circuit_to_tableau,
     compile_measurement,
     conjugate_pauli,
-    tableau_to_circuit,
 )
 
 PWEAK = "PWEAK"
@@ -247,8 +248,10 @@ def _conjugated_state(instance: CccInstance) -> np.ndarray:
     state = linalg.zero_state(instance.n)
     for q in range(instance.n):
         state = linalg.apply_gate(state, instance.u, (q,))
-    word = instance.word if instance.word is not None else tableau_to_circuit(instance.v)
-    state = word.apply(state)
+    if instance.word is not None:
+        state = instance.word.apply(state)
+    else:
+        state = apply_canonical_forms([canonical_form(instance.v)], state[None])[0]
     ud = instance.u.conj().T
     for q in range(instance.n):
         state = linalg.apply_gate(state, ud, (q,))

@@ -3,9 +3,10 @@ exact parameter arithmetic behind the hardness argument.
 
 The anticoncentration bound holds for any fixed conjugating unitary and
 outcome string, so a trial prepares the conjugated reference states once and
-only redraws the random Clifford.  The drawn Clifford words run side by side
-over one block of copies of the reference state, one gate at a time for every
-row that waits for that gate.  Parameter arithmetic stays in Fractions
+only redraws the random Clifford.  Each drawn Clifford is put in canonical
+form F1 H_S F2, and a chunk of forms runs over one block of copies of the
+reference state: two scatters with phases and a masked Hadamard pass per
+qubit for the whole chunk.  Parameter arithmetic stays in Fractions
 end to end; floats are converted through their decimal string so that 1/5
 arrives as 1/5 and not as its binary neighbour.
 """
@@ -21,12 +22,11 @@ import numpy as np
 from . import linalg
 from .ccc import OutcomeDistribution, tv_distance
 from .errors import InvariantError
-from .stabilizer import random_clifford, tableau_to_circuit
+from .stabilizer import apply_canonical_forms, canonical_form, random_clifford
 
 MIN_TRIAL_SAMPLES = 100
-#: a trial runs its draws in chunks of at most this many amplitudes (4 MiB): past
-#: that, copies in and out of the block cost more than the calls they save
-#: (at 2**20, n=12 ran slower than one draw at a time)
+#: a trial runs its draws in chunks of at most this many amplitudes (4 MiB),
+#: which bounds the block and its index and phase tables
 MAX_BLOCK_AMPLITUDES = 2**18
 
 
@@ -62,16 +62,6 @@ def supremacy_parameters(a, c, epsilon) -> SupremacyParams:
         if not 0 < v < 1:
             raise ValueError(f"{name} must lie in (0, 1), got {v}")
     return SupremacyParams(**values)
-
-
-def paley_zygmund_bound(a, mean: float, second_moment: float) -> float:
-    """(1-a)^2 mean^2 / second_moment, the tail lower bound at level a*mean."""
-    a = float(a)
-    if not 0 <= a < 1:
-        raise ValueError(f"a must lie in [0, 1), got {a}")
-    if second_moment <= 0:
-        raise ValueError("second moment must be positive")
-    return (1 - a) ** 2 * mean**2 / second_moment
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,10 +133,10 @@ def anticoncentration_trial(
     over uniformly random Cliffords Gamma.
 
     The conjugation by U only relabels the fixed bra and ket, so the states
-    U^n|0^n> and U^n|y> are built once.  The Cliffords are drawn and
-    synthesized in order, a chunk of at most MAX_BLOCK_AMPLITUDES amplitudes
-    at a time, and each chunk's words run over one block of copies of
-    U^n|0^n> (see _run_words).
+    U^n|0^n> and U^n|y> are built once.  The Cliffords are drawn in order
+    and put in canonical form, a chunk of at most MAX_BLOCK_AMPLITUDES
+    amplitudes at a time, and each chunk's forms run over one block of
+    copies of U^n|0^n> (see stabilizer.apply_canonical_forms).
     """
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
@@ -165,15 +155,12 @@ def anticoncentration_trial(
 
     rng = np.random.default_rng(seed)
     chunk = max(1, MAX_BLOCK_AMPLITUDES // 2**n)
-    gates: dict = {}  # each distinct gate stored once: a word costs a pointer per gate
     p_values = np.empty(num_samples)
     for start in range(0, num_samples, chunk):
         stop = min(start + chunk, num_samples)
-        words = [
-            tuple(gates.setdefault(g, g) for g in tableau_to_circuit(random_clifford(n, rng)).gates)
-            for _ in range(start, stop)
-        ]
-        p_values[start:stop] = np.abs(_run_words(psi, words) @ phi.conj()) ** 2
+        forms = [canonical_form(random_clifford(n, rng)) for _ in range(start, stop)]
+        block = apply_canonical_forms(forms, np.tile(psi, (stop - start, 1)))
+        p_values[start:stop] = np.abs(block @ phi.conj()) ** 2
 
     squares = p_values**2
     return AnticoncentrationReport(
@@ -189,32 +176,6 @@ def anticoncentration_trial(
         second_moment_se=float(squares.std(ddof=1) / math.sqrt(num_samples)),
         p_values=p_values,
     )
-
-
-def _run_words(psi: np.ndarray, words: list) -> np.ndarray:
-    """Row r of the result is words[r] applied to psi: a (len(words), 2**n) block.
-
-    Rows wait in groups keyed by their next gate.  The largest group (the
-    earliest formed on a tie) gets that gate in one apply_gate call, and its
-    rows move on to their own next gates, so each row sees its own word in
-    its own order.
-    """
-    block = np.tile(psi, (len(words), 1))
-    pos = [0] * len(words)
-    waiting: dict[tuple, list[int]] = {}
-    for r, word in enumerate(words):
-        if word:
-            waiting.setdefault(word[0], []).append(r)
-    while waiting:
-        name, qubits = step = max(waiting, key=lambda g: len(waiting[g]))
-        rows = waiting.pop(step)
-        idx = np.sort(rows)  # one index array, in memory order
-        block[idx] = linalg.apply_gate(block[idx].T, linalg.GATES[name], qubits).T
-        for r in rows:
-            pos[r] += 1
-            if pos[r] < len(words[r]):
-                waiting.setdefault(words[r][pos[r]], []).append(r)
-    return block
 
 
 def markov_set_audit(exact: OutcomeDistribution, approx: OutcomeDistribution, c) -> float:

@@ -9,6 +9,10 @@ the image of X_i under conjugation (destabilizer), row n+i the image of Z_i
 phase-insensitive.  The tableau is held by columns: per qubit, its X bits and
 its Z bits over all 2n rows are one Python int each, so a gate is a few
 word-wise XOR/AND operations at any n.
+
+On a dense state a tableau acts in its canonical form F1 . H_S . F2: two
+basis permutations with phases and |S| Hadamard passes, over a whole block
+of states at once (canonical_form, apply_canonical_forms).
 """
 from __future__ import annotations
 
@@ -74,21 +78,9 @@ class PauliString:
         ) % 4
         return PauliString(self.n, x, z, phase)
 
-    def commutes(self, other: "PauliString") -> bool:
-        if self.n != other.n:
-            raise ValueError("qubit count mismatch")
-        return ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) % 2 == 0
-
     def letter(self, q: int) -> str:
         xb, zb = (self.x >> q) & 1, (self.z >> q) & 1
         return "IXZY"[xb + 2 * zb] if xb + 2 * zb != 3 else "Y"
-
-    def to_matrix(self) -> np.ndarray:
-        linalg.check_dense_cap(self.n, what="dense Pauli")
-        m = np.array([[1]], dtype=complex)
-        for q in range(self.n):
-            m = np.kron(m, linalg.GATES[self.letter(q)])
-        return (1j**self.phase) * m
 
     def __str__(self) -> str:
         return _PHASE_PREFIX[self.phase % 4] + "".join(
@@ -388,25 +380,11 @@ class CliffordCircuit:
     def __len__(self) -> int:
         return len(self.gates)
 
-    def inverse(self) -> "CliffordCircuit":
-        inv: list[tuple[str, tuple[int, ...]]] = []
-        for name, qubits in reversed(self.gates):
-            if name == "S":
-                inv += [("S", qubits)] * 3
-            else:
-                inv.append((name, qubits))
-        return CliffordCircuit(self.n, tuple(inv))
-
     def apply(self, state: np.ndarray) -> np.ndarray:
         """The gates in order, applied to a (2**n, *batch) block of states."""
         for name, qubits in self.gates:
             state = linalg.apply_gate(state, linalg.GATES[name], qubits)
         return state
-
-    def to_unitary(self) -> np.ndarray:
-        """Dense matrix of the circuit (subject to the dense cap)."""
-        linalg.check_dense_cap(self.n, what="dense circuit unitary")
-        return self.apply(np.eye(2**self.n, dtype=complex))
 
     def to_text(self) -> str:
         lines = [f"qubits {self.n}"]
@@ -571,65 +549,123 @@ def conjugate_pauli(
     return PauliString(n, x, z, (p.phase - phase) % 4)
 
 
-def tableau_to_circuit(t: CliffordTableau) -> CliffordCircuit:
-    """Synthesize an exact generator-gate circuit for the tableau.
+# -- the canonical form F1 . H_S . F2 and its dense action --------------------
 
-    Reduces a working copy to the identity tableau column by column, then
-    returns the inverse of the applied gate word.  Signs included: the result
-    satisfies circuit_to_tableau(tableau_to_circuit(t)) == t bit for bit.
+
+def canonical_form(t: CliffordTableau) -> tuple[CliffordTableau, tuple[int, ...], CliffordTableau]:
+    """(F1, S, F2) with t's Clifford equal to F1 . H_S . F2 up to phase.
+
+    F1 and F2 are Hadamard-free: each maps every Z_j to +/- a string of Zs
+    (Bravyi and Maslov, arXiv:2003.09412).  Row-reducing the stabilizers
+    (the images of Z_j) to a reduced echelon X block gives S, its pivots.
+    On the output side, CNOTs from each pivot s to the other X bits of its
+    row leave X_s Z^(M_s); the rows without X span the Z_t, t not in S, so
+    only M on S matters, and it is symmetric.  CZ(s, s') where M[s][s'] = 1
+    and S on s where M[s][s] = 1 make the group <+/-X_s, +/-Z_t>.  With W
+    those gates, F2 = H_S W t is Hadamard-free and F1 = W^-1; both are
+    replayed on tableaux, so the signs are exact.
     """
-    work = t.copy()
-    n = work.n
-    applied: list[tuple[str, tuple[int, ...]]] = []
+    n, low = t.n, (1 << t.n) - 1
+    rows = [0] * n  # stabilizer j as x | z << n
+    for q in range(n):
+        for j in _bits(t.xcol[q] >> n):
+            rows[j] |= 1 << q
+        for j in _bits(t.zcol[q] >> n):
+            rows[j] |= 1 << (n + q)
+    pivots: dict[int, int] = {}  # pivot qubit -> the reduced row with X there
+    for v in rows:
+        for s, row in pivots.items():
+            if v >> s & 1:
+                v ^= row
+        if v & low:
+            s = _lowest(v)
+            for s2, row in pivots.items():
+                if row >> s & 1:
+                    pivots[s2] = row ^ v
+            pivots[s] = v
+    smask = sum(1 << s for s in pivots)
+    # CNOT(s, u) maps X_s to X_s X_u and Z_u to Z_s Z_u: bit s of a Z part
+    # flips with the parity of its bits at the targets of s
+    targets = {s: row & low & ~smask for s, row in pivots.items()}
+    w = [("CNOT", (s, u)) for s, us in targets.items() for u in _bits(us)]
+    for s, row in sorted(pivots.items()):
+        z = row >> n
+        for s2 in _bits(smask & ~((2 << s) - 1)):  # s2 > s, in S
+            if (z >> s2 ^ (z & targets[s2]).bit_count()) & 1:
+                w += [("H", (s2,)), ("CNOT", (s, s2)), ("H", (s2,))]
+        if (z >> s ^ (z & targets[s]).bit_count()) & 1:
+            w.append(("S", (s,)))
+    f2, f1 = t.copy(), CliffordTableau.identity(n)
+    for gate in w:
+        f2.apply(*gate)
+    for s in pivots:
+        f2.apply("H", (s,))
+    for name, qubits in reversed(w):
+        for _ in range(3 if name == "S" else 1):  # S^-1 = S^3
+            f1.apply(name, qubits)
+    if any(v >> n for v in f2.xcol):
+        raise InvariantError("the stabilizers do not commute: not a Clifford tableau")
+    return f1, tuple(sorted(pivots)), f2
 
-    def do(name: str, *qs: int) -> None:
-        work.apply(name, qs)
-        applied.append((name, qs))
 
-    def xbit(i: int, q: int) -> int:
-        return (work.xcol[q] >> i) & 1
+_I_POWERS = np.array([1, 1j, -1, -1j])
+_H_ENTRY = linalg.GATES["H"][0, 0].real
 
-    def zbit(i: int, q: int) -> int:
-        return (work.zcol[q] >> i) & 1
 
-    for j in range(n):
-        srow = n + j
-        # stabilizer row j -> +/- Z_j
-        for q in range(j, n):
-            if xbit(srow, q):
-                if zbit(srow, q):
-                    do("S", q)
-                do("H", q)
-        if not zbit(srow, j):
-            q = next((q for q in range(j + 1, n) if zbit(srow, q)), None)
-            if q is None:
-                raise InvariantError(f"stabilizer {j} is not independent of the ones before")
-            do("CNOT", j, q)
-        for q in range(j + 1, n):
-            if zbit(srow, q):
-                do("CNOT", q, j)
-        # destabilizer row j -> +/- X_j, using only gates that fix Z_j
-        for q in range(j + 1, n):
-            if xbit(j, q):
-                do("CNOT", j, q)
-        for q in range(j + 1, n):
-            if zbit(j, q):
-                do("H", q)
-                do("CNOT", j, q)
-        if zbit(j, j):
-            do("S", j)
-    for j in range(n):
-        if work.sign >> (n + j) & 1:  # -Z_j: conjugate by X_j
-            do("H", j)
-            do("S", j)
-            do("S", j)
-            do("H", j)
-        if work.sign >> j & 1:  # -X_j: conjugate by Z_j
-            do("S", j)
-            do("S", j)
-    if work != CliffordTableau.identity(n):
-        raise InvariantError("tableau does not reduce to the identity: not a Clifford tableau")
-    return CliffordCircuit(n, tuple(applied)).inverse()
+def apply_canonical_forms(forms, block: np.ndarray) -> np.ndarray:
+    """Row r of the result is forms[r] = (F1, S, F2) applied to row r of the
+    (len(forms), 2**n) block, up to a phase per row.
+
+    The Hadamard-free F2 and F1 are one scatter with phases each over the
+    whole block (_apply_hadamard_free), and H_S one masked pass per qubit.
+    """
+    f1s, hs, f2s = zip(*forms)
+    block = _apply_hadamard_free(f2s, block)
+    m, dim = block.shape
+    n = dim.bit_length() - 1
+    for q in range(n):
+        rows = np.flatnonzero([q in s for s in hs])
+        if not rows.size:
+            continue
+        v = block.reshape(m, 2**q, 2, dim >> (q + 1))
+        sub = v if rows.size == m else v[rows]
+        a, b = sub[:, :, 0], sub[:, :, 1]
+        v[rows] = np.stack((a + b, a - b), axis=2) * _H_ENTRY
+    return _apply_hadamard_free(f1s, block)
+
+
+def _apply_hadamard_free(tableaux, block: np.ndarray) -> np.ndarray:
+    """Row r of the result is tableaux[r] applied to row r of the block, up to phase.
+
+    A Hadamard-free F sends |x> to i^q(x) |Ax + b> (Dehaene and De Moor).
+    Destabilizer j, F X_j F-dagger = i^ph_j X^a_j Z^d_j, gives column a_j of
+    A; F|0> is the basis state b stabilized by the images of Z_j, and as
+    A^T is the inverse of those images' Z block, b is the sum of the a_j of
+    the stabilizers with a minus sign.  F|x + e_j> = (F X_j F-dagger) F|x>,
+    so the table of (Ax + b, q(x)) over all x doubles once per qubit.
+    Indices follow linalg: qubit q is bit n-1-q.
+    """
+    m, dim = block.shape
+    n = dim.bit_length() - 1
+    xcols = np.array([f.xcol for f in tableaux], dtype=np.int64)  # (m, n) over 2n rows
+    zcols = np.array([f.zcol for f in tableaux], dtype=np.int64)
+    weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)  # qubit q -> index bit
+    row_bits = np.arange(n, dtype=np.int64)
+    a = ((xcols[:, :, None] >> row_bits & 1) * weights[:, None]).sum(axis=1)  # (m, j)
+    d = ((zcols[:, :, None] >> row_bits & 1) * weights[:, None]).sum(axis=1)
+    odd = np.array([f.odd for f in tableaux], dtype=np.int64)[:, None]
+    sign = np.array([f.sign for f in tableaux], dtype=np.int64)[:, None]
+    # i^ph_j X^a Z^d: the row's phase, plus one i per Y (Y = iXZ)
+    ph = (odd >> row_bits & 1) + 2 * (sign >> row_bits & 1) + np.bitwise_count(a & d)
+    target = np.bitwise_xor.reduce(a * (sign >> (n + row_bits) & 1), axis=1)[:, None]
+    phase = np.zeros((m, 1), dtype=np.int64)
+    for j in range(n - 1, -1, -1):  # qubit n-1 is index bit 0
+        flips = 2 * (np.bitwise_count(target & d[:, j, None]) & 1)
+        phase = np.concatenate((phase, phase + ph[:, j, None] + flips), axis=1)
+        target = np.concatenate((target, target ^ a[:, j, None]), axis=1)
+    out = np.empty((m, dim), dtype=complex)
+    out.reshape(-1)[target + dim * np.arange(m)[:, None]] = block * _I_POWERS[phase & 3]
+    return out
 
 
 # -- uniform random Cliffords ------------------------------------------------

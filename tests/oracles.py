@@ -4,14 +4,21 @@ Each routine here is the direct, unoptimized form of something
 `cccsim.stabilizer` or `cccsim.experiments` now does faster: qubit-by-qubit
 Aaronson–Gottesman measurement (`measure`, `sample_measurement`), one scalar
 draw per coin of a compiled measurement (`draw`), the greedy-elimination
-random Clifford draw (`random_clifford`), synthesis of a random Clifford as
-a gate word (`random_clifford_circuit`), building a tableau from row
-masks (`from_rows`), the anticoncentration trial's p values, one draw
-and one statevector pass at a time (`anticoncentration_p_values`), and the
-4x4 unitaries of the gadget search's two-qubit Clifford words, each
-multiplied out gate by gate (`word_unitaries`).  The random routes consume
-a generator exactly as the fast routes do, so tests compare the two seed
-for seed.
+random Clifford draw (`random_clifford`), synthesis of a tableau as a gate
+word (`tableau_to_circuit`, with `inverse`; the reference for
+`canonical_form` and its dense action) and of a random Clifford
+(`random_clifford_circuit`), building a tableau from row masks
+(`from_rows`), the anticoncentration trial's p values, one draw, one
+synthesized word and one statevector pass at a time
+(`anticoncentration_p_values`), and the 4x4 unitaries of the gadget
+search's two-qubit Clifford words, each multiplied out gate by gate
+(`word_unitaries`).  The random routes consume a generator exactly as the
+fast routes do, so tests compare the two seed for seed.
+
+The rest are helpers only tests call: dense Pauli and circuit matrices
+(`pauli_matrix`, `to_unitary`), the Pauli commutation test (`commutes`), and
+the finite-n Paley-Zygmund bound from a mean and second moment
+(`paley_zygmund_bound`; the trial reports its large-n limit).
 """
 from __future__ import annotations
 
@@ -27,7 +34,6 @@ from cccsim.stabilizer import (
     CompiledMeasurement,
     PauliString,
     _lowest,
-    tableau_to_circuit,
 )
 
 
@@ -50,6 +56,105 @@ def from_rows(n: int, xs: list[int], zs: list[int], ph: list[int] | None = None)
         odd |= (ph[i] & 1) << i
         sign |= (ph[i] >> 1 & 1) << i
     return CliffordTableau(n, xcol, zcol, odd, sign)
+
+
+# -- Pauli and circuit helpers, dense where they say so ---------------------------
+
+
+def pauli_matrix(p: PauliString) -> np.ndarray:
+    """The dense matrix of p, phase included (subject to the dense cap)."""
+    linalg.check_dense_cap(p.n, what="dense Pauli")
+    m = np.array([[1]], dtype=complex)
+    for q in range(p.n):
+        m = np.kron(m, linalg.GATES[p.letter(q)])
+    return (1j**p.phase) * m
+
+
+def commutes(a: PauliString, b: PauliString) -> bool:
+    if a.n != b.n:
+        raise ValueError("qubit count mismatch")
+    return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
+
+
+def to_unitary(c: CliffordCircuit) -> np.ndarray:
+    """Dense matrix of the circuit (subject to the dense cap)."""
+    linalg.check_dense_cap(c.n, what="dense circuit unitary")
+    return c.apply(np.eye(2**c.n, dtype=complex))
+
+
+def inverse(c: CliffordCircuit) -> CliffordCircuit:
+    """The gate word of c-dagger: c reversed, each S as S^3."""
+    inv: list[tuple[str, tuple[int, ...]]] = []
+    for name, qubits in reversed(c.gates):
+        if name == "S":
+            inv += [("S", qubits)] * 3
+        else:
+            inv.append((name, qubits))
+    return CliffordCircuit(c.n, tuple(inv))
+
+
+# -- synthesis of a tableau as a gate word (the reference for canonical_form) --------
+
+
+def tableau_to_circuit(t: CliffordTableau) -> CliffordCircuit:
+    """Synthesize an exact generator-gate circuit for the tableau.
+
+    Reduces a working copy to the identity tableau column by column, then
+    returns the inverse of the applied gate word.  Signs included: the result
+    satisfies circuit_to_tableau(tableau_to_circuit(t)) == t bit for bit.
+    """
+    work = t.copy()
+    n = work.n
+    applied: list[tuple[str, tuple[int, ...]]] = []
+
+    def do(name: str, *qs: int) -> None:
+        work.apply(name, qs)
+        applied.append((name, qs))
+
+    def xbit(i: int, q: int) -> int:
+        return (work.xcol[q] >> i) & 1
+
+    def zbit(i: int, q: int) -> int:
+        return (work.zcol[q] >> i) & 1
+
+    for j in range(n):
+        srow = n + j
+        # stabilizer row j -> +/- Z_j
+        for q in range(j, n):
+            if xbit(srow, q):
+                if zbit(srow, q):
+                    do("S", q)
+                do("H", q)
+        if not zbit(srow, j):
+            q = next((q for q in range(j + 1, n) if zbit(srow, q)), None)
+            if q is None:
+                raise InvariantError(f"stabilizer {j} is not independent of the ones before")
+            do("CNOT", j, q)
+        for q in range(j + 1, n):
+            if zbit(srow, q):
+                do("CNOT", q, j)
+        # destabilizer row j -> +/- X_j, using only gates that fix Z_j
+        for q in range(j + 1, n):
+            if xbit(j, q):
+                do("CNOT", j, q)
+        for q in range(j + 1, n):
+            if zbit(j, q):
+                do("H", q)
+                do("CNOT", j, q)
+        if zbit(j, j):
+            do("S", j)
+    for j in range(n):
+        if work.sign >> (n + j) & 1:  # -Z_j: conjugate by X_j
+            do("H", j)
+            do("S", j)
+            do("S", j)
+            do("H", j)
+        if work.sign >> j & 1:  # -X_j: conjugate by Z_j
+            do("S", j)
+            do("S", j)
+    if work != CliffordTableau.identity(n):
+        raise InvariantError("tableau does not reduce to the identity: not a Clifford tableau")
+    return inverse(CliffordCircuit(n, tuple(applied)))
 
 
 # -- measurement, one qubit at a time (the tableau of V doubles as V|0^n>) --------
@@ -222,6 +327,16 @@ def anticoncentration_p_values(n: int, u: np.ndarray, y: str, num_samples: int, 
     for i in range(num_samples):
         p_values[i] = abs(np.vdot(phi, random_clifford_circuit(n, rng).apply(psi))) ** 2
     return p_values
+
+
+def paley_zygmund_bound(a, mean: float, second_moment: float) -> float:
+    """(1-a)^2 mean^2 / second_moment, the tail lower bound at level a*mean."""
+    a = float(a)
+    if not 0 <= a < 1:
+        raise ValueError(f"a must lie in [0, 1), got {a}")
+    if second_moment <= 0:
+        raise ValueError("second moment must be positive")
+    return (1 - a) ** 2 * mean**2 / second_moment
 
 
 # -- the gadget search's Clifford table, one word at a time --------------------------

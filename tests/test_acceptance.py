@@ -35,7 +35,7 @@ from cccsim.gadgets import (
 )
 from cccsim.mbqc import g_closed_form, g_gadget, rotation_angle, universality_check
 from cccsim.stabilizer import circuit_to_tableau
-from oracles import random_clifford_circuit, sample_measurement
+from oracles import random_clifford_circuit, sample_measurement, to_unitary
 
 from fractions import Fraction
 
@@ -211,7 +211,7 @@ def test_criterion_5_oracle_equivalence():
         counts = np.zeros(2**n)
         for _ in range(draws):
             counts[int(sample_measurement(t, rng), 2)] += 1
-        dense = np.abs(v.to_unitary()[:, 0]) ** 2
+        dense = np.abs(to_unitary(v)[:, 0]) ** 2
         worst_tv = max(worst_tv, 0.5 * float(np.abs(counts / draws - dense).sum()))
         instances += 1
     for u in (linalg.GATES["H"], linalg.rz(0.8)):

@@ -29,9 +29,8 @@ from cccsim.stabilizer import (
     CliffordCircuit,
     circuit_to_tableau,
     random_clifford,
-    tableau_to_circuit,
 )
-from oracles import random_clifford_circuit, sample_measurement
+from oracles import random_clifford_circuit, sample_measurement, tableau_to_circuit
 
 angles = st.floats(-math.pi, math.pi, allow_nan=False)
 
@@ -347,7 +346,7 @@ def test_weak_sampling_tracks_dense_distribution():
     assert tv < 0.05, tv
 
 
-def test_instance_from_a_tableau_keeps_it_and_synthesizes_for_dense():
+def test_instance_from_a_tableau_keeps_it_and_runs_its_canonical_form_for_dense():
     rng = np.random.default_rng(40)
     u = parse_unitary_spec("rz=pi*1/5 rx=pi*1/3").matrix
     t = random_clifford(4, rng)
@@ -355,7 +354,10 @@ def test_instance_from_a_tableau_keeps_it_and_synthesizes_for_dense():
     from_word = make_instance(u, tableau_to_circuit(t))
     assert from_tableau.v is t and from_tableau.word is None
     assert from_word.v == t and from_word.word is not None
-    assert np.array_equal(dense_distribution(from_tableau).probs, dense_distribution(from_word).probs)
+    # two different computations (canonical form, synthesized word): equal
+    # to rounding, not bit for bit
+    dense = dense_distribution(from_tableau).probs
+    assert np.max(np.abs(dense - dense_distribution(from_word).probs)) <= 1e-15
     assert marginal_single_qubit(from_tableau, 2) == marginal_single_qubit(from_word, 2)
 
 

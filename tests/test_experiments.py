@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -13,13 +14,10 @@ from cccsim.ccc import (
     parse_unitary_spec,
 )
 from cccsim.errors import CapabilityError
-from cccsim.experiments import (
-    anticoncentration_trial,
-    markov_set_audit,
-    paley_zygmund_bound,
-    supremacy_parameters,
-)
-from oracles import anticoncentration_p_values, random_clifford_circuit
+from cccsim.experiments import anticoncentration_trial, markov_set_audit, supremacy_parameters
+from cccsim.gadgets import _clifford_table
+from cccsim.stabilizer import CliffordCircuit, enumerate_clifford_words
+from oracles import anticoncentration_p_values, paley_zygmund_bound, random_clifford_circuit, to_unitary
 
 HARD_U = parse_unitary_spec("rz=pi*1/3 rx=pi*1/2").matrix
 
@@ -191,14 +189,14 @@ def test_batched_trial_matches_per_draw_route(n, u, y, draws, seed):
 def test_trial_chunks_keep_the_draw_order(monkeypatch):
     whole = anticoncentration_trial(3, HARD_U, "010", 130, seed=12)
     chunks = []
-    run_words = experiments._run_words
+    apply_forms = experiments.apply_canonical_forms
 
-    def recording(psi, words):
-        chunks.append(len(words))
-        return run_words(psi, words)
+    def recording(forms, block):
+        chunks.append(len(forms))
+        return apply_forms(forms, block)
 
     monkeypatch.setattr(experiments, "MAX_BLOCK_AMPLITUDES", 40 * 2**3)
-    monkeypatch.setattr(experiments, "_run_words", recording)
+    monkeypatch.setattr(experiments, "apply_canonical_forms", recording)
     chunked = anticoncentration_trial(3, HARD_U, "010", 130, seed=12)
     assert chunks == [40, 40, 40, 10]
     assert np.max(np.abs(chunked.p_values - whole.p_values)) <= 1e-14
@@ -215,6 +213,40 @@ def test_trial_validation():
         anticoncentration_trial(3, np.eye(2), "00", 200)
     with pytest.raises(ValueError):
         anticoncentration_trial(3, np.eye(2), "000", 200, a=1.5)
+
+
+# -- anticoncentration at n <= 2, exactly, over the whole Clifford group ----------
+
+# P(p >= 0.2 / 2^n) over every Clifford class mod phase, for the hard U; at
+# n=2 it is 9750 of the 11520 classes for each y
+EXACT_TAILS = {1: Fraction(22, 24), 2: Fraction(9750, 11520)}
+
+
+def class_unitaries(n):
+    if n == 2:
+        return _clifford_table()[1]
+    return np.array([to_unitary(CliffordCircuit(n, w)) for w in enumerate_clifford_words(n)])
+
+
+@pytest.mark.parametrize("y, seed", [("0", 71), ("1", 72), ("00", 73), ("01", 74), ("11", 75)])
+def test_anticoncentration_exact_by_enumeration(y, seed):
+    n = len(y)
+    psi = reduce(np.kron, [HARD_U[:, 0]] * n)
+    phi = reduce(np.kron, [HARD_U[:, int(bit)] for bit in y])
+    p = np.abs(np.einsum("i,kij,j->k", phi.conj(), class_unitaries(n), psi)) ** 2
+    assert len(p) == (24 if n == 1 else 11520)
+    # the 2-design values the report prints as theory are the exact moments
+    rep = anticoncentration_trial(n, HARD_U, y, 3000, a=0.2, seed=seed)
+    assert abs(p.mean() - rep.theory_mean) <= 1e-15
+    assert abs(np.mean(p**2) - rep.theory_second_moment) <= 1e-15
+    threshold = 0.2 / 2**n
+    assert np.min(np.abs(p - threshold)) > 1e-12  # no class on the edge
+    tail = EXACT_TAILS[n]
+    assert Fraction(int(np.sum(p >= threshold)), len(p)) == tail
+    # a fixed-seed trial lands within 4 standard errors of each exact value
+    assert abs(rep.mean_p - rep.theory_mean) <= 4 * rep.mean_se
+    assert abs(rep.mean_p_squared - rep.theory_second_moment) <= 4 * rep.second_moment_se
+    assert abs(rep.tail_fraction() - tail) <= 4 * math.sqrt(tail * (1 - tail) / rep.num_samples)
 
 
 @pytest.mark.slow

@@ -13,16 +13,28 @@ from cccsim.stabilizer import (
     CliffordCircuit,
     CliffordTableau,
     PauliString,
+    apply_canonical_forms,
+    canonical_form,
     circuit_to_tableau,
     compile_measurement,
     conjugate_pauli,
     enumerate_clifford_words,
     parse_circuit,
     random_clifford,
-    tableau_to_circuit,
 )
 import oracles
-from oracles import draw, from_rows, measure, random_clifford_circuit, sample_measurement
+from oracles import (
+    commutes,
+    draw,
+    from_rows,
+    inverse,
+    measure,
+    pauli_matrix,
+    random_clifford_circuit,
+    sample_measurement,
+    tableau_to_circuit,
+    to_unitary,
+)
 
 LETTERS = "IXYZ"
 
@@ -54,7 +66,7 @@ def random_circuit(n, rng, depth=20):
 def test_single_letter_matrices():
     for name in "XYZ":
         p = PauliString.single(1, name, 0)
-        assert np.allclose(p.to_matrix(), linalg.GATES[name])
+        assert np.allclose(pauli_matrix(p), linalg.GATES[name])
 
 
 def test_product_phases_on_one_qubit():
@@ -63,14 +75,14 @@ def test_product_phases_on_one_qubit():
     y = PauliString.single(1, "Y", 0)
     assert (x * z).phase == 3  # XZ = -iY
     assert (z * x).phase == 1  # ZX = +iY
-    assert np.allclose((x * z).to_matrix(), linalg.GATES["X"] @ linalg.GATES["Z"])
-    assert np.allclose((y * y).to_matrix(), np.eye(2))
+    assert np.allclose(pauli_matrix(x * z), linalg.GATES["X"] @ linalg.GATES["Z"])
+    assert np.allclose(pauli_matrix(y * y), np.eye(2))
 
 
 def test_product_matches_dense_all_pairs():
     for a, b in itertools.product(LETTERS, repeat=2):
         pa, pb = pauli_from_letters(a), pauli_from_letters(b)
-        assert np.allclose((pa * pb).to_matrix(), pa.to_matrix() @ pb.to_matrix()), (a, b)
+        assert np.allclose(pauli_matrix(pa * pb), pauli_matrix(pa) @ pauli_matrix(pb)), (a, b)
 
 
 @given(
@@ -84,21 +96,21 @@ def test_product_matches_dense_all_pairs():
 def test_product_matches_dense_random_words(words):
     a, b = words
     pa, pb = pauli_from_letters(a), pauli_from_letters(b)
-    assert np.allclose((pa * pb).to_matrix(), pa.to_matrix() @ pb.to_matrix())
+    assert np.allclose(pauli_matrix(pa * pb), pauli_matrix(pa) @ pauli_matrix(pb))
 
 
 def test_commutes_matches_dense():
     for a, b in itertools.product(["XX", "XZ", "ZZ", "YI", "IY", "YZ"], repeat=2):
         pa, pb = pauli_from_letters(a), pauli_from_letters(b)
-        ma, mb = pa.to_matrix(), pb.to_matrix()
+        ma, mb = pauli_matrix(pa), pauli_matrix(pb)
         dense_commute = np.allclose(ma @ mb, mb @ ma)
-        assert pa.commutes(pb) == dense_commute, (a, b)
+        assert commutes(pa, pb) == dense_commute, (a, b)
 
 
 def test_to_matrix_qubit_order():
     # qubit 0 is the leftmost tensor factor
     p = pauli_from_letters("XI")
-    assert np.allclose(p.to_matrix(), np.kron(linalg.GATES["X"], np.eye(2)))
+    assert np.allclose(pauli_matrix(p), np.kron(linalg.GATES["X"], np.eye(2)))
 
 
 def test_letter_and_str():
@@ -117,13 +129,13 @@ def test_conjugation_matches_dense():
             c = random_circuit(n, rng)
             t = circuit_to_tableau(c)
             t.validate()
-            u = c.to_unitary()
+            u = to_unitary(c)
             word = "".join(rng.choice(list(LETTERS)) for _ in range(n))
             p = pauli_from_letters(word)
             got = conjugate_pauli(t, p)
-            assert np.allclose(got.to_matrix(), u @ p.to_matrix() @ u.conj().T)
+            assert np.allclose(pauli_matrix(got), u @ pauli_matrix(p) @ u.conj().T)
             back = conjugate_pauli(t, p, inverse=True)
-            assert np.allclose(back.to_matrix(), u.conj().T @ p.to_matrix() @ u)
+            assert np.allclose(pauli_matrix(back), u.conj().T @ pauli_matrix(p) @ u)
 
 
 def test_conjugation_inverse_round_trip():
@@ -139,16 +151,16 @@ def test_desugared_gates_match_dense():
     for name in ("X", "Y", "Z", "SDG"):
         c = CliffordCircuit.build(1, [(name, (0,))])
         assert linalg.proportional_up_to_phase(
-            c.to_unitary(), linalg.GATES[name], unit_factor=True
+            to_unitary(c), linalg.GATES[name], unit_factor=True
         ), name
     c = CliffordCircuit.build(2, [("CZ", (0, 1))])
-    assert linalg.proportional_up_to_phase(c.to_unitary(), linalg.GATES["CZ"], unit_factor=True)
+    assert linalg.proportional_up_to_phase(to_unitary(c), linalg.GATES["CZ"], unit_factor=True)
 
 
 def test_circuit_inverse_and_then():
     rng = np.random.default_rng(13)
     c = random_circuit(3, rng)
-    u = CliffordCircuit(3, c.gates + c.inverse().gates).to_unitary()
+    u = to_unitary(CliffordCircuit(3, c.gates + inverse(c).gates))
     assert linalg.proportional_up_to_phase(u, np.eye(8), unit_factor=True)
 
 
@@ -203,7 +215,7 @@ def test_sampling_matches_dense_distribution():
     for _ in range(draws):
         y = sample_measurement(t, rng)
         counts[y] = counts.get(y, 0) + 1
-    amps = c.to_unitary()[:, 0]
+    amps = to_unitary(c)[:, 0]
     probs = np.abs(amps) ** 2
     tv = 0.5 * sum(
         abs(counts.get(format(i, f"0{n}b"), 0) / draws - probs[i]) for i in range(2**n)
@@ -361,7 +373,7 @@ def test_compiled_support_is_the_dense_support():
     for n in (1, 2, 3, 5):
         for _ in range(6):
             c = random_circuit(n, rng, depth=6 * n)
-            probs = np.abs(c.to_unitary()[:, 0]) ** 2
+            probs = np.abs(to_unitary(c)[:, 0]) ** 2
             support = compile_measurement(circuit_to_tableau(c)).support()
             assert sorted(support) == list(np.flatnonzero(probs > 1e-12))
             assert np.allclose(probs[support], 1.0 / len(support))
@@ -385,11 +397,83 @@ def test_conjugation_inverse_past_the_dense_cap():
     rng = np.random.default_rng(22)
     n = 80
     t = random_clifford(n, rng)
-    inverse = circuit_to_tableau(tableau_to_circuit(t).inverse())
+    inverse = circuit_to_tableau(oracles.inverse(tableau_to_circuit(t)))
     for _ in range(10):
         x, z = (int(v) for v in rng.integers(0, 2**62, size=2))
         p = PauliString(n, x << 18, z, int(rng.integers(4)))
         assert conjugate_pauli(t, p, inverse=True) == conjugate_pauli(inverse, p)
+
+
+# -- the canonical form F1 . H_S . F2 --------------------------------------------
+
+
+def _hadamard_free(f):
+    return not any(v >> f.n for v in f.xcol)
+
+
+def replayed_forms(tableaux):
+    """The canonical forms, each pinned to replay to its tableau bit for bit."""
+    forms = [canonical_form(t) for t in tableaux]
+    for t, (f1, hs, f2) in zip(tableaux, forms):
+        assert _hadamard_free(f1) and _hadamard_free(f2)
+        layer = tuple(("H", (s,)) for s in hs)
+        word = tableau_to_circuit(f2).gates + layer + tableau_to_circuit(f1).gates
+        assert circuit_to_tableau(CliffordCircuit(t.n, word)) == t
+    return forms
+
+
+def random_states(rng, m, n):
+    states = rng.normal(size=(m, 2**n)) + 1j * rng.normal(size=(m, 2**n))
+    return states / np.linalg.norm(states, axis=1)[:, None]
+
+
+def assert_equal_up_to_phase(got, ref):
+    """Row by row, within 1e-12 once each row's global phase is matched."""
+    phases = np.einsum("ij,ij->i", got.conj(), ref)
+    assert np.max(np.abs(got * (phases / np.abs(phases))[:, None] - ref)) <= 1e-12
+
+
+def check_canonical_forms(tableaux, rng):
+    forms = replayed_forms(tableaux)
+    states = random_states(rng, len(tableaux), tableaux[0].n)
+    ref = np.array([tableau_to_circuit(t).apply(state) for t, state in zip(tableaux, states)])
+    assert_equal_up_to_phase(apply_canonical_forms(forms, states), ref)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_canonical_form_of_random_tableaux(n):
+    rng = np.random.default_rng(90 + n)
+    check_canonical_forms([random_clifford(n, rng) for _ in range(6)], rng)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_canonical_form_keeps_every_sign(n):
+    rng = np.random.default_rng(100 + n)
+    t = random_clifford(n, rng)
+    flipped = []
+    for row in range(2 * n):
+        f = t.copy()
+        f.sign ^= 1 << row
+        flipped.append(f)
+    check_canonical_forms(flipped, rng)
+
+
+def test_canonical_form_of_every_two_qubit_class():
+    # the synthesized words multiplied out as 4x4 matrices: apply_gate per
+    # gate would take seconds over 11520 words
+    tableaux = [circuit_to_tableau(CliffordCircuit(2, w)) for w in enumerate_clifford_words(2)]
+    forms = replayed_forms(tableaux)
+    states = random_states(np.random.default_rng(105), len(tableaux), 2)
+    mats = oracles.word_unitaries([tableau_to_circuit(t).gates for t in tableaux])
+    ref = np.einsum("kij,kj->ki", mats, states)
+    assert_equal_up_to_phase(apply_canonical_forms(forms, states), ref)
+
+
+def test_canonical_form_rejects_anticommuting_stabilizers():
+    # stabilizers X_0 and Z_0 cannot both be images of commuting Z_j
+    broken = from_rows(2, [0, 0, 1, 0], [1, 2, 0, 1])
+    with pytest.raises(InvariantError):
+        canonical_form(broken)
 
 
 def _same_draw(n, seed):
