@@ -9,7 +9,6 @@ from .ccc import (
     dense_distribution,
     make_instance,
     marginal_single_qubit,
-    outcome_probability,
     parse_unitary_spec,
     simulate_easy_weak,
     tv_distance,
@@ -38,7 +37,6 @@ __all__ = [
     "gadget_action",
     "make_instance",
     "marginal_single_qubit",
-    "outcome_probability",
     "parse_angle",
     "parse_unitary_spec",
     "random_clifford",

@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -152,15 +151,6 @@ class ClassificationVerdict:
     gamma_word: tuple[str, ...] | None = None
     canonical_lam: ExactAngle | None = None
 
-    def canonical_matrix(self) -> np.ndarray | None:
-        """Gamma * Rz(lambda) for PWEAK verdicts, None otherwise."""
-        if self.gamma_word is None:
-            return None
-        gamma = reduce(
-            np.matmul, [linalg.GATES[g] for g in self.gamma_word], np.eye(2, dtype=complex)
-        )
-        return gamma @ linalg.rz(float(self.canonical_lam))
-
 
 def classify(dec: UnitaryDecomposition) -> ClassificationVerdict:
     """Decide the sampling complexity of the model from (phi, theta).
@@ -262,12 +252,6 @@ def dense_distribution(instance: CccInstance) -> OutcomeDistribution:
     """Exact outcome distribution by statevector simulation (n-capped)."""
     amps = _conjugated_state(instance)
     return OutcomeDistribution(instance.n, np.abs(amps) ** 2)
-
-
-def outcome_probability(instance: CccInstance, y: str) -> float:
-    if len(y) != instance.n or set(y) - {"0", "1"}:
-        raise ValueError(f"bad outcome string {y!r} for n={instance.n}")
-    return dense_distribution(instance).probability(y)
 
 
 # -- easy-case weak simulation -------------------------------------------------

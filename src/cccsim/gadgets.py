@@ -55,10 +55,6 @@ class Gadget:
         return tuple(range(self.l, self.k))
 
     @property
-    def output_wires(self) -> tuple[int, ...]:
-        return tuple(w for w in range(self.k) if w not in self.postselect_set)
-
-    @property
     def postselects_only_ancillas(self) -> bool:
         return set(self.postselect_set) <= set(self.ancilla_wires)
 
@@ -97,9 +93,10 @@ def gadget_action(g: Gadget) -> GadgetAction:
     for w, b in sorted(zip(g.postselect_set, g.postselect_bits), reverse=True):
         tensor = np.take(tensor, b, axis=w)
     a = tensor.reshape(dim, dim)
-    unitary = bool(linalg.is_unitary_up_to_scale(a))
-    gamma = float(linalg.unitary_scale(a)) if unitary else None
-    return GadgetAction(a, gamma, unitary, bool(linalg.is_clifford(a)))
+    unitary, gamma = linalg.unitary_scale(a)
+    if not unitary:
+        return GadgetAction(a, None, False, False)
+    return GadgetAction(a, float(gamma), True, bool(linalg.is_clifford(a, gamma=gamma)))
 
 
 def build_gadget_I(phi: float, theta: float, u: np.ndarray | None = None) -> Gadget:
@@ -123,17 +120,6 @@ def build_gadget_J(phi: float, theta: float, u: np.ndarray | None = None) -> Gad
         u = linalg.rz(phi) @ linalg.rx(theta)
     gamma = CliffordCircuit.build(2, [("S", (1,)), ("CZ", (0, 1))])
     return Gadget(2, 1, np.asarray(u, dtype=complex), (0,), gamma, (1,), (0,))
-
-
-def gadget_I_closed_form(phi: float, theta: float) -> np.ndarray:
-    """The contraction of the I gadget, multiplied out by hand."""
-    c2 = math.cos(theta / 2) ** 2
-    s2 = math.sin(theta / 2) ** 2
-    half_sin = 0.5 * math.sin(theta)
-    e = np.exp(1j * phi)
-    return np.array(
-        [[c2, 1j * half_sin / e], [-1j * half_sin * e, -s2]], dtype=complex
-    )
 
 
 def gadget_J_closed_form(theta: float) -> np.ndarray:
@@ -197,14 +183,15 @@ def search_gadgets(u: np.ndarray, k: int) -> list[tuple[Gadget, GadgetAction]]:
     4x4 unitaries do not depend on U: they are built once per process, on
     the first search, and every search after that only sandwiches them
     between U and U-dagger.  Each of the 8 slices of 11520 actions is
-    classified in one batched pass: the Clifford test runs on the unitary
-    actions only.  The survivors are deduplicated by their action up to
-    scale and global phase before any Gadget is built; the first one found
-    represents its class.  Results are sorted by canonical key, so the
+    classified in one batched pass: unitarity and scale once, then the
+    Pauli-image test on the unitary actions with their scale, whose square
+    root also normalizes the keys.  The survivors are deduplicated by their
+    action up to scale and global phase before any Gadget is built; the
+    first one found represents its class.  Results are sorted by canonical key, so the
     order is stable across runs.
     """
     u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or not linalg.is_unitary(u, 1e-8):
+    if u.shape != (2, 2) or not linalg.is_unitary(u, linalg.GATE_UNITARY_TOL):
         raise ValueError("U must be a 2x2 unitary")
     if k < 2:
         raise ValueError("a gadget needs at least two wires")
@@ -232,9 +219,10 @@ def search_gadgets(u: np.ndarray, k: int) -> list[tuple[Gadget, GadgetAction]]:
                 else:
                     rows = [b_bit, 2 + b_bit]
                 actions = w[:, rows][:, :, cols]
-                unitary = np.flatnonzero(linalg.is_unitary_up_to_scale(actions))
-                keep = unitary[~linalg.is_clifford(actions[unitary])]
-                gammas = linalg.unitary_scale(actions[keep])
+                unitary, gammas = linalg.unitary_scale(actions)
+                unitary = np.flatnonzero(unitary)
+                keep = unitary[~linalg.is_clifford(actions[unitary], gamma=gammas[unitary])]
+                gammas = gammas[keep]
                 keys = _phase_canonical_keys(actions[keep] / np.sqrt(gammas)[:, None, None])
                 for idx, gamma, key in zip(keep, gammas, keys):
                     if key in results:
@@ -273,7 +261,7 @@ def compile_word(
     target = np.asarray(target, dtype=complex)
     gens = [np.asarray(g, dtype=complex) for g in generators]
     for g in [target, *gens]:
-        if g.shape != (2, 2) or not linalg.is_unitary(g, 1e-8):
+        if g.shape != (2, 2) or not linalg.is_unitary(g, linalg.GATE_UNITARY_TOL):
             raise ValueError("target and generators must be 2x2 unitaries")
     if max_length > WORD_LENGTH_CAP:
         raise CapabilityError(

@@ -20,6 +20,8 @@ from .errors import CapabilityError
 
 DEFAULT_DENSE_CAP = 16
 DENSE_CAP_ENV = "CCCSIM_DENSE_CAP"
+# unitarity bound for gate-like inputs; unitary_scale lists every bound
+GATE_UNITARY_TOL = 1e-8
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -123,28 +125,6 @@ def normalized_action(a: np.ndarray) -> np.ndarray:
     return a / det ** (1.0 / d)
 
 
-def proportional_up_to_phase(
-    a: np.ndarray, b: np.ndarray, tol: float = 1e-8, unit_factor: bool = False
-) -> bool:
-    """True iff a = alpha*b entrywise within tol for some nonzero alpha.
-
-    With unit_factor=True the factor must additionally satisfy |alpha| = 1,
-    i.e. this becomes equality up to a global phase.
-    """
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-    if abs(b[idx]) <= tol:
-        return bool(np.max(np.abs(a)) <= tol)
-    alpha = a[idx] / b[idx]
-    if abs(alpha) <= tol:
-        return False
-    if unit_factor and abs(abs(alpha) - 1.0) > tol:
-        return False
-    return bool(np.max(np.abs(a - alpha * b)) <= tol)
-
-
 def _square_stack(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -152,64 +132,77 @@ def _square_stack(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def is_unitary_up_to_scale(a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """For each matrix of a (..., d, d) stack: a^dag a = gamma*I, gamma > tol?
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, matrix by matrix; a stack goes through one batched einsum, since
+    matmul makes one BLAS call per matrix of a stack."""
+    return a @ b if a.ndim == 2 else np.einsum("...ik,...kj->...ij", a, b)
 
-    A 2-D input gives a numpy bool scalar, a stack an array of the stack's
-    leading shape.
+
+def unitary_scale(a: np.ndarray, tol: float = GATE_UNITARY_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """For each matrix of a (..., d, d) stack: is a^dag a = gamma*I, and gamma.
+
+    Returns (mask, gamma), both of the stack's leading shape (numpy scalars
+    for a 2-D input).  gamma = tr(a^dag a) / d for every matrix; the mask
+    holds where gamma > tol and a^dag a is within tol*max(1, gamma) of
+    gamma*I, entrywise.  a^dag a is formed once, for both answers.
+
+    The unitarity bounds in the package, by input:
+      * ccc.UNITARY_TOL (1e-10), is_unitary on a `--u` / `--target` matrix;
+      * GATE_UNITARY_TOL (1e-8), is_unitary on U in the gadget search, on
+        compile_word's target and generators, on the gate
+        mbqc.rotation_angle reads and on phase_invariant_distance's inputs;
+      * tol*max(1, gamma) with tol = GATE_UNITARY_TOL, unitarity up to
+        scale here (a gadget action);
+      * 1e-9 on each Pauli coefficient in is_clifford.
     """
     a = _square_stack(a)
-    m = a.conj().swapaxes(-1, -2) @ a
+    m = _product(a.conj().swapaxes(-1, -2), a)
     gamma = np.trace(m, axis1=-2, axis2=-1).real / a.shape[-1]
     resid = np.abs(m - gamma[..., None, None] * np.eye(a.shape[-1])).max(axis=(-2, -1))
-    return (gamma > tol) & (resid <= tol * np.maximum(1.0, gamma))
+    return (gamma > tol) & (resid <= tol * np.maximum(1.0, gamma)), gamma
 
 
-def unitary_scale(a: np.ndarray) -> np.ndarray:
-    """The gamma in a^dag a = gamma*I, for each matrix of a (..., d, d) stack.
-
-    Meaningful where the matrix is unitary up to scale: tr(a^dag a) / d.
-    """
-    a = _square_stack(a)
-    return np.trace(a.conj().swapaxes(-1, -2) @ a, axis1=-2, axis2=-1).real / a.shape[-1]
-
-
-def is_unitary(a: np.ndarray, tol: float = 1e-8) -> bool:
+def is_unitary(a: np.ndarray, tol: float = GATE_UNITARY_TOL) -> bool:
     a = np.asarray(a, dtype=complex)
     return bool(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) <= tol)
 
 
-def is_clifford(a: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def is_clifford(a: np.ndarray, tol: float = 1e-9, gamma: np.ndarray | None = None) -> np.ndarray:
     """For each matrix of a (..., d, d) stack, d = 2**l: Clifford up to scale?
 
-    True iff the matrix is unitary up to scale (see is_unitary_up_to_scale)
-    and conjugation by it maps every single-qubit X_w and Z_w to a Pauli
-    string up to phase.  The image a P a^dag / gamma has Pauli coefficients
-    c_Q = tr(Q image) / d with sum |c_Q|^2 = 1; it is a Pauli iff every
-    coefficient but the largest is at most tol in modulus.  The coefficients
-    are read in one pass: tr(X^x Z^z M) = sum_c (-1)^(z.c) M[c, c^x], a
-    Walsh-Hadamard transform of the x-th diagonal of M.
+    True iff the matrix is unitary up to scale (see unitary_scale) and
+    conjugation by it maps every single-qubit X_w and Z_w to a Pauli string
+    up to phase.  A caller that already ran unitary_scale passes the gamma of
+    rows it found unitary; those rows are then taken as unitary, and only the
+    Pauli images are tested.  The image a P a^dag / gamma has Pauli
+    coefficients c_Q = tr(Q image) / d with sum |c_Q|^2 = 1; it is a Pauli
+    iff every coefficient but the largest is at most tol in modulus.  The
+    coefficients are read in one pass: tr(X^x Z^z M) = sum_c (-1)^(z.c)
+    M[c, c^x], a Walsh-Hadamard transform of the x-th diagonal of M.
     """
     a = _square_stack(a)
     d = a.shape[-1]
     l = d.bit_length() - 1
     if d != 2**l:
         raise ValueError(f"matrix dimension {d} is not a power of two")
-    unitary = is_unitary_up_to_scale(a)
-    gamma = np.where(unitary, unitary_scale(a), 1.0)[..., None, None]
+    if gamma is None:
+        clifford, gamma = unitary_scale(a)
+        gamma = np.where(clifford, gamma, 1.0)
+    else:
+        clifford = np.ones(a.shape[:-2], dtype=bool)
+    gamma = np.asarray(gamma)[..., None, None]
     ad = a.conj().swapaxes(-1, -2)
     idx = np.arange(d)
     diagonals = (idx[None, :], idx[None, :] ^ idx[:, None])  # [x, c] -> (c, c^x)
     walsh = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * l, np.ones((1, 1)))
-    clifford = unitary
     for w in range(l):
         bit = 1 << (l - 1 - w)
         x_w = a[..., idx ^ bit]  # a @ X_w permutes columns
         z_w = a * np.where(idx & bit, -1.0, 1.0)  # a @ Z_w flips column signs
-        for image in (x_w @ ad / gamma, z_w @ ad / gamma):
-            coeffs = np.abs(image[..., diagonals[0], diagonals[1]] @ walsh) / d
-            flat = np.sort(coeffs.reshape(*coeffs.shape[:-2], d * d), axis=-1)
-            clifford = clifford & (flat[..., -2] <= tol)
+        for image in (_product(x_w, ad) / gamma, _product(z_w, ad) / gamma):
+            coeffs = np.abs(_product(image[..., diagonals[0], diagonals[1]], walsh)) / d
+            # at most one coefficient above tol; a NaN counts as above
+            clifford = clifford & (np.count_nonzero(~(coeffs <= tol), axis=(-2, -1)) <= 1)
     return clifford
 
 

@@ -106,7 +106,7 @@ def rotation_angle(g: np.ndarray) -> BlochRotation:
     angle then satisfies cos(angle/2) = trace/2.
     """
     g = np.asarray(g, dtype=complex)
-    if g.shape != (2, 2) or not linalg.is_unitary(g, 1e-8):
+    if g.shape != (2, 2) or not linalg.is_unitary(g, linalg.GATE_UNITARY_TOL):
         raise ValueError("rotation extraction needs a 2x2 unitary")
     su = g / np.sqrt(complex(np.linalg.det(g)))
     tr = complex(np.trace(su)).real

@@ -15,19 +15,31 @@ search's two-qubit Clifford words, each multiplied out gate by gate
 (`word_unitaries`).  The random routes consume a generator exactly as the
 fast routes do, so tests compare the two seed for seed.
 
+The gadget search's first form is here too: each slice classified by
+three stacked predicates that each form a^dag a with matmul
+(`is_unitary_up_to_scale`, `scale`, `is_clifford`), in `search_gadgets`;
+`linalg.unitary_scale` and `gadgets.search_gadgets` are pinned to it.
+
 The rest are helpers only tests call: dense Pauli and circuit matrices
-(`pauli_matrix`, `to_unitary`), the Pauli commutation test (`commutes`), and
+(`pauli_matrix`, `to_unitary`), the Pauli commutation test (`commutes`),
 the finite-n Paley-Zygmund bound from a mean and second moment
-(`paley_zygmund_bound`; the trial reports its large-n limit).
+(`paley_zygmund_bound`; the trial reports its large-n limit), equality up to
+a factor (`proportional_up_to_phase`), a gadget's output wires
+(`output_wires`), a PWEAK verdict's matrix (`canonical_matrix`), one dense
+outcome probability (`outcome_probability`) and the I gadget multiplied out
+by hand (`gadget_I_closed_form`).
 """
 from __future__ import annotations
 
+import math
 from functools import reduce
 
 import numpy as np
 
-from cccsim import linalg, stabilizer
+from cccsim import gadgets, linalg, stabilizer
+from cccsim.ccc import CccInstance, ClassificationVerdict, dense_distribution
 from cccsim.errors import InvariantError
+from cccsim.gadgets import Gadget, GadgetAction
 from cccsim.stabilizer import (
     CliffordCircuit,
     CliffordTableau,
@@ -357,3 +369,138 @@ def word_unitaries(words) -> np.ndarray:
             m = full[gate] @ m
         mats[idx] = m
     return mats
+
+
+# -- the gadget search, three predicates per slice -----------------------------------
+
+
+def is_unitary_up_to_scale(a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """For each matrix of a (..., d, d) stack: a^dag a = gamma*I, gamma > tol?"""
+    a = np.asarray(a, dtype=complex)
+    m = a.conj().swapaxes(-1, -2) @ a
+    gamma = np.trace(m, axis1=-2, axis2=-1).real / a.shape[-1]
+    resid = np.abs(m - gamma[..., None, None] * np.eye(a.shape[-1])).max(axis=(-2, -1))
+    return (gamma > tol) & (resid <= tol * np.maximum(1.0, gamma))
+
+
+def scale(a: np.ndarray) -> np.ndarray:
+    """tr(a^dag a) / d for each matrix of a (..., d, d) stack."""
+    a = np.asarray(a, dtype=complex)
+    return np.trace(a.conj().swapaxes(-1, -2) @ a, axis1=-2, axis2=-1).real / a.shape[-1]
+
+
+def is_clifford(a: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Unitary up to scale, and every X_w, Z_w image a Pauli up to phase: the
+    coefficients of a P a^dag / gamma sorted, all but the largest <= tol."""
+    a = np.asarray(a, dtype=complex)
+    d = a.shape[-1]
+    l = d.bit_length() - 1
+    unitary = is_unitary_up_to_scale(a)
+    gamma = np.where(unitary, scale(a), 1.0)[..., None, None]
+    ad = a.conj().swapaxes(-1, -2)
+    idx = np.arange(d)
+    diagonals = (idx[None, :], idx[None, :] ^ idx[:, None])
+    walsh = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * l, np.ones((1, 1)))
+    clifford = unitary
+    for w in range(l):
+        bit = 1 << (l - 1 - w)
+        x_w = a[..., idx ^ bit]
+        z_w = a * np.where(idx & bit, -1.0, 1.0)
+        for image in (x_w @ ad / gamma, z_w @ ad / gamma):
+            coeffs = np.abs(image[..., diagonals[0], diagonals[1]] @ walsh) / d
+            flat = np.sort(coeffs.reshape(*coeffs.shape[:-2], d * d), axis=-1)
+            clifford = clifford & (flat[..., -2] <= tol)
+    return clifford
+
+
+def search_actions(u: np.ndarray):
+    """Yield (post_wire, a_bit, b_bit, actions) for the 8 slices of 11520
+    two-qubit gadget actions over U, in the search's order."""
+    _, mats = gadgets._clifford_table()
+    eye = np.eye(4, dtype=complex)
+    right = linalg.apply_gate(eye, u, (1,))
+    for post_wire in (0, 1):
+        w = linalg.apply_gate(eye, u.conj().T, (post_wire,)) @ mats @ right
+        for a_bit in (0, 1):
+            cols = [a_bit, 2 + a_bit]
+            for b_bit in (0, 1):
+                rows = [2 * b_bit, 2 * b_bit + 1] if post_wire == 0 else [b_bit, 2 + b_bit]
+                yield post_wire, a_bit, b_bit, w[:, rows][:, :, cols]
+
+
+def search_gadgets(u: np.ndarray) -> list[tuple[Gadget, GadgetAction]]:
+    """The k=2 search, each slice classified by three separate predicates:
+    unitarity, then the Clifford test (which decides unitarity and scale
+    again), then the scale of the survivors."""
+    u = np.asarray(u, dtype=complex)
+    words, _ = gadgets._clifford_table()
+    results: dict[bytes, tuple[Gadget, GadgetAction]] = {}
+    for post_wire, a_bit, b_bit, actions in search_actions(u):
+        unitary = np.flatnonzero(is_unitary_up_to_scale(actions))
+        keep = unitary[~is_clifford(actions[unitary])]
+        gammas = scale(actions[keep])
+        keys = gadgets._phase_canonical_keys(actions[keep] / np.sqrt(gammas)[:, None, None])
+        for idx, gamma, key in zip(keep, gammas, keys):
+            if key not in results:
+                gadget = Gadget(
+                    2, 1, u, (a_bit,), CliffordCircuit(2, words[idx]), (post_wire,), (b_bit,)
+                )
+                results[key] = (gadget, GadgetAction(actions[idx], float(gamma), True, False))
+    return [results[key] for key in sorted(results)]
+
+
+# -- helpers only tests call ---------------------------------------------------------
+
+
+def proportional_up_to_phase(
+    a: np.ndarray, b: np.ndarray, tol: float = 1e-8, unit_factor: bool = False
+) -> bool:
+    """True iff a = alpha*b entrywise within tol for some nonzero alpha.
+
+    With unit_factor=True the factor must additionally satisfy |alpha| = 1,
+    i.e. this becomes equality up to a global phase.
+    """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
+    if abs(b[idx]) <= tol:
+        return bool(np.max(np.abs(a)) <= tol)
+    alpha = a[idx] / b[idx]
+    if abs(alpha) <= tol:
+        return False
+    if unit_factor and abs(abs(alpha) - 1.0) > tol:
+        return False
+    return bool(np.max(np.abs(a - alpha * b)) <= tol)
+
+
+def output_wires(g: Gadget) -> tuple[int, ...]:
+    """The wires that survive postselection, in ascending order."""
+    return tuple(w for w in range(g.k) if w not in g.postselect_set)
+
+
+def canonical_matrix(verdict: ClassificationVerdict) -> np.ndarray | None:
+    """Gamma * Rz(lambda) for PWEAK verdicts, None otherwise."""
+    if verdict.gamma_word is None:
+        return None
+    gamma = reduce(
+        np.matmul, [linalg.GATES[g] for g in verdict.gamma_word], np.eye(2, dtype=complex)
+    )
+    return gamma @ linalg.rz(float(verdict.canonical_lam))
+
+
+def outcome_probability(instance: CccInstance, y: str) -> float:
+    if len(y) != instance.n or set(y) - {"0", "1"}:
+        raise ValueError(f"bad outcome string {y!r} for n={instance.n}")
+    return dense_distribution(instance).probability(y)
+
+
+def gadget_I_closed_form(phi: float, theta: float) -> np.ndarray:
+    """The contraction of the I gadget, multiplied out by hand."""
+    c2 = math.cos(theta / 2) ** 2
+    s2 = math.sin(theta / 2) ** 2
+    half_sin = 0.5 * math.sin(theta)
+    e = np.exp(1j * phi)
+    return np.array(
+        [[c2, 1j * half_sin / e], [-1j * half_sin * e, -s2]], dtype=complex
+    )

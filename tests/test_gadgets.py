@@ -19,12 +19,12 @@ from cccsim.gadgets import (
     build_gadget_J,
     compile_word,
     gadget_action,
-    gadget_I_closed_form,
     gadget_J_closed_form,
     parse_gadget_file,
     search_gadgets,
 )
 from cccsim.stabilizer import CliffordCircuit, enumerate_clifford_words
+from oracles import gadget_I_closed_form, output_wires, proportional_up_to_phase
 
 THETA_GRID = [k * math.pi / 6 for k in range(-6, 7)] + [0.3, 1.234]
 PHI_GRID = [k * math.pi / 4 for k in range(-4, 5)] + [0.7, 2.1]
@@ -98,7 +98,7 @@ def test_gadget_I_normalized_action_at_odd_half_pi():
             ]
         ) / math.sqrt(2)
         a = gadget_action(build_gadget_I(phi, theta)).matrix
-        assert linalg.proportional_up_to_phase(a, expected), k
+        assert proportional_up_to_phase(a, expected), k
 
 
 def test_gadget_J_always_unitary_up_to_scale():
@@ -113,7 +113,7 @@ def test_gadget_J_normalized_action_is_a_z_rotation():
     for theta in (0.3, 1.0, 2.5, -0.8):
         a = linalg.normalized_action(gadget_J_closed_form(theta))
         expected = linalg.GATES["SDG"] @ linalg.rz(2 * math.atan(math.cos(theta)))
-        assert linalg.proportional_up_to_phase(a, expected, tol=1e-9), theta
+        assert proportional_up_to_phase(a, expected, tol=1e-9), theta
 
 
 # The two match_pauli_string tests keep their names; the routine is gone, and their
@@ -137,8 +137,10 @@ def test_match_pauli_string_rejects_non_paulis():
 
 def test_pauli_conjugation_test_three_ways():
     def verdict(a):
-        if not linalg.is_unitary_up_to_scale(a):
+        unitary, gamma = linalg.unitary_scale(a)
+        if not unitary:
             return "NON_UNITARY"
+        assert linalg.is_clifford(a, gamma=gamma) == linalg.is_clifford(a)
         return "CLIFFORD" if linalg.is_clifford(a) else "UNITARY_NON_CLIFFORD"
 
     assert verdict(gadget_I_closed_form(0.7, 0.4)) == "NON_UNITARY"
@@ -160,10 +162,10 @@ def test_pauli_conjugation_test_three_ways():
 def test_gadget_wire_bookkeeping():
     g_i = build_gadget_I(0.1, 0.2)
     assert g_i.ancilla_wires == (1,)
-    assert g_i.output_wires == (1,)
+    assert output_wires(g_i) == (1,)
     assert not g_i.postselects_only_ancillas  # it postselects the input wire
     g_j = build_gadget_J(0.1, 0.2)
-    assert g_j.output_wires == (0,)
+    assert output_wires(g_j) == (0,)
     assert g_j.postselects_only_ancillas
 
 
@@ -229,7 +231,7 @@ def _kron_sandwich(g: Gadget) -> np.ndarray:
         bits_in = [i >> (g.l - 1 - w) & 1 for w in range(g.l)] + list(g.ancilla_bits)
         col = int("".join(map(str, bits_in)), 2)
         for o in range(dim):
-            out = dict(zip(g.output_wires, (o >> (g.l - 1 - j) & 1 for j in range(g.l))))
+            out = dict(zip(output_wires(g), (o >> (g.l - 1 - j) & 1 for j in range(g.l))))
             row = int("".join(str(post[w] if w in post else out[w]) for w in range(g.k)), 2)
             a[o, i] = full[row, col]
     return a
@@ -267,7 +269,7 @@ def test_postselect_bit_changes_the_action():
         (1,),
     )
     a1 = gadget_action(flipped).matrix
-    assert not linalg.proportional_up_to_phase(a0, a1)
+    assert not proportional_up_to_phase(a0, a1)
 
 
 # -- file format ---------------------------------------------------------------------
@@ -330,7 +332,7 @@ def test_search_finds_witnesses_for_case_iv():
     hits = [
         g
         for g, a in found
-        if linalg.proportional_up_to_phase(linalg.normalized_action(a.matrix), target, tol=1e-6)
+        if proportional_up_to_phase(linalg.normalized_action(a.matrix), target, tol=1e-6)
     ]
     assert hits
     # both postselection styles reach every class: a SWAP after Gamma turns
@@ -406,6 +408,105 @@ def test_search_capability_boundaries():
 def test_search_rejects_a_u_that_is_not_a_2x2_unitary(u):
     with pytest.raises(ValueError, match="U must be a 2x2 unitary"):
         search_gadgets(u, 2)
+
+
+# -- one pass per slice against the three-predicate route ---------------------------
+
+
+def haar_u(seed):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+HARD_U = linalg.rz(math.pi / 3) @ linalg.rx(math.pi / 2)
+ROUTE_US = {
+    "hard": HARD_U,
+    "H": linalg.GATES["H"],
+    "T": linalg.GATES["T"],
+    "quarter": linalg.rz(math.pi / 4) @ linalg.rx(math.pi / 4),
+    "near-clifford": linalg.rz(3e-9),
+    **{f"haar-{seed}": haar_u(seed) for seed in (3, 17, 29)},
+}
+
+
+@pytest.mark.parametrize("name", list(ROUTE_US))
+def test_search_matches_three_predicate_route(name):
+    u = ROUTE_US[name]
+    found, expected = search_gadgets(u, 2), oracles.search_gadgets(u)
+    assert len(found) == len(expected)
+    for (g, a), (g_ref, a_ref) in zip(found, expected):
+        assert g.gamma.gates == g_ref.gamma.gates
+        assert g.postselect_set == g_ref.postselect_set
+        assert g.postselect_bits == g_ref.postselect_bits
+        assert g.ancilla_bits == g_ref.ancilla_bits
+        assert np.array_equal(a.matrix, a_ref.matrix)
+        assert abs(a.gamma - a_ref.gamma) <= 1e-15
+        assert (a.is_unitary, a.is_clifford) == (True, False)
+
+
+def test_stacked_predicates_match_per_matrix_calls():
+    # all 8 x 11,520 actions of the hard U, stacked, against the three-predicate
+    # route and against one call per matrix; bytes-equal actions are called once
+    stack = np.concatenate([actions for *_, actions in oracles.search_actions(HARD_U)])
+    unitary, gamma = linalg.unitary_scale(stack)
+    clifford = linalg.is_clifford(stack)
+    assert np.array_equal(unitary, oracles.is_unitary_up_to_scale(stack))
+    assert np.max(np.abs(gamma - oracles.scale(stack))) <= 1e-15
+    assert np.array_equal(clifford, oracles.is_clifford(stack))
+    with_scale = linalg.is_clifford(stack[unitary], gamma=gamma[unitary])
+    assert np.array_equal(clifford[unitary], with_scale)
+    assert 0 < clifford.sum() < unitary.sum() < len(stack)
+    rows = stack.reshape(len(stack), 4).view(np.dtype((np.void, 64)))[:, 0]
+    _, first = np.unique(rows, return_index=True)
+    single = [linalg.unitary_scale(stack[i]) for i in first]
+    assert [bool(mask) for mask, _ in single] == unitary[first].tolist()
+    assert np.max(np.abs([g for _, g in single] - gamma[first])) <= 1e-15
+    # a non-unitary matrix fails is_clifford's own first test, so the Clifford
+    # test is called per matrix on the unitary ones and a sample of the rest
+    called = np.concatenate([first[unitary[first]], first[~unitary[first]][:500]])
+    assert [bool(linalg.is_clifford(stack[i])) for i in called] == clifford[called].tolist()
+
+
+def test_is_clifford_with_a_known_scale():
+    for a, gamma in ((0.5 * linalg.GATES["H"], 0.25), (0.5 * linalg.GATES["X"], 0.25)):
+        assert linalg.is_clifford(a, gamma=gamma)
+    assert not linalg.is_clifford(linalg.rz(3e-9), gamma=1.0)
+    assert not linalg.unitary_scale(np.zeros((2, 2)))[0]
+    # gamma sets the scale the 1e-9 tolerance is read at: the Y part of the X
+    # image of rz(eps) is sin(eps), and gamma times that unnormalized
+    cases = [(10 * linalg.rz(3e-11), 100.0, True), (0.1 * linalg.rz(3e-9), 0.01, False)]
+    for a, gamma, clifford in cases:
+        assert linalg.is_clifford(a, gamma=gamma) == linalg.is_clifford(a) == clifford
+
+
+# the gadget file of the CLI's golden digests: a 3-to-2 gadget, so a 4x4 action
+GOLDEN_GADGET_TEXT = """\
+gadget k=3 l=2
+ancilla 1
+post wire=2 bit=0
+qubits 3
+H 0
+CNOT 0 2
+S 2
+CZ 1 2
+H 1
+CNOT 1 0
+"""
+
+
+def test_gadget_action_gamma_matches_three_predicate_route():
+    # `gadget analyze` prints gamma unrounded: it must not move in its last bit
+    for phi in PHI_GRID:
+        for theta in THETA_GRID:
+            u = linalg.rz(phi) @ linalg.rx(theta)
+            built = (build_gadget_I(phi, theta), build_gadget_J(phi, theta))
+            for g in (*built, parse_gadget_file(GOLDEN_GADGET_TEXT, u)):
+                action = gadget_action(g)
+                unitary = bool(oracles.is_unitary_up_to_scale(action.matrix))
+                assert action.is_unitary == unitary, (phi, theta)
+                assert action.gamma == (float(oracles.scale(action.matrix)) if unitary else None)
+                assert action.is_clifford == bool(oracles.is_clifford(action.matrix))
 
 
 # -- the two-qubit Clifford table the search shares ----------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cccsim import linalg
 from cccsim.errors import CapabilityError
 from cccsim.stabilizer import CliffordCircuit, PauliString
-from oracles import pauli_matrix, random_clifford_circuit, to_unitary
+from oracles import pauli_matrix, proportional_up_to_phase, random_clifford_circuit, to_unitary
 
 
 def random_unitary(rng, d=2):
@@ -112,23 +112,27 @@ def test_normalized_action_rejects_singular():
 
 def test_proportional_up_to_phase():
     h = linalg.GATES["H"]
-    assert linalg.proportional_up_to_phase(3j * h, h)
-    assert linalg.proportional_up_to_phase(np.exp(0.3j) * h, h, unit_factor=True)
-    assert not linalg.proportional_up_to_phase(3j * h, h, unit_factor=True)
-    assert not linalg.proportional_up_to_phase(h, linalg.GATES["S"])
+    assert proportional_up_to_phase(3j * h, h)
+    assert proportional_up_to_phase(np.exp(0.3j) * h, h, unit_factor=True)
+    assert not proportional_up_to_phase(3j * h, h, unit_factor=True)
+    assert not proportional_up_to_phase(h, linalg.GATES["S"])
     z = np.zeros((2, 2), dtype=complex)
-    assert linalg.proportional_up_to_phase(z, z)
-    assert not linalg.proportional_up_to_phase(h, z)
+    assert proportional_up_to_phase(z, z)
+    assert not proportional_up_to_phase(h, z)
 
 
 def test_unitary_up_to_scale():
+    # unitary_scale returns (mask, gamma); a tuple is always truthy, so unpack
     h = linalg.GATES["H"]
-    assert linalg.is_unitary_up_to_scale(0.5 * h)
-    assert math.isclose(linalg.unitary_scale(0.5 * h), 0.25)
-    assert not linalg.is_unitary_up_to_scale(np.array([[1, 0], [0, 0.5]]))
+    unitary, gamma = linalg.unitary_scale(0.5 * h)
+    assert unitary
+    assert math.isclose(gamma, 0.25)
+    unitary, _ = linalg.unitary_scale(np.array([[1, 0], [0, 0.5]]))
+    assert not unitary
     stack = np.stack([0.5 * h, np.array([[1, 0], [0, 0.5]]), np.zeros((2, 2))])
-    assert linalg.is_unitary_up_to_scale(stack).tolist() == [True, False, False]
-    assert np.allclose(linalg.unitary_scale(stack[:1]), [0.25])
+    unitary, gamma = linalg.unitary_scale(stack)
+    assert unitary.tolist() == [True, False, False]
+    assert np.allclose(gamma, [0.25, 0.625, 0.0])
 
 
 # -- the Clifford-membership predicate ---------------------------------------------

@@ -30,6 +30,7 @@ from oracles import (
     inverse,
     measure,
     pauli_matrix,
+    proportional_up_to_phase,
     random_clifford_circuit,
     sample_measurement,
     tableau_to_circuit,
@@ -150,18 +151,18 @@ def test_conjugation_inverse_round_trip():
 def test_desugared_gates_match_dense():
     for name in ("X", "Y", "Z", "SDG"):
         c = CliffordCircuit.build(1, [(name, (0,))])
-        assert linalg.proportional_up_to_phase(
+        assert proportional_up_to_phase(
             to_unitary(c), linalg.GATES[name], unit_factor=True
         ), name
     c = CliffordCircuit.build(2, [("CZ", (0, 1))])
-    assert linalg.proportional_up_to_phase(to_unitary(c), linalg.GATES["CZ"], unit_factor=True)
+    assert proportional_up_to_phase(to_unitary(c), linalg.GATES["CZ"], unit_factor=True)
 
 
 def test_circuit_inverse_and_then():
     rng = np.random.default_rng(13)
     c = random_circuit(3, rng)
     u = to_unitary(CliffordCircuit(3, c.gates + inverse(c).gates))
-    assert linalg.proportional_up_to_phase(u, np.eye(8), unit_factor=True)
+    assert proportional_up_to_phase(u, np.eye(8), unit_factor=True)
 
 
 def test_build_validates():
