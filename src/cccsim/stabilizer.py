@@ -16,7 +16,9 @@ of states at once (canonical_form, apply_canonical_forms).
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import compress, islice
 
 import numpy as np
 
@@ -222,6 +224,25 @@ class CliffordTableau:
         self.sign ^= xcol[c] & zcol[t] & ~(xcol[t] ^ zcol[c])
         xcol[t] ^= xcol[c]
         zcol[c] ^= zcol[t]
+
+    def _cz(self, a: int, b: int) -> None:
+        """CZ(a, b), the same tableau as H(b) CNOT(a, b) H(b): X_a picks up Z_b
+        and X_b picks up Z_a, with a sign where the row has X at both and Z at one."""
+        self._check(a)
+        self._check(b)
+        if a == b:
+            raise ValueError("CZ qubits coincide")
+        xcol, zcol = self.xcol, self.zcol
+        self.sign ^= xcol[a] & xcol[b] & (zcol[a] ^ zcol[b])
+        zcol[a] ^= xcol[b]
+        zcol[b] ^= xcol[a]
+
+    def _sdg(self, q: int) -> None:
+        """S-dagger, the same tableau as S applied three times (X -> -Y, Y -> X)."""
+        self._check(q)
+        x = self.xcol[q]
+        self.sign ^= x & ~self.zcol[q]
+        self.zcol[q] ^= x
 
     # -- row algebra over bitsets of rows --
 
@@ -562,8 +583,9 @@ def canonical_form(t: CliffordTableau) -> tuple[CliffordTableau, tuple[int, ...]
     row leave X_s Z^(M_s); the rows without X span the Z_t, t not in S, so
     only M on S matters, and it is symmetric.  CZ(s, s') where M[s][s'] = 1
     and S on s where M[s][s] = 1 make the group <+/-X_s, +/-Z_t>.  With W
-    those gates, F2 = H_S W t is Hadamard-free and F1 = W^-1; both are
-    replayed on tableaux, so the signs are exact.
+    those gates (the CNOTs, then the diagonal CZ and S layer), F2 = H_S W t
+    is Hadamard-free and F1 = W^-1: S-dagger, CZ, then the CNOTs reversed.
+    Every gate is applied natively to the tableau, so the signs are exact.
     """
     n, low = t.n, (1 << t.n) - 1
     rows = [0] * n  # stabilizer j as x | z << n
@@ -587,22 +609,32 @@ def canonical_form(t: CliffordTableau) -> tuple[CliffordTableau, tuple[int, ...]
     # CNOT(s, u) maps X_s to X_s X_u and Z_u to Z_s Z_u: bit s of a Z part
     # flips with the parity of its bits at the targets of s
     targets = {s: row & low & ~smask for s, row in pivots.items()}
-    w = [("CNOT", (s, u)) for s, us in targets.items() for u in _bits(us)]
-    for s, row in sorted(pivots.items()):
+    cnots = [(s, u) for s, us in targets.items() for u in _bits(us)]
+    czs, phases = [], []
+    for s, row in pivots.items():
         z = row >> n
-        for s2 in _bits(smask & ~((2 << s) - 1)):  # s2 > s, in S
-            if (z >> s2 ^ (z & targets[s2]).bit_count()) & 1:
-                w += [("H", (s2,)), ("CNOT", (s, s2)), ("H", (s2,))]
+        czs += [
+            (s, s2)
+            for s2 in _bits(smask & ~((2 << s) - 1))  # s2 > s, in S
+            if (z >> s2 ^ (z & targets[s2]).bit_count()) & 1
+        ]
         if (z >> s ^ (z & targets[s]).bit_count()) & 1:
-            w.append(("S", (s,)))
+            phases.append(s)
     f2, f1 = t.copy(), CliffordTableau.identity(n)
-    for gate in w:
-        f2.apply(*gate)
+    for c, u in cnots:
+        f2._cnot(c, u)
+    for a, b in czs:
+        f2._cz(a, b)
+    for s in phases:
+        f2._s(s)
     for s in pivots:
-        f2.apply("H", (s,))
-    for name, qubits in reversed(w):
-        for _ in range(3 if name == "S" else 1):  # S^-1 = S^3
-            f1.apply(name, qubits)
+        f2._h(s)
+    for s in phases:
+        f1._sdg(s)
+    for a, b in czs:
+        f1._cz(a, b)
+    for c, u in reversed(cnots):
+        f1._cnot(c, u)
     if any(v >> n for v in f2.xcol):
         raise InvariantError("the stabilizers do not commute: not a Clifford tableau")
     return f1, tuple(sorted(pivots)), f2
@@ -671,6 +703,11 @@ def _apply_hadamard_free(tableaux, block: np.ndarray) -> np.ndarray:
 # -- uniform random Cliffords ------------------------------------------------
 
 
+#: the most coins random_clifford asks of the generator in one call, so a
+#: draw at large n (about 2n^2 coins) holds only a bounded block of them
+_COIN_BLOCK = 1 << 14
+
+
 def random_clifford(n: int, rng: np.random.Generator) -> CliffordTableau:
     """Uniform over the Clifford group modulo global phase.
 
@@ -686,22 +723,33 @@ def random_clifford(n: int, rng: np.random.Generator) -> CliffordTableau:
     fewer; the two vectors dropped are those a greedy elimination in basis
     order would drop: the echelon tops of span(c, d), where c and d are the
     coefficient vectors of v and w.
+
+    Coins.  Step j reads 2n - 2j coins for v, again while they are all 0,
+    then as many for w; the 2n sign coins come last.  They are the coins of
+    rng.integers(0, 2, size=m) calls, one per read, in that order (the
+    greedy `random_clifford` in tests/oracles.py).  Such calls join end to
+    end, so the coins are drawn as one stream in blocks of at most
+    _COIN_BLOCK: the draw and the generator state after it are those of the
+    per-read calls.  A draw takes 2n(n + 2) coins, plus 2n - 2j for each
+    retry at step j, and the stream never draws a coin the draw does not
+    read.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     low = (1 << n) - 1
     basis = [1 << i for i in range(2 * n)]
     rows = [0] * (2 * n)
+    take = _coin_stream(rng, 2 * n * (n + 2))
     for j in range(n):
         m2 = len(basis)
         while True:
-            picked = np.flatnonzero(rng.integers(0, 2, size=m2)).tolist()
+            picked = list(compress(range(m2), take(m2)))
             if picked:
                 break
         c, v = _combine(basis, picked)
         v_swapped = v >> n | (v & low) << n
         pairs_v = [(b & v_swapped).bit_count() & 1 for b in basis]
-        d, w = _combine(basis, np.flatnonzero(rng.integers(0, 2, size=m2)).tolist())
+        d, w = _combine(basis, compress(range(m2), take(m2)))
         if not (w & v_swapped).bit_count() & 1:
             i0 = pairs_v.index(1)  # w = u + w0, w0 the first basis vector pairing with v
             d, w = d ^ 1 << i0, w ^ basis[i0]
@@ -716,21 +764,38 @@ def random_clifford(n: int, rng: np.random.Generator) -> CliffordTableau:
         del basis[max(hi, lo)], basis[min(hi, lo)]
         rows[j], rows[n + j] = v, w
     cols = _transpose(rows, 2 * n)
-    return CliffordTableau(n, cols[:n], cols[n:], 0, _bitset(rng.integers(0, 2, size=2 * n)))
+    sign = sum(1 << i for i in compress(range(2 * n), take(2 * n)))
+    return CliffordTableau(n, cols[:n], cols[n:], 0, sign)
 
 
-def _combine(basis: list[int], picked: list[int]) -> tuple[int, int]:
+def _coin_stream(rng: np.random.Generator, planned: int):
+    """take(k) -> the next k coins of rng, as a list of 0/1 ints.
+
+    The first planned coins are drawn in blocks of at most _COIN_BLOCK (or
+    one take's k, if more); past them, a take draws only the coins it lacks.
+    """
+    block = iter(())
+
+    def take(k: int) -> list[int]:
+        nonlocal block, planned
+        coins = list(islice(block, k))
+        if len(coins) < k:
+            size = max(k - len(coins), min(planned, _COIN_BLOCK))
+            planned -= size
+            block = iter(rng.integers(0, 2, size=size).tolist())
+            coins += islice(block, k - len(coins))
+        return coins
+
+    return take
+
+
+def _combine(basis: list[int], picked: Iterable[int]) -> tuple[int, int]:
     """The picked indices as a bitset, and the XOR of the basis vectors there."""
     c = v = 0
     for i in picked:
         c |= 1 << i
         v ^= basis[i]
     return c, v
-
-
-def _bitset(bits: np.ndarray) -> int:
-    """The int whose bit i is bits[i], for a 0/1 array."""
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def _transpose(rows: list[int], width: int) -> list[int]:

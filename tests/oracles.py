@@ -7,9 +7,10 @@ draw per coin of a compiled measurement (`draw`), the greedy-elimination
 random Clifford draw (`random_clifford`), synthesis of a tableau as a gate
 word (`tableau_to_circuit`, with `inverse`; the reference for
 `canonical_form` and its dense action) and of a random Clifford
-(`random_clifford_circuit`), building a tableau from row masks
-(`from_rows`), the anticoncentration trial's p values, one draw, one
-synthesized word and one statevector pass at a time
+(`random_clifford_circuit`), the canonical form with each CZ replayed as
+H CNOT H and each S-dagger as S^3 (`canonical_form`), building a tableau
+from row masks (`from_rows`), the anticoncentration trial's p values, one
+draw, one synthesized word and one statevector pass at a time
 (`anticoncentration_p_values`), and the 4x4 unitaries of the gadget
 search's two-qubit Clifford words, each multiplied out gate by gate
 (`word_unitaries`).  The random routes consume a generator exactly as the
@@ -21,7 +22,8 @@ three stacked predicates that each form a^dag a with matmul
 `linalg.unitary_scale` and `gadgets.search_gadgets` are pinned to it.
 
 The rest are helpers only tests call: dense Pauli and circuit matrices
-(`pauli_matrix`, `to_unitary`), the Pauli commutation test (`commutes`),
+(`pauli_matrix`, `to_unitary`), the Pauli commutation test (`commutes`), a
+Pauli pulled back through a gate word one gate at a time (`pull_back`),
 the finite-n Paley-Zygmund bound from a mean and second moment
 (`paley_zygmund_bound`; the trial reports its large-n limit), equality up to
 a factor (`proportional_up_to_phase`), a gadget's output wires
@@ -45,6 +47,7 @@ from cccsim.stabilizer import (
     CliffordTableau,
     CompiledMeasurement,
     PauliString,
+    _bits,
     _lowest,
 )
 
@@ -103,6 +106,42 @@ def inverse(c: CliffordCircuit) -> CliffordCircuit:
         else:
             inv.append((name, qubits))
     return CliffordCircuit(c.n, tuple(inv))
+
+
+def pull_back(gates, p: PauliString) -> PauliString:
+    """V-dagger p V for the word V = gates (the first gate acts first), phase
+    included: p is pushed through the gates last to first, and each gate G
+    turns the letters on its qubits into those of G-dagger P G, found by
+    matching dense 2x2 or 4x4 matrices (so any name in linalg.GATES works)."""
+    images: dict[tuple, tuple[int, int, int]] = {}
+    for name, qubits in reversed(list(gates)):
+        key = (
+            name,
+            sum((p.x >> q & 1) << i for i, q in enumerate(qubits)),
+            sum((p.z >> q & 1) << i for i, q in enumerate(qubits)),
+        )
+        if key not in images:
+            images[key] = _local_image(name, PauliString(len(qubits), *key[1:]))
+        x, z, power = images[key]
+        xs, zs = p.x, p.z
+        for i, q in enumerate(qubits):
+            xs = xs & ~(1 << q) | (x >> i & 1) << q
+            zs = zs & ~(1 << q) | (z >> i & 1) << q
+        p = PauliString(p.n, xs, zs, (p.phase + power) % 4)
+    return p
+
+
+def _local_image(name: str, before: PauliString) -> tuple[int, int, int]:
+    """(x, z, power) with G-dagger P G = i^power times the Pauli of masks x, z,
+    for P = before on the gate's qubits."""
+    g = linalg.GATES[name]
+    image = g.conj().T @ pauli_matrix(before) @ g
+    for x in range(2**before.n):
+        for z in range(2**before.n):
+            for power in range(4):
+                if np.allclose(image, pauli_matrix(PauliString(before.n, x, z, power)), atol=1e-12):
+                    return x, z, power
+    raise InvariantError(f"{name} does not map {before} to a Pauli")
 
 
 # -- synthesis of a tableau as a gate word (the reference for canonical_form) --------
@@ -167,6 +206,50 @@ def tableau_to_circuit(t: CliffordTableau) -> CliffordCircuit:
     if work != CliffordTableau.identity(n):
         raise InvariantError("tableau does not reduce to the identity: not a Clifford tableau")
     return inverse(CliffordCircuit(n, tuple(applied)))
+
+
+def canonical_form(t: CliffordTableau) -> tuple[CliffordTableau, tuple[int, ...], CliffordTableau]:
+    """`stabilizer.canonical_form` with every gate replayed through
+    `CliffordTableau.apply`: each CZ as H CNOT H, each S-dagger as S^3."""
+    n, low = t.n, (1 << t.n) - 1
+    rows = [0] * n  # stabilizer j as x | z << n
+    for q in range(n):
+        for j in _bits(t.xcol[q] >> n):
+            rows[j] |= 1 << q
+        for j in _bits(t.zcol[q] >> n):
+            rows[j] |= 1 << (n + q)
+    pivots: dict[int, int] = {}  # pivot qubit -> the reduced row with X there
+    for v in rows:
+        for s, row in pivots.items():
+            if v >> s & 1:
+                v ^= row
+        if v & low:
+            s = _lowest(v)
+            for s2, row in pivots.items():
+                if row >> s & 1:
+                    pivots[s2] = row ^ v
+            pivots[s] = v
+    smask = sum(1 << s for s in pivots)
+    targets = {s: row & low & ~smask for s, row in pivots.items()}
+    w = [("CNOT", (s, u)) for s, us in targets.items() for u in _bits(us)]
+    for s, row in sorted(pivots.items()):
+        z = row >> n
+        for s2 in _bits(smask & ~((2 << s) - 1)):  # s2 > s, in S
+            if (z >> s2 ^ (z & targets[s2]).bit_count()) & 1:
+                w += [("H", (s2,)), ("CNOT", (s, s2)), ("H", (s2,))]
+        if (z >> s ^ (z & targets[s]).bit_count()) & 1:
+            w.append(("S", (s,)))
+    f2, f1 = t.copy(), CliffordTableau.identity(n)
+    for gate in w:
+        f2.apply(*gate)
+    for s in pivots:
+        f2.apply("H", (s,))
+    for name, qubits in reversed(w):
+        for _ in range(3 if name == "S" else 1):  # S^-1 = S^3
+            f1.apply(name, qubits)
+    if any(v >> n for v in f2.xcol):
+        raise InvariantError("the stabilizers do not commute: not a Clifford tableau")
+    return f1, tuple(sorted(pivots)), f2
 
 
 # -- measurement, one qubit at a time (the tableau of V doubles as V|0^n>) --------

@@ -404,6 +404,42 @@ def test_marginal_scales_past_the_dense_cap():
     assert 0.0 <= p0 <= 1.0
 
 
+def shallow_word(n, rng, depth):
+    """depth random H, S and CNOT gates: most qubits keep a certain bit."""
+    gates = []
+    for kind in rng.integers(0, 4, size=depth):
+        if kind >= 2:
+            gates.append(("CNOT", tuple(int(q) for q in rng.choice(n, size=2, replace=False))))
+        else:
+            gates.append((("H", "S")[kind], (int(rng.integers(n)),)))
+    return CliffordCircuit.build(n, gates)
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _, _ in REDUCTION_CASES])
+def test_marginal_matches_the_sampler_past_the_dense_cap(spec):
+    # the Pauli pull-back against the compiled sampler's frequency of ones on
+    # every qubit at n=200: V drawn as `--random-v 200` draws it (every
+    # marginal 1/2), and a shallow word (many bits certain).  A stabilizer
+    # state's marginals are 0, 1/2 or 1, and where the pull-back calls a bit
+    # certain, every shot must agree
+    n, shots = 200, 3000
+    s = parse_unitary_spec(spec)
+    rng = np.random.default_rng(49)
+    certain = 0
+    for v in (random_clifford(n, rng), shallow_word(n, rng, n)):
+        inst = make_instance(s.matrix, v, s.decomposition)
+        text = "".join(simulate_easy_weak(inst, rng, shots))
+        ones = (np.frombuffer(text.encode(), dtype=np.uint8).reshape(shots, n) - ord("0")).mean(axis=0)
+        for j in range(n):
+            p1 = 1.0 - marginal_single_qubit(inst, j)
+            assert min(abs(p1 - m) for m in (0.0, 0.5, 1.0)) <= 1e-12, (spec, j, p1)
+            # five binomial standard errors, and exact where the bit is certain
+            se = math.sqrt(p1 * (1 - p1) / shots)
+            assert abs(ones[j] - p1) <= 5 * se + 1e-12, (spec, j, ones[j], p1)
+            certain += abs(p1 - 0.5) > 0.25
+    assert certain >= n // 4, (spec, certain)
+
+
 def test_marginal_validates_qubit_index():
     inst = make_instance(linalg.GATES["H"], bell_circuit())
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cccsim import linalg
+from cccsim import linalg, stabilizer
 from cccsim.errors import CapabilityError, InvariantError, ParseError
 from cccsim.stabilizer import (
     CliffordCircuit,
@@ -327,6 +327,27 @@ def test_gate_words_keep_the_tableau_valid(n, seed):
         t.validate()
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cz_and_sdg_match_their_replays(n):
+    # bit for bit, odd included: random rows with random phases, Hermitian or not
+    rng = np.random.default_rng(60 + n)
+    for _ in range(4):
+        t = random_clifford(n, rng)
+        t.odd, t.sign = (int.from_bytes(rng.bytes(n), "little") >> (6 * n) for _ in range(2))
+        for a, b in itertools.permutations(range(n), 2):
+            native, replay = t.copy(), t.copy()
+            native._cz(a, b)
+            for gate in (("H", (b,)), ("CNOT", (a, b)), ("H", (b,))):
+                replay.apply(*gate)
+            assert native.key() == replay.key(), (n, a, b)
+        for q in range(n):
+            native, replay = t.copy(), t.copy()
+            native._sdg(q)
+            for _ in range(3):
+                replay.apply("S", (q,))
+            assert native.key() == replay.key(), (n, q)
+
+
 def test_validate_rejects_broken_tableaux():
     # destabilizer 1 equals destabilizer 0: the pairing is broken
     broken = from_rows(2, [1, 1, 0, 0], [0, 0, 1, 2])
@@ -405,6 +426,25 @@ def test_conjugation_inverse_past_the_dense_cap():
         assert conjugate_pauli(t, p, inverse=True) == conjugate_pauli(inverse, p)
 
 
+def test_pull_back_matches_the_gate_word_past_the_dense_cap():
+    # conjugate_pauli's inverse direction against a --circuit V at n=200
+    # read gate by gate: a random Clifford's synthesized word, then gates of
+    # every name the format accepts, each conjugating P as a dense matrix
+    n = 200
+    rng = np.random.default_rng(47)
+    gates = list(tableau_to_circuit(random_clifford(n, rng)).gates)
+    names = ("H", "S", "X", "Y", "Z", "SDG", "CNOT", "CZ")
+    for name in rng.choice(names, size=20 * n):
+        qubits = rng.choice(n, size=2 if name in ("CNOT", "CZ") else 1, replace=False)
+        gates.append((str(name), tuple(int(q) for q in qubits)))
+    text = f"qubits {n}\n" + "".join(f"{name} {' '.join(map(str, qs))}\n" for name, qs in gates)
+    t = circuit_to_tableau(parse_circuit(text))
+    for _ in range(4):
+        x, z = (int.from_bytes(rng.bytes(n // 8), "little") for _ in range(2))
+        p = PauliString(n, x, z, int(rng.integers(4)))
+        assert conjugate_pauli(t, p, inverse=True) == oracles.pull_back(gates, p)
+
+
 # -- the canonical form F1 . H_S . F2 --------------------------------------------
 
 
@@ -413,9 +453,11 @@ def _hadamard_free(f):
 
 
 def replayed_forms(tableaux):
-    """The canonical forms, each pinned to replay to its tableau bit for bit."""
+    """The canonical forms, each equal to the replaying oracle's (signs
+    included) and pinned to replay to its tableau bit for bit."""
     forms = [canonical_form(t) for t in tableaux]
     for t, (f1, hs, f2) in zip(tableaux, forms):
+        assert (f1, hs, f2) == oracles.canonical_form(t)
         assert _hadamard_free(f1) and _hadamard_free(f2)
         layer = tuple(("H", (s,)) for s in hs)
         word = tableau_to_circuit(f2).gates + layer + tableau_to_circuit(f1).gates
@@ -470,6 +512,16 @@ def test_canonical_form_of_every_two_qubit_class():
     assert_equal_up_to_phase(apply_canonical_forms(forms, states), ref)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_canonical_form_matches_the_replaying_oracle(n):
+    # native CZ and S-dagger against H CNOT H and S^3 on tableaux: the same
+    # F1, S and F2, signs included, for 200 draws
+    rng = np.random.default_rng(110 + n)
+    for _ in range(200):
+        t = random_clifford(n, rng)
+        assert canonical_form(t) == oracles.canonical_form(t)
+
+
 def test_canonical_form_rejects_anticommuting_stabilizers():
     # stabilizers X_0 and Z_0 cannot both be images of commuting Z_j
     broken = from_rows(2, [0, 0, 1, 0], [1, 2, 0, 1])
@@ -489,6 +541,30 @@ def test_random_clifford_matches_the_greedy_elimination():
             _same_draw(n, seed)
     for n in (64, 100, 200):
         _same_draw(n, 50 + n)
+
+
+def test_random_clifford_retries_like_the_greedy_elimination():
+    # when a step's v coins are all 0 (the last step's two: one time in
+    # four), the draw reads more than its planned 2n(n+2) coins; so it does
+    # for 55 and 86 of the 300 seeds at n=1 and 2
+    for n in (1, 2):
+        retried = 0
+        for seed in range(300):
+            _same_draw(n, seed)
+            drawn, planned = np.random.default_rng(seed), np.random.default_rng(seed)
+            random_clifford(n, drawn)
+            planned.integers(0, 2, size=2 * n * (n + 2))
+            retried += drawn.bit_generator.state != planned.bit_generator.state
+        assert retried >= 30, (n, retried)
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 13])
+def test_random_clifford_matches_the_greedy_elimination_in_small_blocks(block, monkeypatch):
+    # a refill mid-step, past the planned coins and on a retry, as at large n
+    monkeypatch.setattr(stabilizer, "_COIN_BLOCK", block)
+    for n in range(1, 7):
+        for seed in range(30):
+            _same_draw(n, seed)
 
 
 def stabilizer_states_by_coins(n):
