@@ -186,8 +186,8 @@ def classify(dec: UnitaryDecomposition) -> ClassificationVerdict:
 class CccInstance:
     """U, and V as its tableau; word is V's gate word when V was given as one.
 
-    Only the dense route reads word: it applies the user's gates as given
-    and synthesizes a word from the tableau when there is none.
+    Only the dense route reads word: it applies the user's gates as given,
+    and the tableau's canonical form when there is none.
     """
 
     u: np.ndarray
@@ -277,8 +277,7 @@ def _easy_reduction(instance: CccInstance) -> tuple[CliffordTableau, bool]:
         t.prepend_layer(g)
     for g in word:
         for q in range(instance.n):
-            for _ in range(3 if g == "S" else 1):  # S-dagger = S^3
-                t.apply(g, (q,))
+            t.apply("SDG" if g == "S" else g, (q,))
     return t, False
 
 
@@ -361,8 +360,6 @@ def marginal_single_qubit(instance: CccInstance, j: int) -> float:
 
 # -- input parsing --------------------------------------------------------------
 
-NAMED_UNITARIES = ("I", "X", "Y", "Z", "H", "S", "SDG", "T", "TDG")
-
 _ROTATION_PATTERNS = (
     ("rz",),
     ("rx",),
@@ -389,7 +386,7 @@ def parse_unitary_spec(text: str) -> UnitarySpec:
     if not text:
         raise ParseError("empty unitary spec")
     upper = text.upper()
-    if upper in NAMED_UNITARIES:
+    if upper in linalg.ONE_QUBIT_GATES:
         return UnitarySpec(linalg.gate(upper), None)
     fields = text.split()
     if "=" in fields[0]:

@@ -225,7 +225,7 @@ def _generator_matrix(token: str) -> np.ndarray:
         raise ParseError(f"bad generator token {token!r}")
     name, argtext = m.group(1).upper(), m.group(2)
     angles = [float(parse_angle(a.strip())) for a in argtext.split(",")] if argtext else []
-    if name in linalg.GATES and linalg.GATES[name].shape == (2, 2):
+    if name in linalg.ONE_QUBIT_GATES:
         if angles:
             raise ParseError(f"gate {name} takes no angles")
         return linalg.gate(name)

@@ -41,6 +41,9 @@ GATES: dict[str, np.ndarray] = {
     "CZ": np.diag([1, 1, 1, -1]).astype(complex),
 }
 
+#: the gate names a one-qubit unitary or generator may be given as
+ONE_QUBIT_GATES = frozenset(name for name, m in GATES.items() if m.shape == (2, 2))
+
 
 def gate(name: str) -> np.ndarray:
     """Look up a named gate matrix (a copy, safe to mutate)."""

@@ -25,19 +25,10 @@ import numpy as np
 from . import linalg
 from .errors import CapabilityError, InvariantError, ParseError
 
-#: gates the tableau engine applies natively
-GENERATOR_GATES = ("H", "S", "CNOT")
-
-#: sugar accepted by circuits, rewritten onto the generator set at build time
-SUGAR = {
-    "X": ("H", "S", "S", "H"),
-    "Z": ("S", "S"),
-    "Y": ("H", "S", "S", "H", "S", "S"),
-    "SDG": ("S", "S", "S"),
-}
-
-#: qubit count of every gate name a circuit accepts
-_ARITY = {"H": 1, "S": 1, "CNOT": 2, "CZ": 2} | dict.fromkeys(SUGAR, 1)
+#: the Clifford gates, each name mapped to the CliffordTableau method that
+#: applies it natively (the CHP rules of Aaronson and Gottesman); a circuit
+#: accepts exactly these names, each as wide as its matrix in linalg.GATES
+CLIFFORD_GATES = {name: "_" + name.lower() for name in ("H", "S", "SDG", "X", "Y", "Z", "CNOT", "CZ")}
 
 _PHASE_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 
@@ -82,7 +73,7 @@ class PauliString:
 
     def letter(self, q: int) -> str:
         xb, zb = (self.x >> q) & 1, (self.z >> q) & 1
-        return "IXZY"[xb + 2 * zb] if xb + 2 * zb != 3 else "Y"
+        return "IXZY"[xb + 2 * zb]
 
     def __str__(self) -> str:
         return _PHASE_PREFIX[self.phase % 4] + "".join(
@@ -162,14 +153,11 @@ class CliffordTableau:
     # -- gate application (conjugates every row by the gate) --
 
     def apply(self, name: str, qubits: tuple[int, ...]) -> None:
-        if name == "H":
-            self._h(*qubits)
-        elif name == "S":
-            self._s(*qubits)
-        elif name == "CNOT":
-            self._cnot(*qubits)
-        else:
-            raise ValueError(f"tableau cannot apply gate {name!r}")
+        try:
+            method = CLIFFORD_GATES[name]
+        except KeyError:
+            raise ValueError(f"tableau cannot apply gate {name!r}") from None
+        getattr(self, method)(*qubits)
 
     def prepend_layer(self, name: str) -> None:
         """Turn the tableau of V into that of V G^(x)n, for G in {H, S, X}.
@@ -243,6 +231,20 @@ class CliffordTableau:
         x = self.xcol[q]
         self.sign ^= x & ~self.zcol[q]
         self.zcol[q] ^= x
+
+    # X, Y and Z only negate the rows that anticommute with them at q
+
+    def _x(self, q: int) -> None:
+        self._check(q)
+        self.sign ^= self.zcol[q]
+
+    def _y(self, q: int) -> None:
+        self._check(q)
+        self.sign ^= self.xcol[q] ^ self.zcol[q]
+
+    def _z(self, q: int) -> None:
+        self._check(q)
+        self.sign ^= self.xcol[q]
 
     # -- row algebra over bitsets of rows --
 
@@ -383,20 +385,17 @@ class CompiledMeasurement:
 
 @dataclass(frozen=True)
 class CliffordCircuit:
-    """Gate list over {H, S, CNOT}; sugar is rewritten at construction."""
+    """Gate list over the names of CLIFFORD_GATES, each gate kept as written."""
 
     n: int
     gates: tuple[tuple[str, tuple[int, ...]], ...]
 
     @staticmethod
     def build(n: int, gates) -> "CliffordCircuit":
-        """Normalize a gate sequence, expanding X/Y/Z/SDG/CZ sugar."""
-        out: list[tuple[str, tuple[int, ...]]] = []
-        for name, *qubits in (
-            (g[0], *g[1]) if isinstance(g[1], (tuple, list)) else g for g in gates
-        ):
-            _normalize_gate(n, name.upper(), tuple(int(q) for q in qubits), out)
-        return CliffordCircuit(n, tuple(out))
+        """Check a gate sequence; names are upper-cased, nothing is rewritten."""
+        flat = ((g[0], *g[1]) if isinstance(g[1], (tuple, list)) else g for g in gates)
+        checked = (_checked_gate(n, name.upper(), tuple(map(int, qs))) for name, *qs in flat)
+        return CliffordCircuit(n, tuple(checked))
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -413,17 +412,15 @@ class CliffordCircuit:
         return "\n".join(lines) + "\n"
 
 
-def _normalize_gate(
-    n: int, name: str, qubits: tuple[int, ...], out: list[tuple[str, tuple[int, ...]]]
-) -> None:
-    """Append one gate to out over {H, S, CNOT}, expanding X/Y/Z/SDG/CZ sugar.
+def _checked_gate(n: int, name: str, qubits: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
+    """The gate (name, qubits), as written, once it is checked.
 
-    Raises ValueError for an unknown name, the wrong number of qubits, a
-    qubit outside 0..n-1 or a two-qubit gate on one qubit.
+    Raises ValueError for a name outside CLIFFORD_GATES, the wrong number
+    of qubits, a qubit outside 0..n-1 or a two-qubit gate on one qubit.
     """
-    arity = _ARITY.get(name)
-    if arity is None:
+    if name not in CLIFFORD_GATES:
         raise ValueError(f"unknown gate {name!r}")
+    arity = len(linalg.GATES[name]).bit_length() - 1
     if len(qubits) != arity:
         raise ValueError(f"{name} takes {'one qubit' if arity == 1 else 'two qubits'}, got {len(qubits)}")
     for q in qubits:
@@ -431,13 +428,7 @@ def _normalize_gate(
             raise ValueError(f"qubit {q} out of range in {name} for n={n}")
     if arity == 2 and qubits[0] == qubits[1]:
         raise ValueError(f"{name} takes two distinct qubits")
-    if name in GENERATOR_GATES:
-        out.append((name, qubits))
-    elif name == "CZ":
-        c, t = qubits
-        out += [("H", (t,)), ("CNOT", (c, t)), ("H", (t,))]
-    else:
-        out += [(g, qubits) for g in SUGAR[name]]
+    return name, qubits
 
 
 def parse_circuit(text: str) -> CliffordCircuit:
@@ -464,7 +455,7 @@ def parse_circuit(text: str) -> CliffordCircuit:
         except ValueError:
             raise ParseError(f"line {lineno}: bad qubit index in {' '.join(fields)!r}") from None
         try:
-            _normalize_gate(n, name.upper(), qubits, gates)
+            gates.append(_checked_gate(n, name.upper(), qubits))
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
     if n is None:

@@ -98,13 +98,14 @@ def to_unitary(c: CliffordCircuit) -> np.ndarray:
 
 
 def inverse(c: CliffordCircuit) -> CliffordCircuit:
-    """The gate word of c-dagger: c reversed, each S as S^3."""
+    """The gate word of c-dagger: c reversed, each S as S^3 and each S-dagger
+    as S (the other gates are their own inverses)."""
     inv: list[tuple[str, tuple[int, ...]]] = []
     for name, qubits in reversed(c.gates):
         if name == "S":
             inv += [("S", qubits)] * 3
         else:
-            inv.append((name, qubits))
+            inv.append(("S" if name == "SDG" else name, qubits))
     return CliffordCircuit(c.n, tuple(inv))
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cccsim import linalg
 from cccsim.cli import main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -269,6 +270,19 @@ def test_compile(capsys):
     assert code == 3
 
 
+def test_one_qubit_gate_names_are_units_and_generators(capsys):
+    for name, matrix in linalg.GATES.items():
+        classify = ["classify", "--u", name]
+        compile_ = ["compile", "--target", "T", "--generators", f"H,{name}", "--max-length", "2"]
+        if matrix.shape == (2, 2):
+            assert run_json(capsys, classify)["config"]["u"] == name
+            assert run_json(capsys, compile_)["generators"] == ["H", name]
+        else:
+            for argv in (classify, compile_):
+                code, out, err = run_cli(capsys, argv)
+                assert code == 2 and not out and "error:" in err, argv
+
+
 def test_missing_subcommand_exits_2(capsys):
     code, _, _ = run_cli(capsys, [])
     assert code == 2
@@ -379,14 +393,14 @@ GOLDEN_CIRCUIT = "qubits 3\nH 0\nCNOT 0 1\nS 1\nCZ 1 2\nH 2\nY 0\nSDG 2\nCNOT 2 
 # drawn tableau applied in canonical form F1 H_S F2
 GOLDEN_DENSE = {
     "circuit": [
-        0.189166983806888,
-        0.1899154770991258,
-        0.008322738728977139,
-        0.04665471403083688,
-        0.004905984675440765,
-        0.006651123439860557,
-        0.197877860398122,
-        0.3565051178207467,
+        0.18916698380688826,
+        0.1899154770991261,
+        0.00832273872897715,
+        0.04665471403083696,
+        0.004905984675440764,
+        0.00665112343986057,
+        0.1978778603981223,
+        0.3565051178207471,
     ],
     "random-v": [
         0.12681464033296805,
@@ -401,12 +415,27 @@ GOLDEN_DENSE = {
 }
 
 
+# "circuit" as recorded while Y, X, S-dagger and CZ were applied as words
+# over H, S and CNOT; each gate is now its own exact matrix
+GOLDEN_DENSE_OVER_H_S_CNOT = [
+    0.189166983806888,
+    0.1899154770991258,
+    0.008322738728977139,
+    0.04665471403083688,
+    0.004905984675440765,
+    0.006651123439860557,
+    0.197877860398122,
+    0.3565051178207467,
+]
+
+
 def test_dense_golden_outputs(capsys, tmp_path):
     path = tmp_path / "c3.txt"
     path.write_text(GOLDEN_CIRCUIT)
     base = ["simulate", "--method", "dense", "--u", "rz=pi*1/5 rx=pi*1/3"]
     d = run_json(capsys, base + ["--circuit", str(path)])
     assert list(d["probabilities"].values()) == GOLDEN_DENSE["circuit"]
+    assert np.max(np.abs(np.subtract(GOLDEN_DENSE["circuit"], GOLDEN_DENSE_OVER_H_S_CNOT))) <= 1e-15
     d = run_json(capsys, base + ["--random-v", "3", "--seed", "4"])
     assert list(d["probabilities"].values()) == GOLDEN_DENSE["random-v"]
     d = run_json(capsys, ["sample", *base[3:], "--random-v", "5", "--seed", "6", "--samples", "6"])

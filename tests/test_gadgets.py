@@ -213,9 +213,10 @@ def _kron_sandwich(g: Gadget) -> np.ndarray:
     p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     gamma = np.eye(2**g.k, dtype=complex)
     for name, qubits in g.gamma.gates:
-        if name == "CNOT":
+        if name in ("CNOT", "CZ"):
             c, t = qubits
-            m = _kron_wires(g.k, {c: p0}) + _kron_wires(g.k, {c: p1, t: linalg.GATES["X"]})
+            flip = linalg.GATES["X" if name == "CNOT" else "Z"]
+            m = _kron_wires(g.k, {c: p0}) + _kron_wires(g.k, {c: p1, t: flip})
         else:
             m = _kron_wires(g.k, {qubits[0]: linalg.GATES[name]})
         gamma = m @ gamma

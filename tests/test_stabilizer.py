@@ -148,14 +148,25 @@ def test_conjugation_inverse_round_trip():
     assert back == p
 
 
-def test_desugared_gates_match_dense():
-    for name in ("X", "Y", "Z", "SDG"):
-        c = CliffordCircuit.build(1, [(name, (0,))])
-        assert proportional_up_to_phase(
-            to_unitary(c), linalg.GATES[name], unit_factor=True
-        ), name
-    c = CliffordCircuit.build(2, [("CZ", (0, 1))])
-    assert proportional_up_to_phase(to_unitary(c), linalg.GATES["CZ"], unit_factor=True)
+def test_gate_table_names_the_circuit_format():
+    # the table's names are exactly the Clifford names the format accepts,
+    # each as wide as its matrix in linalg.GATES and conjugating Paulis as it does
+    assert set(stabilizer.CLIFFORD_GATES) <= set(linalg.GATES)
+    for name in [*linalg.GATES, "NOPE"]:
+        if name not in stabilizer.CLIFFORD_GATES:
+            with pytest.raises(ParseError, match=f"unknown gate '{name}'"):
+                parse_circuit(f"qubits 2\n{name} 0\n")
+            continue
+        arity = len(linalg.GATES[name]).bit_length() - 1
+        qubits = (1, 0)[:arity]
+        c = parse_circuit(f"qubits 2\n{name.lower()} {' '.join(map(str, qubits))}\n")
+        assert c.gates == ((name, qubits),)
+        with pytest.raises(ParseError, match=f"{name} takes"):
+            parse_circuit(f"qubits 2\n{name} {'0' if arity == 2 else '0 1'}\n")
+        t = circuit_to_tableau(c)
+        for x, z, phase in itertools.product(range(4), range(4), range(4)):
+            p = PauliString(2, x, z, phase)
+            assert conjugate_pauli(t, p, inverse=True) == oracles.pull_back(c.gates, p), (name, str(p))
 
 
 def test_circuit_inverse_and_then():
@@ -329,7 +340,14 @@ def test_gate_words_keep_the_tableau_valid(n, seed):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_cz_and_sdg_match_their_replays(n):
-    # bit for bit, odd included: random rows with random phases, Hermitian or not
+    # bit for bit, odd included: random rows with random phases, Hermitian or
+    # not; S-dagger, X, Y and Z against their words over H and S
+    replays = {
+        CliffordTableau._sdg: "SSS",
+        CliffordTableau._x: "HSSH",
+        CliffordTableau._y: "HSSHSS",
+        CliffordTableau._z: "SS",
+    }
     rng = np.random.default_rng(60 + n)
     for _ in range(4):
         t = random_clifford(n, rng)
@@ -341,11 +359,12 @@ def test_cz_and_sdg_match_their_replays(n):
                 replay.apply(*gate)
             assert native.key() == replay.key(), (n, a, b)
         for q in range(n):
-            native, replay = t.copy(), t.copy()
-            native._sdg(q)
-            for _ in range(3):
-                replay.apply("S", (q,))
-            assert native.key() == replay.key(), (n, q)
+            for native_gate, word in replays.items():
+                native, replay = t.copy(), t.copy()
+                native_gate(native, q)
+                for name in word:
+                    replay.apply(name, (q,))
+                assert native.key() == replay.key(), (n, q, word)
 
 
 def test_validate_rejects_broken_tableaux():
