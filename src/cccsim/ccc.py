@@ -388,6 +388,8 @@ def parse_unitary_spec(text: str) -> UnitarySpec:
     upper = text.upper()
     if upper in linalg.ONE_QUBIT_GATES:
         return UnitarySpec(linalg.gate(upper), None)
+    if upper in linalg.GATES:
+        raise ParseError(f"cannot parse unitary spec {text!r}: {upper} is a two-qubit gate")
     fields = text.split()
     if "=" in fields[0]:
         kinds: list[str] = []

@@ -246,6 +246,8 @@ def _generator_matrix(token: str) -> np.ndarray:
                 f"the gadget action is unitary"
             )
         return linalg.normalized_action(action.matrix)
+    if name in linalg.GATES:
+        raise ParseError(f"generator {name} is a two-qubit gate")
     raise ParseError(f"unknown generator {name!r} in {token!r}")
 
 

@@ -12,7 +12,10 @@ word-wise XOR/AND operations at any n.
 
 On a dense state a tableau acts in its canonical form F1 . H_S . F2: two
 basis permutations with phases and |S| Hadamard passes, over a whole block
-of states at once (canonical_form, apply_canonical_forms).
+of states at once (canonical_form, apply_canonical_forms).  The sampler
+(compile_measurement) and the canonical form read one GF(2) reduction of
+the stabilizers, _echelon: the pivots of its X block are both the coins of
+a Z-basis measurement and the Hadamard set S.
 """
 from __future__ import annotations
 
@@ -319,6 +322,36 @@ def _parity_below(v: int, width: int) -> int:
     return p
 
 
+def _echelon(rows: Iterable[int], columns: int) -> tuple[dict[int, int], list[int]]:
+    """The reduced echelon form of the bit rows over the bits set in columns.
+
+    pivots maps each pivot bit, lowest first, to the one row that holds it;
+    that bit is the row's lowest in columns.  rest holds the rows left with
+    no bit in columns.  Bits outside columns ride along, so a row can carry
+    what it is a product of.  Each pivot row holds no other pivot bit, so
+    reducing a row by the pivots is one XOR per pivot bit it holds.
+    """
+    pivots: dict[int, int] = {}
+    held = 0  # the pivot bits
+    rest = []
+    for v in rows:
+        w = v & held
+        while w:  # _bits(w), inlined: this is the hot loop
+            low = w & -w
+            v ^= pivots[low.bit_length() - 1]
+            w ^= low
+        if not v & columns:
+            rest.append(v)
+            continue
+        bit = v & columns & -(v & columns)
+        for s, row in pivots.items():
+            if row & bit:
+                pivots[s] = row ^ v
+        pivots[bit.bit_length() - 1] = v
+        held |= bit
+    return dict(sorted(pivots.items())), rest
+
+
 @dataclass(frozen=True)
 class CompiledMeasurement:
     """The Z-basis outcome of a stabilizer state as an affine map of coins.
@@ -473,63 +506,36 @@ def circuit_to_tableau(c: CliffordCircuit) -> CliffordTableau:
 def compile_measurement(t: CliffordTableau) -> CompiledMeasurement:
     """Measure qubits 0..n-1 once, symbolically, for any number of draws.
 
-    Only the stabilizers (rows n..2n-1) are read.  A GF(2) echelon pass over
-    their X block, in qubit order, finds the coins: qubit q is one when a row
-    not yet used as a pivot has X at q, and that row then clears X at q from
-    the other unused rows.  The rows left without X are products of
+    Only the stabilizers (rows n..2n-1) are read, as rows x | z << n, each
+    carrying the bitset of stabilizers it is a product of.  Their reduced
+    echelon X block (_echelon) has the coins as its pivots: the Hadamard set
+    S of canonical_form.  The rows left without X are products of
     stabilizers equal to +/- Z^z, each a parity constraint y.z = sign on the
-    outcome; the pass records which stabilizers each row multiplies, and one
-    _row_product per constraint gives its sign.  Reduced so that each
-    constraint alone holds its highest qubit q, it fixes bit q as its sign
-    XOR the coins below q.  Those affine forms are unique, so the terms are
-    the ones measuring qubit by qubit (Aaronson-Gottesman) would give.
+    outcome.  Reduced over the qubits outside S, the constraint that holds
+    qubit q fixes bit q as its sign (one _row_product) XOR the coins in its
+    z.  Those affine forms are unique, so the coins in it are earlier ones
+    and the terms are those measuring qubit by qubit (Aaronson-Gottesman)
+    would give.
     """
-    n = t.n
+    n, low = t.n, (1 << t.n) - 1
     if t.odd >> n:
         raise InvariantError(f"stabilizer {_lowest(t.odd >> n)} is not Hermitian")
-    xs = [col >> n for col in t.xcol]  # bit r of xs[q]: row r has X at q
-    combo = [1 << r for r in range(n)]  # combo[r]: the stabilizers row r is a product of
-    unused = (1 << n) - 1
-    coins: dict[int, int] = {}  # coin qubit -> coin index
-    for q in range(n):
-        rows = xs[q] & unused
-        if not rows:
-            continue
-        pivot = _lowest(rows)
-        unused ^= 1 << pivot
-        rows ^= 1 << pivot
-        coins[q] = len(coins)
-        for q2 in range(q + 1, n):
-            if xs[q2] >> pivot & 1:
-                xs[q2] ^= rows
-        for r in _bits(rows):
-            combo[r] ^= combo[pivot]
-    tops: dict[int, tuple[int, int]] = {}  # highest qubit -> (z mask, sign) of a constraint
-    for r in _bits(unused):
-        product = t._row_product(combo[r] << n)
-        if product.x or product.phase & 1:
+    # n identity columns give stabilizer j the ride-along bit 2n + j
+    rows = _transpose([col >> n for col in (*t.xcol, *t.zcol)] + [1 << j for j in range(n)], n)
+    coins, constraints = _echelon(rows, low)
+    coin_mask = sum(1 << q for q in coins)
+    fixed, left = _echelon((v >> n for v in constraints), low & ~coin_mask)
+    if any(not v & low for v in left):
+        raise InvariantError("the stabilizers are dependent")
+    if left:
+        raise InvariantError("the stabilizers fix a coin: they do not commute")
+    index = {q: k for k, q in enumerate(coins)}  # coin qubit -> coin index
+    terms: list[tuple[int, int] | None] = [None] * n
+    for q, v in fixed.items():  # v = z | (its stabilizers) << n; q: every qubit not a coin
+        phase = t._row_product(v & ~low).phase
+        if phase & 1:
             raise InvariantError("the stabilizers do not commute")
-        z, sign = product.z, product.phase >> 1
-        while z and z.bit_length() - 1 in tops:
-            z2, sign2 = tops[z.bit_length() - 1]
-            z, sign = z ^ z2, sign ^ sign2
-        if not z:
-            raise InvariantError("the stabilizers are dependent")
-        if z.bit_length() - 1 in coins:
-            raise InvariantError("the stabilizers fix a coin: they do not commute")
-        tops[z.bit_length() - 1] = (z, sign)
-    terms: list[tuple[int, int] | None] = []
-    for q in range(n):
-        if q in coins:
-            terms.append(None)
-            continue
-        z, sign = tops[q]
-        for q2 in _bits(z ^ 1 << q):
-            if q2 not in coins:  # a lower constraint, already reduced to coins
-                z2, sign2 = tops[q2]
-                z, sign = z ^ z2, sign ^ sign2
-        tops[q] = (z, sign)
-        terms.append((sign, sum(1 << coins[q2] for q2 in _bits(z ^ 1 << q))))
+        terms[q] = (phase >> 1, sum(1 << index[c] for c in _bits(v & coin_mask)))
     return CompiledMeasurement(tuple(terms))
 
 
@@ -568,34 +574,19 @@ def canonical_form(t: CliffordTableau) -> tuple[CliffordTableau, tuple[int, ...]
     """(F1, S, F2) with t's Clifford equal to F1 . H_S . F2 up to phase.
 
     F1 and F2 are Hadamard-free: each maps every Z_j to +/- a string of Zs
-    (Bravyi and Maslov, arXiv:2003.09412).  Row-reducing the stabilizers
-    (the images of Z_j) to a reduced echelon X block gives S, its pivots.
-    On the output side, CNOTs from each pivot s to the other X bits of its
-    row leave X_s Z^(M_s); the rows without X span the Z_t, t not in S, so
-    only M on S matters, and it is symmetric.  CZ(s, s') where M[s][s'] = 1
-    and S on s where M[s][s] = 1 make the group <+/-X_s, +/-Z_t>.  With W
-    those gates (the CNOTs, then the diagonal CZ and S layer), F2 = H_S W t
-    is Hadamard-free and F1 = W^-1: S-dagger, CZ, then the CNOTs reversed.
-    Every gate is applied natively to the tableau, so the signs are exact.
+    (Bravyi and Maslov, arXiv:2003.09412).  S is the pivots of the reduced
+    echelon X block of the stabilizers (the images of Z_j, by _echelon): the
+    coins of compile_measurement.  On the output side, CNOTs from each pivot
+    s to the other X bits of its row leave X_s Z^(M_s); the rows without X
+    span the Z_t, t not in S, so only M on S matters, and it is symmetric.
+    CZ(s, s') where M[s][s'] = 1 and S on s where M[s][s] = 1 make the
+    group <+/-X_s, +/-Z_t>.  With W those gates (the CNOTs, then the
+    diagonal CZ and S layer), F2 = H_S W t is Hadamard-free and F1 = W^-1:
+    S-dagger, CZ, then the CNOTs reversed.  Every gate is applied natively
+    to the tableau, so the signs are exact.
     """
     n, low = t.n, (1 << t.n) - 1
-    rows = [0] * n  # stabilizer j as x | z << n
-    for q in range(n):
-        for j in _bits(t.xcol[q] >> n):
-            rows[j] |= 1 << q
-        for j in _bits(t.zcol[q] >> n):
-            rows[j] |= 1 << (n + q)
-    pivots: dict[int, int] = {}  # pivot qubit -> the reduced row with X there
-    for v in rows:
-        for s, row in pivots.items():
-            if v >> s & 1:
-                v ^= row
-        if v & low:
-            s = _lowest(v)
-            for s2, row in pivots.items():
-                if row >> s & 1:
-                    pivots[s2] = row ^ v
-            pivots[s] = v
+    pivots, _ = _echelon(_transpose([col >> n for col in (*t.xcol, *t.zcol)], n), low)
     smask = sum(1 << s for s in pivots)
     # CNOT(s, u) maps X_s to X_s X_u and Z_u to Z_s Z_u: bit s of a Z part
     # flips with the parity of its bits at the targets of s

@@ -281,6 +281,7 @@ def test_one_qubit_gate_names_are_units_and_generators(capsys):
             for argv in (classify, compile_):
                 code, out, err = run_cli(capsys, argv)
                 assert code == 2 and not out and "error:" in err, argv
+                assert f"{name} is a two-qubit gate" in err, argv
 
 
 def test_missing_subcommand_exits_2(capsys):

@@ -297,6 +297,46 @@ def test_compile_rejects_stabilizers_that_fix_no_state():
     # stabilizers X_0, Z_0 anticommute; Z_0 then constrains the coin at qubit 0
     with pytest.raises(InvariantError, match="commute"):
         compile_measurement(from_rows(2, [0, 2, 1, 0], [1, 0, 0, 1]))
+    # stabilizers X_0, X_0, Z_2: their product X_0 X_0 = I shows only once
+    # the X block is reduced
+    with pytest.raises(InvariantError, match="dependent"):
+        compile_measurement(from_rows(3, [0, 0, 0, 1, 1, 0], [1, 2, 4, 0, 0, 4]))
+
+
+def _x_block_rref(t):
+    """(pivot qubits, reduced rows) of the stabilizers' X block, by numpy
+    Gauss-Jordan over GF(2): row j of the matrix is stabilizer j's X bits."""
+    n = t.n
+    m = np.array([[t.xcol[q] >> (n + j) & 1 for q in range(n)] for j in range(n)], dtype=np.uint8)
+    pivots = []
+    for q in range(n):
+        r = len(pivots)
+        hits = np.flatnonzero(m[r:, q])
+        if not hits.size:
+            continue
+        m[[r, r + hits[0]]] = m[[r + hits[0], r]]
+        others = np.flatnonzero(m[:, q])
+        m[others[others != r]] ^= m[r]
+        pivots.append(q)
+    return pivots, m[: len(pivots)]
+
+
+def test_compiled_coins_are_the_hadamard_set():
+    # one reduction read twice: the coins are canonical_form's S, and bit q
+    # is the parity of the coins whose reduced X row has X at q
+    rng = np.random.default_rng(47)
+    tableaux = []
+    for n in [*range(1, 13), 200]:
+        depths = (n, 4 * n * n if n < 200 else 6 * n)  # sparse and deep words
+        tableaux.append(random_clifford(n, rng))
+        tableaux += [circuit_to_tableau(random_circuit(n, rng, depth=d)) for d in depths]
+    for t in tableaux:
+        pivots, reduced = _x_block_rref(t)
+        terms = compile_measurement(t).terms
+        assert [q for q, term in enumerate(terms) if term is None] == pivots == list(canonical_form(t)[1])
+        for q, term in enumerate(terms):
+            if term is not None:
+                assert term[1] == sum(1 << k for k in np.flatnonzero(reduced[:, q]).tolist()), (t.n, q)
 
 
 def _draws_and_end_state(sampler, seed, shots, bulk):
@@ -539,6 +579,25 @@ def test_canonical_form_matches_the_replaying_oracle(n):
     for _ in range(200):
         t = random_clifford(n, rng)
         assert canonical_form(t) == oracles.canonical_form(t)
+
+
+def test_echelon_is_reduced_and_spans_its_rows():
+    # rows of width + 8 bits, the top 8 riding along; reduced over a random
+    # subset of the low bits
+    rng = np.random.default_rng(120)
+    for _ in range(300):
+        width = int(rng.integers(1, 13))
+        rows = [int(v) for v in rng.integers(0, 1 << (width + 8), size=int(rng.integers(1, 16)))]
+        columns = int(rng.integers(0, 1 << width))
+        pivots, rest = stabilizer._echelon(rows, columns)
+        out = [*pivots.values(), *rest]
+        assert len(out) == len(rows) and list(pivots) == sorted(pivots)
+        for s, row in pivots.items():
+            assert columns >> s & 1 and (row & columns) & -(row & columns) == 1 << s
+            assert [v >> s & 1 for v in out].count(1) == 1
+        assert not any(v & columns for v in rest)
+        rank = len(oracles._independent(rows))
+        assert len(oracles._independent(out)) == rank == len(oracles._independent(rows + out))
 
 
 def test_canonical_form_rejects_anticommuting_stabilizers():
