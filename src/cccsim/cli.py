@@ -123,7 +123,7 @@ def cmd_simulate(args) -> dict:
         "n": instance.n,
         "class": verdict.complexity_class,
         "method": method,
-        "probabilities": dict(zip(_bitstrings(instance.n), map(float, dist.probs))),
+        "probabilities": dict(zip(_bitstrings(instance.n), dist.probs.tolist())),
     }
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CapabilityError, ParseError
-from .stabilizer import CliffordCircuit, enumerate_clifford_words, parse_circuit
+from .stabilizer import CliffordCircuit, clifford_generators, enumerate_clifford_words, parse_circuit
 
 GADGET_WIRE_CAP = 12
 WORD_LENGTH_CAP = 14
@@ -155,24 +155,24 @@ def _clifford_table() -> tuple[tuple, np.ndarray]:
     """The words of `enumerate_clifford_words(2)`, in order, and their 4x4
     unitaries as one read-only (11520, 4, 4) stack.
 
-    Every word past the first extends an earlier one by one gate (the
-    enumeration is breadth-first), so each product is that gate times its
-    prefix's product: the same products, in the same order, as multiplying
-    each word out gate by gate.  Built on the first search, then shared.
+    Every word past the first extends a word of the BFS level before it by
+    one gate, so each level's products are one stacked matmul of those
+    gates with their prefixes' products: the same products, in the same
+    order, as multiplying each word out gate by gate.  Built on the first
+    search, then shared.
     """
-    words = tuple(enumerate_clifford_words(2))
+    words, levels = enumerate_clifford_words(2)
     eye = np.eye(4, dtype=complex)
-    full = {
-        gate: linalg.apply_gate(eye, linalg.GATES[gate[0]], gate[1])
-        for gate in {gate for word in words for gate in word}
-    }
-    index = {word: idx for idx, word in enumerate(words)}
+    full = np.array([linalg.apply_gate(eye, linalg.GATES[name], qs) for name, qs in clifford_generators(2)])
     mats = np.empty((len(words), 4, 4), dtype=complex)
     mats[0] = eye
-    for idx, word in enumerate(words[1:], start=1):
-        mats[idx] = full[word[-1]] @ mats[index[word[:-1]]]
+    start = 1
+    for parent, gate in levels:
+        stop = start + len(parent)
+        np.matmul(full[gate], mats[parent], out=mats[start:stop])
+        start = stop
     mats.setflags(write=False)
-    return words, mats
+    return tuple(words), mats
 
 
 def search_gadgets(u: np.ndarray, k: int) -> list[tuple[Gadget, GadgetAction]]:

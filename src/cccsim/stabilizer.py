@@ -91,7 +91,10 @@ class CliffordTableau:
     X bit of row i at qubit q.  The row phases are two more bitsets, odd
     (bit 0 of the phase) and sign (bit 1), so row i carries
     i^(odd_i + 2 sign_i).  A gate is then a few big-int operations on one or
-    two columns and the sign, at any n (the CHP/Stim layout).
+    two columns and the sign, at any n (the CHP/Stim layout).  The gates
+    work unchanged on numpy int arrays in place of the ints, one entry per
+    tableau, which is how enumerate_clifford_words applies a gate to a whole
+    BFS frontier at once; row algebra and copy() need ints.
     """
 
     __slots__ = ("n", "xcol", "zcol", "odd", "sign")
@@ -789,37 +792,83 @@ def _transpose(rows: list[int], width: int) -> list[int]:
     return [int.from_bytes(col.tobytes(), "little") for col in cols]
 
 
-def enumerate_clifford_words(n: int) -> list[tuple[tuple[str, tuple[int, ...]], ...]]:
-    """Shortest gate words for every Clifford class modulo phase (n <= 2).
+def clifford_generators(n: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """The gates enumerate_clifford_words closes over, in its order: H and S
+    on each wire, then CNOT in both orientations."""
+    gates = [(name, (q,)) for q in range(n) for name in ("H", "S")]
+    return tuple(gates + [("CNOT", (c, t)) for c in range(n) for t in range(n) if c != t])
 
-    BFS closure over {H, S on each wire, CNOT both orientations}, dedup by
-    tableau.  24 classes at n=1, 11520 at n=2; larger n is refused because
-    the class count grows past 9e7 already at n=3.
+
+def enumerate_clifford_words(n: int):
+    """Shortest gate words for every Clifford class modulo phase (n <= 2),
+    and how each BFS level extends the one before it.
+
+    BFS closure over clifford_generators(n), dedup by tableau.  24 classes at
+    n=1, 11520 at n=2; larger n is refused because the class count grows past
+    9e7 already at n=3.
+
+    The BFS runs one level at a time.  The frontier is one array of packed
+    tableau keys (_pack), and each gate is one CliffordTableau.apply to all
+    of it, on numpy columns.  The children are keyed in frontier-major,
+    gate-minor order and only the first occurrence of an unseen key is kept,
+    so the words are those of a search that extends one tableau by one gate
+    at a time, in the same order.
+
+    Returns (words, levels): levels holds one (parent, gate) pair of int
+    arrays per level past the empty word, and the level's words, in order,
+    are words[parent[i]] extended by clifford_generators(n)[gate[i]].
     """
     if n > 2:
         raise CapabilityError(f"Clifford class enumeration at n={n} is out of reach")
-    gates: list[tuple[str, tuple[int, ...]]] = []
-    for q in range(n):
-        gates += [("H", (q,)), ("S", (q,))]
-    for c in range(n):
-        for t in range(n):
-            if c != t:
-                gates.append(("CNOT", (c, t)))
-    start = CliffordTableau.identity(n)
-    seen = {start.key()}
-    frontier = [(start, ())]
-    words = [()]
-    while frontier:
-        nxt = []
-        for tab, word in frontier:
-            for g in gates:
-                t2 = tab.copy()
-                t2.apply(*g)
-                k = t2.key()
-                if k not in seen:
-                    seen.add(k)
-                    w2 = word + (g,)
-                    words.append(w2)
-                    nxt.append((t2, w2))
-        frontier = nxt
-    return words
+    gates = clifford_generators(n)
+    suffixes = [(gate,) for gate in gates]
+    frontier = np.array([_pack(CliffordTableau.identity(n))])
+    seen = frontier  # every key found so far, sorted
+    words: list[tuple[tuple[str, tuple[int, ...]], ...]] = [()]
+    by_level = []
+    base = 0  # the index of the frontier's first word
+    while len(frontier):
+        children = []
+        for generator in gates:
+            child = _unpack(frontier, n)  # fresh columns: apply updates them in place
+            child.apply(*generator)
+            children.append(_pack(child))
+        keys = np.stack(children, axis=1).ravel()
+        # one sort finds the first occurrence of each unseen key: every key
+        # carries its position + 1 in the low bits and every seen key a 0,
+        # so a run of equal keys starts at the seen one, if any, else at the
+        # key's first occurrence
+        shift = len(keys).bit_length()
+        tagged = np.sort(np.concatenate([seen << shift, keys << shift | np.arange(1, len(keys) + 1)]))
+        value = tagged >> shift
+        lead = np.ones(len(tagged), dtype=bool)
+        np.not_equal(value[1:], value[:-1], out=lead[1:])
+        seen = value[lead]
+        first = tagged[lead] & ((1 << shift) - 1)
+        first = np.sort(first[first > 0]) - 1
+        frontier = keys[first]
+        parent, gate = np.divmod(first, len(gates))
+        parent += base
+        base = len(words)
+        words += [words[p] + suffixes[g] for p, g in zip(parent.tolist(), gate.tolist())]
+        by_level.append((parent, gate))
+    return words, by_level
+
+
+def _pack(t: CliffordTableau):
+    """The sign and the 2n columns of a tableau with no odd rows, 2n bits
+    each, as one integer: at n=2 a 20-bit key.  Works on int and on numpy
+    int columns alike."""
+    rows = 2 * t.n
+    key = t.sign
+    for i, col in enumerate((*t.xcol, *t.zcol), start=1):
+        key = key | col << rows * i
+    return key
+
+
+def _unpack(keys: np.ndarray, n: int) -> CliffordTableau:
+    """The tableaux of an array of _pack keys, as one tableau of numpy columns."""
+    rows = 2 * n
+    low = (1 << rows) - 1
+    cols = [keys >> rows * i & low for i in range(1, 2 * n + 1)]
+    return CliffordTableau(n, cols[:n], cols[n:], 0, keys & low)

@@ -13,8 +13,10 @@ from row masks (`from_rows`), the anticoncentration trial's p values, one
 draw, one synthesized word and one statevector pass at a time
 (`anticoncentration_p_values`), and the 4x4 unitaries of the gadget
 search's two-qubit Clifford words, each multiplied out gate by gate
-(`word_unitaries`).  The random routes consume a generator exactly as the
-fast routes do, so tests compare the two seed for seed.
+(`word_unitaries`), and the BFS that finds those words with one tableau
+copied and extended per (class, gate) pair (`enumerate_clifford_words`).
+The random routes consume a generator exactly as the fast routes do, so
+tests compare the two seed for seed.
 
 The gadget search's first form is here too: each slice classified by
 three stacked predicates that each form a^dag a with matmul
@@ -40,7 +42,7 @@ import numpy as np
 
 from cccsim import gadgets, linalg, stabilizer
 from cccsim.ccc import CccInstance, ClassificationVerdict, dense_distribution
-from cccsim.errors import InvariantError
+from cccsim.errors import CapabilityError, InvariantError
 from cccsim.gadgets import Gadget, GadgetAction
 from cccsim.stabilizer import (
     CliffordCircuit,
@@ -436,6 +438,39 @@ def paley_zygmund_bound(a, mean: float, second_moment: float) -> float:
 
 
 # -- the gadget search's Clifford table, one word at a time --------------------------
+
+
+def enumerate_clifford_words(n: int) -> list[tuple[tuple[str, tuple[int, ...]], ...]]:
+    """Shortest gate words for every Clifford class modulo phase (n <= 2), by
+    a BFS that copies and extends one tableau per (class, gate) pair and
+    dedups by tableau key."""
+    if n > 2:
+        raise CapabilityError(f"Clifford class enumeration at n={n} is out of reach")
+    gates: list[tuple[str, tuple[int, ...]]] = []
+    for q in range(n):
+        gates += [("H", (q,)), ("S", (q,))]
+    for c in range(n):
+        for t in range(n):
+            if c != t:
+                gates.append(("CNOT", (c, t)))
+    start = CliffordTableau.identity(n)
+    seen = {start.key()}
+    frontier = [(start, ())]
+    words = [()]
+    while frontier:
+        nxt = []
+        for tab, word in frontier:
+            for g in gates:
+                t2 = tab.copy()
+                t2.apply(*g)
+                k = t2.key()
+                if k not in seen:
+                    seen.add(k)
+                    w2 = word + (g,)
+                    words.append(w2)
+                    nxt.append((t2, w2))
+        frontier = nxt
+    return words
 
 
 def word_unitaries(words) -> np.ndarray:

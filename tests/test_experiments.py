@@ -220,25 +220,45 @@ def test_trial_validation():
 # P(p >= 0.2 / 2^n) over every Clifford class mod phase, for the hard U; at
 # n=2 it is 9750 of the 11520 classes for each y
 EXACT_TAILS = {1: Fraction(22, 24), 2: Fraction(9750, 11520)}
+# E[p^4] over every class.  The Clifford group is a 3-design but not a
+# 4-design, so the fourth moment depends on U.  With U = H both states are
+# stabilizer states; at n=1 the orbit of |+> is the 6 stabilizer states, 1
+# at overlap 1 and 4 at overlap 1/2, so E[p^4] = (1 + 4/16)/6 = 5/24.  The
+# hard U's values are pinned as computed (within 4e-16 of 1229/6144 and
+# 300797/10485760); they agree for every y to 1e-16.
+STABILIZER_FOURTH_MOMENTS = {1: 5 / 24, 2: 1 / 32}
+HARD_FOURTH_MOMENTS = {1: 0.20003255208333304, 2: 0.028686237335204975}
 
 
 def class_unitaries(n):
     if n == 2:
         return _clifford_table()[1]
-    return np.array([to_unitary(CliffordCircuit(n, w)) for w in enumerate_clifford_words(n)])
+    return np.array([to_unitary(CliffordCircuit(n, w)) for w in enumerate_clifford_words(n)[0]])
+
+
+def exact_p_values(u, y):
+    """<y| U^(x)n-dagger C U^(x)n |0^n>, squared, for every class C."""
+    n = len(y)
+    psi = reduce(np.kron, [u[:, 0]] * n)
+    phi = reduce(np.kron, [u[:, int(bit)] for bit in y])
+    return np.abs(np.einsum("i,kij,j->k", phi.conj(), class_unitaries(n), psi)) ** 2
 
 
 @pytest.mark.parametrize("y, seed", [("0", 71), ("1", 72), ("00", 73), ("01", 74), ("11", 75)])
 def test_anticoncentration_exact_by_enumeration(y, seed):
     n = len(y)
-    psi = reduce(np.kron, [HARD_U[:, 0]] * n)
-    phi = reduce(np.kron, [HARD_U[:, int(bit)] for bit in y])
-    p = np.abs(np.einsum("i,kij,j->k", phi.conj(), class_unitaries(n), psi)) ** 2
+    d = 2**n
+    p = exact_p_values(HARD_U, y)
     assert len(p) == (24 if n == 1 else 11520)
     # the 2-design values the report prints as theory are the exact moments
     rep = anticoncentration_trial(n, HARD_U, y, 3000, a=0.2, seed=seed)
     assert abs(p.mean() - rep.theory_mean) <= 1e-15
     assert abs(np.mean(p**2) - rep.theory_second_moment) <= 1e-15
+    # the group is a 3-design too: E[p^3] = 3!/(d(d+1)(d+2)) for any U
+    assert abs(np.mean(p**3) - 6 / (d * (d + 1) * (d + 2))) <= 1e-15
+    # ...but not a 4-design: the fourth moment tells U = H from the hard U
+    assert abs(np.mean(p**4) - HARD_FOURTH_MOMENTS[n]) <= 1e-15
+    assert abs(np.mean(exact_p_values(linalg.GATES["H"], y) ** 4) - STABILIZER_FOURTH_MOMENTS[n]) <= 1e-15
     threshold = 0.2 / 2**n
     assert np.min(np.abs(p - threshold)) > 1e-12  # no class on the edge
     tail = EXACT_TAILS[n]

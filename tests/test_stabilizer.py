@@ -563,7 +563,7 @@ def test_canonical_form_keeps_every_sign(n):
 def test_canonical_form_of_every_two_qubit_class():
     # the synthesized words multiplied out as 4x4 matrices: apply_gate per
     # gate would take seconds over 11520 words
-    tableaux = [circuit_to_tableau(CliffordCircuit(2, w)) for w in enumerate_clifford_words(2)]
+    tableaux = [circuit_to_tableau(CliffordCircuit(2, w)) for w in enumerate_clifford_words(2)[0]]
     forms = replayed_forms(tableaux)
     states = random_states(np.random.default_rng(105), len(tableaux), 2)
     mats = oracles.word_unitaries([tableau_to_circuit(t).gates for t in tableaux])
@@ -701,16 +701,33 @@ def test_random_clifford_circuit_matches_tableau():
 
 
 def test_enumerate_clifford_words_counts():
-    words1 = enumerate_clifford_words(1)
+    words1, _ = enumerate_clifford_words(1)
     keys1 = {circuit_to_tableau(CliffordCircuit.build(1, w)).key() for w in words1}
     assert len(words1) == len(keys1) == 24
     with pytest.raises(CapabilityError):
         enumerate_clifford_words(3)
 
 
+def test_enumerate_clifford_words_matches_one_tableau_per_class_bfs():
+    for n, count in ((1, 24), (2, 11520)):
+        words, _ = enumerate_clifford_words(n)
+        assert len(words) == count
+        assert words == oracles.enumerate_clifford_words(n)
+
+
+def test_enumerate_clifford_words_levels_rebuild_the_words():
+    words, levels = enumerate_clifford_words(2)
+    gates = stabilizer.clifford_generators(2)
+    rebuilt = [()]
+    for parent, gate in levels:
+        assert all(len(rebuilt[p]) == len(rebuilt[-1]) for p in parent)  # one level back
+        rebuilt += [rebuilt[p] + (gates[g],) for p, g in zip(parent, gate)]
+    assert rebuilt == words
+
+
 @pytest.mark.slow
 def test_enumerate_clifford_words_two_qubits():
-    words2 = enumerate_clifford_words(2)
+    words2, _ = enumerate_clifford_words(2)
     keys2 = {circuit_to_tableau(CliffordCircuit.build(2, w)).key() for w in words2}
     assert len(words2) == len(keys2) == 11520
 
@@ -746,10 +763,17 @@ def test_random_clifford_uniform_single_qubit():
 @pytest.mark.slow
 def test_random_clifford_covers_two_qubit_group():
     rng = np.random.default_rng(24)
-    seen = set()
-    for _ in range(200_000):
-        seen.add(random_clifford(2, rng).key())
-    assert len(seen) == 11520
+    draws = 200_000
+    counts = {}
+    for _ in range(draws):
+        key = random_clifford(2, rng).key()
+        counts[key] = counts.get(key, 0) + 1
+    assert len(counts) == 11520
+    # and uniformly: chi^2 over the class counts has 11519 dof, mean 11519
+    # and sd ~152; 5 sd either way (too even is as suspect as too uneven)
+    expected = draws / 11520
+    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+    assert abs(chi2 - 11519) < 5 * math.sqrt(2 * 11519), chi2
 
 
 # -- text format -----------------------------------------------------------------
