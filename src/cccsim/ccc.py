@@ -184,17 +184,12 @@ def classify(dec: UnitaryDecomposition) -> ClassificationVerdict:
 
 @dataclass(frozen=True, eq=False)
 class CccInstance:
-    """U, and V as its tableau; word is V's gate word when V was given as one.
-
-    Only the dense route reads word: it applies the user's gates as given,
-    and the tableau's canonical form when there is none.
-    """
+    """U, and V as its tableau, however V was given."""
 
     u: np.ndarray
     decomposition: UnitaryDecomposition
     v: CliffordTableau
     n: int
-    word: CliffordCircuit | None = None
 
 
 def make_instance(
@@ -208,7 +203,7 @@ def make_instance(
     elif not linalg.is_unitary(u, UNITARY_TOL):
         raise ValueError(_NOT_UNITARY)
     if isinstance(v, CliffordCircuit):
-        return CccInstance(u, decomposition, circuit_to_tableau(v), v.n, v)
+        v = circuit_to_tableau(v)
     return CccInstance(u, decomposition, v, v.n)
 
 
@@ -235,13 +230,11 @@ def tv_distance(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
 
 
 def _conjugated_state(instance: CccInstance) -> np.ndarray:
+    """U-dagger^(x)n V U^(x)n |0^n>, with V applied as its canonical form."""
     state = linalg.zero_state(instance.n)
     for q in range(instance.n):
         state = linalg.apply_gate(state, instance.u, (q,))
-    if instance.word is not None:
-        state = instance.word.apply(state)
-    else:
-        state = apply_canonical_forms([canonical_form(instance.v)], state[None])[0]
+    state = apply_canonical_forms([canonical_form(instance.v)], state[None])[0]
     ud = instance.u.conj().T
     for q in range(instance.n):
         state = linalg.apply_gate(state, ud, (q,))

@@ -15,12 +15,14 @@ basis permutations with phases and |S| Hadamard passes, over a whole block
 of states at once (canonical_form, apply_canonical_forms).  The sampler
 (compile_measurement) and the canonical form read one GF(2) reduction of
 the stabilizers, _echelon: the pivots of its X block are both the coins of
-a Z-basis measurement and the Hadamard set S.
+a Z-basis measurement and the Hadamard set S.  Both check that the
+stabilizers commute the same way, from that reduction (_symplectic_block).
 """
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cache
 from itertools import compress, islice
 
 import numpy as np
@@ -355,6 +357,70 @@ def _echelon(rows: Iterable[int], columns: int) -> tuple[dict[int, int], list[in
     return dict(sorted(pivots.items())), rest
 
 
+def _symplectic_block(pivots: dict[int, int], rest: list[int], n: int) -> dict[int, int]:
+    """Check that the echelon rows of the stabilizers commute; their block on S.
+
+    The rows are x | z << n (bits past 2n ride along), reduced by _echelon
+    over the X bits.  Pivot s has X at s and at qubits outside S only, so
+    the pivots whose X part meets a Z part z an odd number of times are z on
+    S, XOR the pivots with X at q for each qubit q of z outside S.  A row
+    with no X anticommutes with exactly those pivots, and pivots s and s2
+    anticommute when bit s2 of N[s], the set for z_s, differs from bit s of
+    N[s2].  The rows span the stabilizers, so these commute iff every row
+    with no X gives the empty set and N is symmetric.  Returns N, which
+    canonical_form reads; raises InvariantError if a pair anticommutes.
+    """
+    smask = sum(1 << s for s in pivots)
+    free = (1 << n) - 1 & ~smask  # the qubits outside S
+    xcols = [0] * n  # xcols[q]: the pivots with X at q, q outside S
+    for s, row in pivots.items():
+        if row & free:
+            for q in _bits(row & free):
+                xcols[q] |= 1 << s
+
+    def odd_pivots(row: int) -> int:
+        z = row >> n
+        v = z & smask
+        if z & free:
+            for q in _bits(z & free):
+                v ^= xcols[q]
+        return v
+
+    block = {s: odd_pivots(row) for s, row in pivots.items()}
+    if any(odd_pivots(row) for row in rest) or not _symmetric([block.get(s, 0) for s in range(n)]):
+        raise InvariantError("the stabilizers do not commute")
+    return block
+
+
+def _symmetric(rows: list[int]) -> bool:
+    """Whether the square bit matrix with row i rows[i] equals its transpose.
+
+    The rows go into one int, w bits apart, and the transpose is log2(w)
+    masked swaps of blocks across the diagonal on it (Hacker's Delight, 7-3).
+    """
+    w = max(8, 1 << (len(rows) - 1).bit_length())
+    x = y = int.from_bytes(b"".join(r.to_bytes(w // 8, "little") for r in rows), "little")
+    for shift, mask in _block_swaps(w):
+        t = (y ^ y >> shift) & mask
+        y ^= t ^ t << shift
+    return x == y
+
+
+@cache
+def _block_swaps(w: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) per k = w/2, ..., 1: the mask holds bit j of row i when
+    bit k of j is set and bit k of i is not, and shift moves it to (i+k, j-k).
+    Cached per w, a power of two: a few entries per process."""
+    swaps = []
+    k = w >> 1
+    while k:
+        row = sum(((1 << k) - 1) << j for j in range(k, w, 2 * k)).to_bytes(w // 8, "little")
+        mask = int.from_bytes(b"".join(bytes(w // 8) if i & k else row for i in range(w)), "little")
+        swaps.append((k * (w - 1), mask))
+        k >>= 1
+    return tuple(swaps)
+
+
 @dataclass(frozen=True)
 class CompiledMeasurement:
     """The Z-basis outcome of a stabilizer state as an affine map of coins.
@@ -526,19 +592,18 @@ def compile_measurement(t: CliffordTableau) -> CompiledMeasurement:
     # n identity columns give stabilizer j the ride-along bit 2n + j
     rows = _transpose([col >> n for col in (*t.xcol, *t.zcol)] + [1 << j for j in range(n)], n)
     coins, constraints = _echelon(rows, low)
+    _symplectic_block(coins, constraints, n)
     coin_mask = sum(1 << q for q in coins)
+    # commuting, a constraint is Z on coins only if it is the identity
     fixed, left = _echelon((v >> n for v in constraints), low & ~coin_mask)
-    if any(not v & low for v in left):
-        raise InvariantError("the stabilizers are dependent")
     if left:
-        raise InvariantError("the stabilizers fix a coin: they do not commute")
+        raise InvariantError("the stabilizers are dependent")
     index = {q: k for k, q in enumerate(coins)}  # coin qubit -> coin index
     terms: list[tuple[int, int] | None] = [None] * n
     for q, v in fixed.items():  # v = z | (its stabilizers) << n; q: every qubit not a coin
-        phase = t._row_product(v & ~low).phase
-        if phase & 1:
-            raise InvariantError("the stabilizers do not commute")
-        terms[q] = (phase >> 1, sum(1 << index[c] for c in _bits(v & coin_mask)))
+        # a product of commuting Hermitian stabilizers: its phase is +/-1
+        sign = t._row_product(v & ~low).phase >> 1
+        terms[q] = (sign, sum(1 << index[c] for c in _bits(v & coin_mask)))
     return CompiledMeasurement(tuple(terms))
 
 
@@ -581,31 +646,26 @@ def canonical_form(t: CliffordTableau) -> tuple[CliffordTableau, tuple[int, ...]
     echelon X block of the stabilizers (the images of Z_j, by _echelon): the
     coins of compile_measurement.  On the output side, CNOTs from each pivot
     s to the other X bits of its row leave X_s Z^(M_s); the rows without X
-    span the Z_t, t not in S, so only M on S matters, and it is symmetric.
-    CZ(s, s') where M[s][s'] = 1 and S on s where M[s][s] = 1 make the
-    group <+/-X_s, +/-Z_t>.  With W those gates (the CNOTs, then the
-    diagonal CZ and S layer), F2 = H_S W t is Hadamard-free and F1 = W^-1:
-    S-dagger, CZ, then the CNOTs reversed.  Every gate is applied natively
-    to the tableau, so the signs are exact.
+    span the Z_t, t not in S, so only M on S matters.  CNOT(s, u) maps Z_u
+    to Z_s Z_u, so bit s of a Z part flips with the parity of its bits at
+    the targets of s: M on S is the block _symplectic_block returns, which
+    it checks is symmetric.  CZ(s, s') where M[s][s'] = 1 and S on s where
+    M[s][s] = 1 make the group <+/-X_s, +/-Z_t>.  With W those gates (the
+    CNOTs, then the diagonal CZ and S layer), F2 = H_S W t is Hadamard-free
+    and F1 = W^-1: S-dagger, CZ, then the CNOTs reversed.  Every gate is
+    applied natively to the tableau, so the signs are exact, except that
+    F1's diagonal layer is written at once: on the identity, it leaves row s
+    X at s and Z at the bits of M_s, so Y at s where M[s][s] = 1, with the
+    sign -1 there (S-dagger X S = -Y).
     """
     n, low = t.n, (1 << t.n) - 1
-    pivots, _ = _echelon(_transpose([col >> n for col in (*t.xcol, *t.zcol)], n), low)
+    pivots, rest = _echelon(_transpose([col >> n for col in (*t.xcol, *t.zcol)], n), low)
+    block = _symplectic_block(pivots, rest, n)
     smask = sum(1 << s for s in pivots)
-    # CNOT(s, u) maps X_s to X_s X_u and Z_u to Z_s Z_u: bit s of a Z part
-    # flips with the parity of its bits at the targets of s
-    targets = {s: row & low & ~smask for s, row in pivots.items()}
-    cnots = [(s, u) for s, us in targets.items() for u in _bits(us)]
-    czs, phases = [], []
-    for s, row in pivots.items():
-        z = row >> n
-        czs += [
-            (s, s2)
-            for s2 in _bits(smask & ~((2 << s) - 1))  # s2 > s, in S
-            if (z >> s2 ^ (z & targets[s2]).bit_count()) & 1
-        ]
-        if (z >> s ^ (z & targets[s]).bit_count()) & 1:
-            phases.append(s)
-    f2, f1 = t.copy(), CliffordTableau.identity(n)
+    cnots = [(s, u) for s, row in pivots.items() for u in _bits(row & low & ~smask)]
+    czs = [(s, s2) for s, m in block.items() for s2 in _bits(m & ~((2 << s) - 1))]  # s2 > s
+    phases = [s for s, m in block.items() if m >> s & 1]
+    f2 = t.copy()
     for c, u in cnots:
         f2._cnot(c, u)
     for a, b in czs:
@@ -614,14 +674,11 @@ def canonical_form(t: CliffordTableau) -> tuple[CliffordTableau, tuple[int, ...]
         f2._s(s)
     for s in pivots:
         f2._h(s)
-    for s in phases:
-        f1._sdg(s)
-    for a, b in czs:
-        f1._cz(a, b)
+    # bit s of zcol[q] is M[s][q] = M[q][s], bit s of block[q]
+    zcol = [1 << n + q | block.get(q, 0) for q in range(n)]
+    f1 = CliffordTableau(n, [1 << q for q in range(n)], zcol, 0, sum(1 << s for s in phases))
     for c, u in reversed(cnots):
         f1._cnot(c, u)
-    if any(v >> n for v in f2.xcol):
-        raise InvariantError("the stabilizers do not commute: not a Clifford tableau")
     return f1, tuple(sorted(pivots)), f2
 
 

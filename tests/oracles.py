@@ -13,8 +13,11 @@ from row masks (`from_rows`), the anticoncentration trial's p values, one
 draw, one synthesized word and one statevector pass at a time
 (`anticoncentration_p_values`), and the 4x4 unitaries of the gadget
 search's two-qubit Clifford words, each multiplied out gate by gate
-(`word_unitaries`), and the BFS that finds those words with one tableau
-copied and extended per (class, gate) pair (`enumerate_clifford_words`).
+(`word_unitaries`), the BFS that finds those words with one tableau
+copied and extended per (class, gate) pair (`enumerate_clifford_words`),
+and the model's dense distribution with V applied gate by gate, one
+matrix per gate of its word (`dense_by_gates`; `ccc.dense_distribution`
+applies V's canonical form).
 The random routes consume a generator exactly as the fast routes do, so
 tests compare the two seed for seed.
 
@@ -606,6 +609,19 @@ def canonical_matrix(verdict: ClassificationVerdict) -> np.ndarray | None:
         np.matmul, [linalg.GATES[g] for g in verdict.gamma_word], np.eye(2, dtype=complex)
     )
     return gamma @ linalg.rz(float(verdict.canonical_lam))
+
+
+def dense_by_gates(u: np.ndarray, circuit: CliffordCircuit) -> np.ndarray:
+    """The model's outcome probabilities with V applied gate by gate:
+    U^(x)n, then each gate's matrix by linalg.apply_gate, then U-dagger^(x)n."""
+    state = linalg.zero_state(circuit.n)
+    for q in range(circuit.n):
+        state = linalg.apply_gate(state, u, (q,))
+    state = circuit.apply(state)
+    ud = u.conj().T
+    for q in range(circuit.n):
+        state = linalg.apply_gate(state, ud, (q,))
+    return np.abs(state) ** 2
 
 
 def outcome_probability(instance: CccInstance, y: str) -> float:

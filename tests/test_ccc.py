@@ -29,7 +29,7 @@ from cccsim.stabilizer import (
     circuit_to_tableau,
     random_clifford,
 )
-from oracles import canonical_matrix, outcome_probability, proportional_up_to_phase
+from oracles import canonical_matrix, dense_by_gates, outcome_probability, proportional_up_to_phase
 from oracles import random_clifford_circuit, sample_measurement, tableau_to_circuit
 
 angles = st.floats(-math.pi, math.pi, allow_nan=False)
@@ -352,13 +352,30 @@ def test_instance_from_a_tableau_keeps_it_and_runs_its_canonical_form_for_dense(
     t = random_clifford(4, rng)
     from_tableau = make_instance(u, t)
     from_word = make_instance(u, tableau_to_circuit(t))
-    assert from_tableau.v is t and from_tableau.word is None
-    assert from_word.v == t and from_word.word is not None
-    # two different computations (canonical form, synthesized word): equal
-    # to rounding, not bit for bit
+    assert from_tableau.v is t and from_word.v == t
+    # equal tableaux, one canonical form: the same computation, bit for bit
     dense = dense_distribution(from_tableau).probs
-    assert np.max(np.abs(dense - dense_distribution(from_word).probs)) <= 1e-15
+    assert np.array_equal(dense, dense_distribution(from_word).probs)
     assert marginal_single_qubit(from_tableau, 2) == marginal_single_qubit(from_word, 2)
+
+
+def test_dense_distribution_matches_the_word_applied_gate_by_gate():
+    # the canonical form against each gate's own matrix, over every gate
+    # name a circuit accepts
+    rng = np.random.default_rng(48)
+    names = ("H", "S", "SDG", "X", "Y", "Z", "CNOT", "CZ")
+    us = [parse_unitary_spec(spec).matrix for spec in ("rz=pi*1/5 rx=pi*1/3", "rz=pi*1/3 rx=pi*1/2", "T")]
+    us.append(random_unitary(rng))
+    for n in range(1, 9):
+        for _ in range(3):
+            gates = []
+            for name in rng.choice(names if n > 1 else names[:6], size=6 * n * n):
+                qubits = rng.choice(n, size=2 if name in ("CNOT", "CZ") else 1, replace=False)
+                gates.append((str(name), tuple(int(q) for q in qubits)))
+            circuit = CliffordCircuit.build(n, gates)
+            for u in us:
+                dense = dense_distribution(make_instance(u, circuit)).probs
+                assert np.max(np.abs(dense - dense_by_gates(u, circuit))) <= 1e-15, (n, u)
 
 
 def test_easy_reduction_distribution_is_dyadic_and_capped():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -301,6 +302,64 @@ def test_compile_rejects_stabilizers_that_fix_no_state():
     # the X block is reduced
     with pytest.raises(InvariantError, match="dependent"):
         compile_measurement(from_rows(3, [0, 0, 0, 1, 1, 0], [1, 2, 4, 0, 0, 4]))
+    # stabilizers X_0, Z_0 Z_1 anticommute, though no constraint is left on
+    # the coin alone; and X_0, Z_0 X_1, two pivots that anticommute, leave no
+    # constraint at all.  canonical_form runs the same check
+    for broken in (from_rows(2, [0, 0, 1, 0], [1, 2, 0, 3]), from_rows(2, [0, 0, 1, 2], [1, 2, 0, 1])):
+        for reader in (compile_measurement, canonical_form):
+            with pytest.raises(InvariantError, match="the stabilizers do not commute"):
+                reader(broken)
+
+
+def test_one_commutation_check_for_both_readers_of_the_echelon():
+    # one stabilizer of a random Clifford replaced by a product of its rows:
+    # both readers raise exactly when some pair of stabilizers anticommutes,
+    # a pairwise check by commutes; otherwise canonical_form's F2 is
+    # Hadamard-free and compile_measurement raises only for a dependent set.
+    # The product takes destabilizer j, which anticommutes only with the
+    # replaced stabilizer, at odds 1/2 and the others rarely, so both kinds
+    # of set are common
+    rng = np.random.default_rng(50)
+    seen = {True: 0, False: 0}
+    for n in range(1, 8):
+        for _ in range(150):
+            t = random_clifford(n, rng)
+            rows = [t.row(i) for i in range(2 * n)]
+            j = int(rng.integers(n))
+            weights = np.full(2 * n, 0.5)
+            weights[:n] = 1 / (2 * n)
+            weights[j] = 0.5
+            picked = np.flatnonzero(rng.random(2 * n) < weights).tolist()
+            p = functools.reduce(lambda a, i: a * rows[i], picked, PauliString.identity(n))
+            rows[n + j] = PauliString(n, p.x, p.z, 2 * int(rng.integers(2)))
+            broken = from_rows(n, [r.x for r in rows], [r.z for r in rows], [r.phase for r in rows])
+            anticommuting = not all(commutes(a, b) for a, b in itertools.combinations(rows[n:], 2))
+            seen[anticommuting] += 1
+            if anticommuting:
+                for reader in (compile_measurement, canonical_form):
+                    with pytest.raises(InvariantError, match="the stabilizers do not commute"):
+                        reader(broken)
+                continue
+            f1, _, f2 = canonical_form(broken)
+            assert _hadamard_free(f1) and _hadamard_free(f2)
+            try:
+                compile_measurement(broken)
+            except InvariantError as exc:
+                assert "dependent" in str(exc)
+    assert min(seen.values()) > 250, seen
+
+
+def test_symmetric_matches_the_transpose():
+    rng = np.random.default_rng(51)
+    for size in (1, 2, 3, 7, 8, 9, 64, 65, 200):
+        m = rng.integers(0, 2, size=(size, size))
+        m = m | m.T
+        rows = [int("".join(map(str, r[::-1])), 2) for r in m]
+        assert stabilizer._symmetric(rows)
+        i, j = rng.integers(size, size=2)
+        m[i, j] ^= 1
+        rows = [int("".join(map(str, r[::-1])), 2) for r in m]
+        assert stabilizer._symmetric(rows) == (i == j)
 
 
 def _x_block_rref(t):
