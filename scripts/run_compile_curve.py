@@ -11,7 +11,7 @@ import math
 import time
 
 from cccsim.ccc import parse_unitary_spec
-from cccsim.gadgets import compile_word, gadget_J_closed_form
+from cccsim.gadgets import build_gadget_J, compile_word, gadget_action
 from cccsim.linalg import GATES, normalized_action
 
 
@@ -30,7 +30,7 @@ def main():
     generators = [
         GATES["H"],
         GATES["S"],
-        normalized_action(gadget_J_closed_form(args.theta)),
+        normalized_action(gadget_action(build_gadget_J(0.0, args.theta)).matrix),
     ]
     print(f"target {args.target}, generators H, S, AJ(theta={args.theta:.4f})")
     print(f"{'budget':>7} {'distance':>12} {'word':<40} {'secs':>6}")

@@ -11,7 +11,6 @@ are independent.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,16 +119,6 @@ def build_gadget_J(phi: float, theta: float, u: np.ndarray | None = None) -> Gad
         u = linalg.rz(phi) @ linalg.rx(theta)
     gamma = CliffordCircuit.build(2, [("S", (1,)), ("CZ", (0, 1))])
     return Gadget(2, 1, np.asarray(u, dtype=complex), (0,), gamma, (1,), (0,))
-
-
-def gadget_J_closed_form(theta: float) -> np.ndarray:
-    """The contraction of the J gadget; phi drops out entirely."""
-    c = math.cos(theta)
-    return (
-        np.exp(-0.25j * math.pi)
-        / math.sqrt(2)
-        * np.array([[1j + c, 0], [0, 1 + 1j * c]], dtype=complex)
-    )
 
 
 # -- brute-force search over two-wire gadgets ---------------------------------

@@ -13,10 +13,12 @@ word-wise XOR/AND operations at any n.
 On a dense state a tableau acts in its canonical form F1 . H_S . F2: two
 basis permutations with phases and |S| Hadamard passes, over a whole block
 of states at once (canonical_form, apply_canonical_forms).  The sampler
-(compile_measurement) and the canonical form read one GF(2) reduction of
-the stabilizers, _echelon: the pivots of its X block are both the coins of
-a Z-basis measurement and the Hadamard set S.  Both check that the
-stabilizers commute the same way, from that reduction (_symplectic_block).
+(compile_measurement) and the canonical form enter one GF(2) reduction of
+the stabilizers, _reduce_stabilizers: the pivots of its X block (_echelon)
+are both the coins of a Z-basis measurement and the Hadamard set S, and it
+checks that the stabilizers commute (_symplectic_block).  One bit-matrix
+transpose, masked block swaps on one int (_transpose), serves that
+reduction, its symmetry check and random_clifford.
 """
 from __future__ import annotations
 
@@ -46,10 +48,6 @@ class PauliString:
     phase: int = 0
 
     @staticmethod
-    def identity(n: int) -> "PauliString":
-        return PauliString(n, 0, 0, 0)
-
-    @staticmethod
     def single(n: int, letter: str, q: int) -> "PauliString":
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range for n={n}")
@@ -60,21 +58,6 @@ class PauliString:
         except KeyError:
             raise ValueError(f"not a Pauli letter: {letter!r}") from None
         return PauliString(n, xm, zm, 0)
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        if self.n != other.n:
-            raise ValueError("qubit count mismatch")
-        x = self.x ^ other.x
-        z = self.z ^ other.z
-        phase = (
-            self.phase
-            + other.phase
-            + (self.x & self.z).bit_count()
-            + (other.x & other.z).bit_count()
-            - (x & z).bit_count()
-            + 2 * (self.z & other.x).bit_count()
-        ) % 4
-        return PauliString(self.n, x, z, phase)
 
     def letter(self, q: int) -> str:
         xb, zb = (self.x >> q) & 1, (self.z >> q) & 1
@@ -387,30 +370,56 @@ def _symplectic_block(pivots: dict[int, int], rest: list[int], n: int) -> dict[i
         return v
 
     block = {s: odd_pivots(row) for s, row in pivots.items()}
-    if any(odd_pivots(row) for row in rest) or not _symmetric([block.get(s, 0) for s in range(n)]):
+    square = [block.get(s, 0) for s in range(n)]
+    if any(odd_pivots(row) for row in rest) or square != _transpose(square, n):
         raise InvariantError("the stabilizers do not commute")
     return block
 
 
-def _symmetric(rows: list[int]) -> bool:
-    """Whether the square bit matrix with row i rows[i] equals its transpose.
+def _reduce_stabilizers(t: CliffordTableau) -> tuple[dict[int, int], list[int], dict[int, int]]:
+    """(pivots, rest, block): the stabilizers' reduction, which
+    compile_measurement and canonical_form both read.
 
-    The rows go into one int, w bits apart, and the transpose is log2(w)
-    masked swaps of blocks across the diagonal on it (Hacker's Delight, 7-3).
+    Stabilizer j is the row x | z << n, with the ride-along bit 2n + j that
+    records which stabilizers a reduced row is a product of.  pivots and
+    rest are _echelon's over the X bits, and block is _symplectic_block's,
+    which raises InvariantError if two stabilizers anticommute.
     """
-    w = max(8, 1 << (len(rows) - 1).bit_length())
-    x = y = int.from_bytes(b"".join(r.to_bytes(w // 8, "little") for r in rows), "little")
+    n = t.n
+    rows = _transpose([col >> n for col in (*t.xcol, *t.zcol)], n)
+    pivots, rest = _echelon((row | 1 << 2 * n + j for j, row in enumerate(rows)), (1 << n) - 1)
+    return pivots, rest, _symplectic_block(pivots, rest, n)
+
+
+def _transpose(rows: list[int], width: int) -> list[int]:
+    """The columns of the bit matrix whose row i is rows[i], width bits wide.
+
+    The rows go into one int, w bits apart, with w a power of two that holds
+    both sides, and the transpose is log2(w) masked swaps of blocks across
+    the diagonal on it (Hacker's Delight, 7-3): row j of the result, the
+    bits at j*w and up, is column j.
+    """
+    w = max(8, 1 << (max(len(rows), width) - 1).bit_length())
+    step = w // 8
+    x = int.from_bytes(b"".join(r.to_bytes(step, "little") for r in rows), "little")
     for shift, mask in _block_swaps(w):
-        t = (y ^ y >> shift) & mask
-        y ^= t ^ t << shift
-    return x == y
+        t = (x ^ x >> shift) & mask
+        x ^= t ^ t << shift
+    data = x.to_bytes(step * width, "little")
+    return [int.from_bytes(data[j * step : (j + 1) * step], "little") for j in range(width)]
 
 
 @cache
 def _block_swaps(w: int) -> tuple[tuple[int, int], ...]:
     """(shift, mask) per k = w/2, ..., 1: the mask holds bit j of row i when
     bit k of j is set and bit k of i is not, and shift moves it to (i+k, j-k).
-    Cached per w, a power of two: a few entries per process."""
+
+    Cached per w, a power of two.  A tableau on n qubits asks for one or two:
+    the w that holds 2n (random_clifford and the reduction) and the one that
+    holds n (the symmetry check), the same w for n <= 4.  The log2(w) masks of
+    w^2 bits or fewer hold 0.27 MiB at w=512 and 5.3 MiB at w=2048 (n=1000),
+    by tracemalloc.
+    """
     swaps = []
     k = w >> 1
     while k:
@@ -577,10 +586,10 @@ def compile_measurement(t: CliffordTableau) -> CompiledMeasurement:
 
     Only the stabilizers (rows n..2n-1) are read, as rows x | z << n, each
     carrying the bitset of stabilizers it is a product of.  Their reduced
-    echelon X block (_echelon) has the coins as its pivots: the Hadamard set
-    S of canonical_form.  The rows left without X are products of
-    stabilizers equal to +/- Z^z, each a parity constraint y.z = sign on the
-    outcome.  Reduced over the qubits outside S, the constraint that holds
+    echelon X block (_reduce_stabilizers) has the coins as its pivots: the
+    Hadamard set S of canonical_form.  The rows left without X are products
+    of stabilizers equal to +/- Z^z, each a parity constraint y.z = sign on
+    the outcome.  Reduced over the qubits outside S, the constraint that holds
     qubit q fixes bit q as its sign (one _row_product) XOR the coins in its
     z.  Those affine forms are unique, so the coins in it are earlier ones
     and the terms are those measuring qubit by qubit (Aaronson-Gottesman)
@@ -589,10 +598,7 @@ def compile_measurement(t: CliffordTableau) -> CompiledMeasurement:
     n, low = t.n, (1 << t.n) - 1
     if t.odd >> n:
         raise InvariantError(f"stabilizer {_lowest(t.odd >> n)} is not Hermitian")
-    # n identity columns give stabilizer j the ride-along bit 2n + j
-    rows = _transpose([col >> n for col in (*t.xcol, *t.zcol)] + [1 << j for j in range(n)], n)
-    coins, constraints = _echelon(rows, low)
-    _symplectic_block(coins, constraints, n)
+    coins, constraints, _ = _reduce_stabilizers(t)
     coin_mask = sum(1 << q for q in coins)
     # commuting, a constraint is Z on coins only if it is the identity
     fixed, left = _echelon((v >> n for v in constraints), low & ~coin_mask)
@@ -643,12 +649,12 @@ def canonical_form(t: CliffordTableau) -> tuple[CliffordTableau, tuple[int, ...]
 
     F1 and F2 are Hadamard-free: each maps every Z_j to +/- a string of Zs
     (Bravyi and Maslov, arXiv:2003.09412).  S is the pivots of the reduced
-    echelon X block of the stabilizers (the images of Z_j, by _echelon): the
-    coins of compile_measurement.  On the output side, CNOTs from each pivot
-    s to the other X bits of its row leave X_s Z^(M_s); the rows without X
-    span the Z_t, t not in S, so only M on S matters.  CNOT(s, u) maps Z_u
-    to Z_s Z_u, so bit s of a Z part flips with the parity of its bits at
-    the targets of s: M on S is the block _symplectic_block returns, which
+    echelon X block of the stabilizers (the images of Z_j, by
+    _reduce_stabilizers): the coins of compile_measurement.  On the output
+    side, CNOTs from each pivot s to the other X bits of its row leave
+    X_s Z^(M_s); the rows without X span the Z_t, t not in S, so only M on
+    S matters.  CNOT(s, u) maps Z_u to Z_s Z_u, so bit s of a Z part flips
+    with the parity of its bits at the targets of s: M on S is the block _symplectic_block returns, which
     it checks is symmetric.  CZ(s, s') where M[s][s'] = 1 and S on s where
     M[s][s] = 1 make the group <+/-X_s, +/-Z_t>.  With W those gates (the
     CNOTs, then the diagonal CZ and S layer), F2 = H_S W t is Hadamard-free
@@ -659,8 +665,7 @@ def canonical_form(t: CliffordTableau) -> tuple[CliffordTableau, tuple[int, ...]
     sign -1 there (S-dagger X S = -Y).
     """
     n, low = t.n, (1 << t.n) - 1
-    pivots, rest = _echelon(_transpose([col >> n for col in (*t.xcol, *t.zcol)], n), low)
-    block = _symplectic_block(pivots, rest, n)
+    pivots, _, block = _reduce_stabilizers(t)
     smask = sum(1 << s for s in pivots)
     cnots = [(s, u) for s, row in pivots.items() for u in _bits(row & low & ~smask)]
     czs = [(s, s2) for s, m in block.items() for s2 in _bits(m & ~((2 << s) - 1))]  # s2 > s
@@ -838,15 +843,6 @@ def _combine(basis: list[int], picked: Iterable[int]) -> tuple[int, int]:
         c |= 1 << i
         v ^= basis[i]
     return c, v
-
-
-def _transpose(rows: list[int], width: int) -> list[int]:
-    """The columns of the bit matrix whose row i is rows[i], width bits wide."""
-    nbytes = -(-width // 8)
-    packed = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows), dtype=np.uint8)
-    bits = np.unpackbits(packed.reshape(len(rows), nbytes), axis=1, count=width, bitorder="little")
-    cols = np.packbits(bits, axis=0, bitorder="little").T.copy()
-    return [int.from_bytes(col.tobytes(), "little") for col in cols]
 
 
 def clifford_generators(n: int) -> tuple[tuple[str, tuple[int, ...]], ...]:

@@ -27,14 +27,15 @@ three stacked predicates that each form a^dag a with matmul
 `linalg.unitary_scale` and `gadgets.search_gadgets` are pinned to it.
 
 The rest are helpers only tests call: dense Pauli and circuit matrices
-(`pauli_matrix`, `to_unitary`), the Pauli commutation test (`commutes`), a
+(`pauli_matrix`, `to_unitary`), the product of two Paulis
+(`pauli_product`), the Pauli commutation test (`commutes`), a
 Pauli pulled back through a gate word one gate at a time (`pull_back`),
 the finite-n Paley-Zygmund bound from a mean and second moment
 (`paley_zygmund_bound`; the trial reports its large-n limit), equality up to
 a factor (`proportional_up_to_phase`), a gadget's output wires
 (`output_wires`), a PWEAK verdict's matrix (`canonical_matrix`), one dense
-outcome probability (`outcome_probability`) and the I gadget multiplied out
-by hand (`gadget_I_closed_form`).
+outcome probability (`outcome_probability`) and the I and J gadgets
+multiplied out by hand (`gadget_I_closed_form`, `gadget_J_closed_form`).
 """
 from __future__ import annotations
 
@@ -88,6 +89,23 @@ def pauli_matrix(p: PauliString) -> np.ndarray:
     for q in range(p.n):
         m = np.kron(m, linalg.GATES[p.letter(q)])
     return (1j**p.phase) * m
+
+
+def pauli_product(a: PauliString, b: PauliString) -> PauliString:
+    """The product a.b, phase included: each factor is i^(phase + |Y|) X^x Z^z,
+    and moving b's X past a's Z picks up a -1 per qubit where both are set."""
+    if a.n != b.n:
+        raise ValueError("qubit count mismatch")
+    x, z = a.x ^ b.x, a.z ^ b.z
+    phase = (
+        a.phase
+        + b.phase
+        + (a.x & a.z).bit_count()
+        + (b.x & b.z).bit_count()
+        - (x & z).bit_count()
+        + 2 * (a.z & b.x).bit_count()
+    ) % 4
+    return PauliString(a.n, x, z, phase)
 
 
 def commutes(a: PauliString, b: PauliString) -> bool:
@@ -638,4 +656,14 @@ def gadget_I_closed_form(phi: float, theta: float) -> np.ndarray:
     e = np.exp(1j * phi)
     return np.array(
         [[c2, 1j * half_sin / e], [-1j * half_sin * e, -s2]], dtype=complex
+    )
+
+
+def gadget_J_closed_form(theta: float) -> np.ndarray:
+    """The contraction of the J gadget, multiplied out by hand; phi drops out."""
+    c = math.cos(theta)
+    return (
+        np.exp(-0.25j * math.pi)
+        / math.sqrt(2)
+        * np.array([[1j + c, 0], [0, 1 + 1j * c]], dtype=complex)
     )

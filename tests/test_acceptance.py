@@ -29,12 +29,11 @@ from cccsim.gadgets import (
     build_gadget_J,
     compile_word,
     gadget_action,
-    gadget_J_closed_form,
     search_gadgets,
 )
 from cccsim.mbqc import g_closed_form, g_gadget, rotation_angle, universality_check
 from cccsim.stabilizer import circuit_to_tableau
-from oracles import gadget_I_closed_form
+from oracles import gadget_I_closed_form, gadget_J_closed_form
 from oracles import random_clifford_circuit, sample_measurement, to_unitary
 
 from fractions import Fraction

@@ -19,12 +19,11 @@ from cccsim.gadgets import (
     build_gadget_J,
     compile_word,
     gadget_action,
-    gadget_J_closed_form,
     parse_gadget_file,
     search_gadgets,
 )
 from cccsim.stabilizer import CliffordCircuit, enumerate_clifford_words
-from oracles import gadget_I_closed_form, output_wires, proportional_up_to_phase
+from oracles import gadget_I_closed_form, gadget_J_closed_form, output_wires, proportional_up_to_phase
 
 THETA_GRID = [k * math.pi / 6 for k in range(-6, 7)] + [0.3, 1.234]
 PHI_GRID = [k * math.pi / 4 for k in range(-4, 5)] + [0.7, 2.1]

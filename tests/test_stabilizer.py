@@ -31,6 +31,7 @@ from oracles import (
     inverse,
     measure,
     pauli_matrix,
+    pauli_product,
     proportional_up_to_phase,
     random_clifford_circuit,
     sample_measurement,
@@ -43,10 +44,10 @@ LETTERS = "IXYZ"
 
 def pauli_from_letters(word):
     n = len(word)
-    p = PauliString.identity(n)
+    p = PauliString(n, 0, 0)
     for q, letter in enumerate(word):
         if letter != "I":
-            p = p * PauliString.single(n, letter, q)
+            p = pauli_product(p, PauliString.single(n, letter, q))
     return p
 
 
@@ -75,16 +76,16 @@ def test_product_phases_on_one_qubit():
     x = PauliString.single(1, "X", 0)
     z = PauliString.single(1, "Z", 0)
     y = PauliString.single(1, "Y", 0)
-    assert (x * z).phase == 3  # XZ = -iY
-    assert (z * x).phase == 1  # ZX = +iY
-    assert np.allclose(pauli_matrix(x * z), linalg.GATES["X"] @ linalg.GATES["Z"])
-    assert np.allclose(pauli_matrix(y * y), np.eye(2))
+    assert pauli_product(x, z).phase == 3  # XZ = -iY
+    assert pauli_product(z, x).phase == 1  # ZX = +iY
+    assert np.allclose(pauli_matrix(pauli_product(x, z)), linalg.GATES["X"] @ linalg.GATES["Z"])
+    assert np.allclose(pauli_matrix(pauli_product(y, y)), np.eye(2))
 
 
 def test_product_matches_dense_all_pairs():
     for a, b in itertools.product(LETTERS, repeat=2):
         pa, pb = pauli_from_letters(a), pauli_from_letters(b)
-        assert np.allclose(pauli_matrix(pa * pb), pauli_matrix(pa) @ pauli_matrix(pb)), (a, b)
+        assert np.allclose(pauli_matrix(pauli_product(pa, pb)), pauli_matrix(pa) @ pauli_matrix(pb)), (a, b)
 
 
 @given(
@@ -98,7 +99,7 @@ def test_product_matches_dense_all_pairs():
 def test_product_matches_dense_random_words(words):
     a, b = words
     pa, pb = pauli_from_letters(a), pauli_from_letters(b)
-    assert np.allclose(pauli_matrix(pa * pb), pauli_matrix(pa) @ pauli_matrix(pb))
+    assert np.allclose(pauli_matrix(pauli_product(pa, pb)), pauli_matrix(pa) @ pauli_matrix(pb))
 
 
 def test_commutes_matches_dense():
@@ -330,7 +331,7 @@ def test_one_commutation_check_for_both_readers_of_the_echelon():
             weights[:n] = 1 / (2 * n)
             weights[j] = 0.5
             picked = np.flatnonzero(rng.random(2 * n) < weights).tolist()
-            p = functools.reduce(lambda a, i: a * rows[i], picked, PauliString.identity(n))
+            p = functools.reduce(lambda a, i: pauli_product(a, rows[i]), picked, PauliString(n, 0, 0))
             rows[n + j] = PauliString(n, p.x, p.z, 2 * int(rng.integers(2)))
             broken = from_rows(n, [r.x for r in rows], [r.z for r in rows], [r.phase for r in rows])
             anticommuting = not all(commutes(a, b) for a, b in itertools.combinations(rows[n:], 2))
@@ -349,17 +350,43 @@ def test_one_commutation_check_for_both_readers_of_the_echelon():
     assert min(seen.values()) > 250, seen
 
 
-def test_symmetric_matches_the_transpose():
+def _bits_of(m):
+    """The rows of a 0/1 matrix as ints, column j at bit j."""
+    return [sum(int(b) << j for j, b in enumerate(r)) for r in m]
+
+
+def test_transpose_matches_a_bit_by_bit_reference():
+    # square and non-square shapes, widths off the multiples of 8, and the
+    # callers' shapes at several n: 2n x n (the reduction), 2n x 2n
+    # (random_clifford) and n x n (the symmetry check)
     rng = np.random.default_rng(51)
+    shapes = [(1, 1), (1, 13), (13, 1), (3, 7), (7, 3), (8, 9), (9, 8), (17, 70), (70, 17), (65, 65)]
+    for n in (1, 2, 3, 5, 6, 64, 100):
+        shapes += [(2 * n, n), (2 * n, 2 * n), (n, n)]
+    for size, width in shapes:
+        m = rng.integers(0, 2, size=(size, width))
+        assert stabilizer._transpose(_bits_of(m), width) == _bits_of(m.T), (size, width)
+    # a square matrix is its own transpose exactly when it is symmetric
     for size in (1, 2, 3, 7, 8, 9, 64, 65, 200):
         m = rng.integers(0, 2, size=(size, size))
         m = m | m.T
-        rows = [int("".join(map(str, r[::-1])), 2) for r in m]
-        assert stabilizer._symmetric(rows)
+        rows = _bits_of(m)
+        assert rows == stabilizer._transpose(rows, size)
         i, j = rng.integers(size, size=2)
         m[i, j] ^= 1
-        rows = [int("".join(map(str, r[::-1])), 2) for r in m]
-        assert stabilizer._symmetric(rows) == (i == j)
+        rows = _bits_of(m)
+        assert (rows == stabilizer._transpose(rows, size)) == (i == j)
+
+
+def test_row_product_is_the_product_of_the_rows():
+    # the product of a bitset of tableau rows, in increasing row order
+    rng = np.random.default_rng(52)
+    for n in (1, 2, 3, 5, 9):
+        for _ in range(20):
+            t = random_clifford(n, rng)
+            rows = int(rng.integers(1, 1 << 2 * n))
+            want = functools.reduce(pauli_product, (t.row(i) for i in stabilizer._bits(rows)))
+            assert t._row_product(rows) == want
 
 
 def _x_block_rref(t):
