@@ -85,8 +85,48 @@ def _matrix_json(m: np.ndarray, digits: int = 10) -> list:
     return [[[round(z.real, digits) + 0.0, round(z.imag, digits) + 0.0] for z in row] for row in m]
 
 
-def _bitstrings(n: int):
-    return (format(i, f"0{n}b") for i in range(2**n))
+def _bits(width: int) -> list[str]:
+    """The 2**width width-bit strings in counting order; a leading 1 keeps
+    the zeros, and width 0 gives the one empty string."""
+    return [format(i, "b")[1:] for i in range(2**width, 2 ** (width + 1))]
+
+
+def _bitstrings(n: int) -> list[str]:
+    """The 2**n n-bit strings in counting order, each joined from two halves
+    formatted once apiece."""
+    low = _bits(n // 2)
+    return [high + rest for high in _bits(n - n // 2) for rest in low]
+
+
+# values of exactly these types go to json's C encoder as they are; any other
+# value, a subclass such as np.float64 too, is written by _dumps itself
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _dumps(obj, pad: str = "") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for obj
+    nested pad deep.  `indent` switches json to its pure-Python encoder, so
+    each non-empty container goes to the C encoder in one call that puts its
+    items one per line, and only its brackets are moved here."""
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if set(map(type, obj.values() if isinstance(obj, dict) else obj)) <= _SCALARS:
+        text = json.dumps(obj, sort_keys=True, separators=(sep, ": "))
+    else:
+        # the C encoder writes each other value as 0, the last character of
+        # its line (no encoded key or scalar holds a newline), and that 0 is
+        # then replaced by the value's own text
+        keys = sorted(obj) if isinstance(obj, dict) else range(len(obj))
+        values = [obj[k] for k in keys]
+        flat = [v if type(v) in _SCALARS else 0 for v in values]
+        text = json.dumps(dict(zip(keys, flat)) if isinstance(obj, dict) else flat, separators=(sep, ": "))
+        lines = zip(text[1:-1].split(sep), values)
+        text = text[0] + sep.join(
+            line if type(v) in _SCALARS else line[:-1] + _dumps(v, inner) for line, v in lines
+        ) + text[-1]
+    return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
 
 
 def cmd_classify(args) -> dict:
@@ -305,9 +345,8 @@ def cmd_audit(args) -> dict:
     instance = _load_instance(args, rng)
     exact = dense_distribution(instance)
     if args.approx_samples:
-        counts = np.zeros(2**instance.n)
-        for y in simulate_easy_weak(instance, rng, args.approx_samples):
-            counts[int(y, 2)] += 1
+        samples = simulate_easy_weak(instance, rng, args.approx_samples)
+        counts = np.bincount([int(y, 2) for y in samples], minlength=2**instance.n)
         approx = OutcomeDistribution(instance.n, counts / args.approx_samples)
         approx_method = "empirical_stabilizer"
     else:
@@ -485,7 +524,7 @@ def main(argv=None) -> int:
         },
         **result,
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_dumps(payload))
     return 0
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cccsim import linalg
+from cccsim import __version__, cli, linalg
 from cccsim.cli import main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -354,12 +355,37 @@ def test_sample_golden_outputs(capsys, argv, samples):
     assert d["method"] == "stabilizer" and d["samples"] == samples
 
 
-# V and the audit's coins come from one generator, as in `sample`.
+# V and the audit's coins come from one generator, as in `sample`; the
+# histogram of the 4000 draws is pinned down to the output bytes.
+GOLDEN_AUDIT_STDOUT = """{
+  "approx_method": "empirical_stabilizer",
+  "c": 0.5,
+  "command": "audit",
+  "config": {
+    "approx_samples": 4000,
+    "c": "1/2",
+    "random_v": 3,
+    "u": "H"
+  },
+  "epsilon_realized": 0.01800000000000001,
+  "fraction_within": 0.75,
+  "markov_floor": 0.5,
+  "n": 3,
+  "seed": 7,
+  "threshold": 0.009000000000000005,
+  "version": "%s"
+}
+"""
+
+
 def test_audit_golden_output(capsys):
-    d = run_json(
+    code, out, err = run_cli(
         capsys,
         ["audit", "--u", "H", "--random-v", "3", "--seed", "7", "--c", "1/2", "--approx-samples", "4000"],
     )
+    assert code == 0, err
+    assert out == GOLDEN_AUDIT_STDOUT % __version__
+    d = json.loads(out)
     assert d["approx_method"] == "empirical_stabilizer"
     assert d["epsilon_realized"] == 0.01800000000000001
     assert d["threshold"] == 0.009000000000000005
@@ -513,6 +539,79 @@ def test_golden_digests(capsys, tmp_path, monkeypatch, argv, digest):
     d = run_json(capsys, argv)
     d.pop("version")
     assert hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest() == digest
+
+
+# Every command prints json.dumps(payload, indent=2, sort_keys=True) of the
+# payload main built, whatever route the printing takes.
+STDOUT_ARGVS = [argv for argv, _ in GOLDEN_DIGESTS] + [
+    ["simulate", "--method", "dense", "--u", "rz=pi*1/3 rx=pi*1/2", "--random-v", "14", "--seed", "2"],
+    ["simulate", "--method", "easy", "--u", "H", "--random-v", "5", "--seed", "3"],
+    ["audit", "--u", "H", "--random-v", "4", "--seed", "3", "--c", "1/4"],
+    ["audit", "--u", "H", "--random-v", "3", "--seed", "7", "--c", "1/2", "--approx-samples", "4000"],
+    ["params", "--a", "1/5", "--c", "0.2", "--eps", "0.01"],
+    ["anticonc", "--n", "3", "--samples", "150", "--seed", "7"],
+    ["gadget", "search", "--u", "H"],
+    ["mbqc", "check", "--theta", "pi*1/6"],
+    ["mbqc", "check", "--theta", "pi*1/4"],
+]
+STDOUT_IDS = DIGEST_IDS + [
+    "simulate-dense-14",
+    "simulate-easy",
+    "audit-exact",
+    "audit-empirical",
+    "params",
+    "anticonc",
+    "gadget-search-empty",
+    "mbqc-universal",
+    "mbqc-exact-cosines",
+]
+
+
+@pytest.mark.parametrize("argv", STDOUT_ARGVS, ids=STDOUT_IDS)
+def test_stdout_is_json_dumps_of_the_payload(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gadget.txt").write_text(GOLDEN_GADGET)
+    payloads = []
+    dumps = cli._dumps
+
+    def record(obj, pad=""):
+        if not payloads:
+            payloads.append(obj)
+        return dumps(obj, pad)
+
+    monkeypatch.setattr(cli, "_dumps", record)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    assert out == json.dumps(payloads[0], indent=2, sort_keys=True) + "\n"
+
+
+DUMPS_EDGE_PAYLOADS = [
+    {},
+    [],
+    {"a": {}, "b": [], "c": [[], {}], "d": {"e": {"f": []}}},
+    (1, (2.5, "x"), ()),
+    {"t": (1, 2), "u": ((), [None])},
+    [math.nan, math.inf, -math.inf, 0.0, -0.0],
+    {"nan": math.nan, "inf": {"neg": -math.inf, "pos": math.inf}},
+    ["\u00e9\u2603", 'quote " back \\ tab \t nl \n nul \x00', ",\n  ", ",\n  \"x\": ["],
+    {"\u00e9": ",\n  ", ",\n  ": ["\u2603"]},
+    {"0": 0, ",\n  0": [0, "0"], "k": [",\n    0", {"0": [",\n      0"]}]},
+    [np.float64(0.1), np.float64(-1e300), np.float64(math.nan)],
+    {"p": np.float64(2 / 3), "q": 1, "r": [np.float64(0.5), 2]},
+    {"n": 3, "ok": True, "none": None, "x": [1, 2], "y": {"z": 1.5}, "s": "v", "big": 10**30},
+    {1: "int key", 2.5: "float key"},
+    {1: [1], 2.5: {}},
+]
+
+
+@pytest.mark.parametrize("payload", DUMPS_EDGE_PAYLOADS)
+def test_dumps_matches_json_indent_2_sorted(payload):
+    assert cli._dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_bitstrings_count_in_order(n):
+    assert cli._bitstrings(n) == [format(i, f"0{n}b") for i in range(2**n)]
 
 
 def test_anticonc_golden_output(capsys):
