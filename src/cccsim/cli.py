@@ -353,6 +353,7 @@ def cmd_audit(args) -> dict:
         approx = easy_reduction_distribution(instance)
         approx_method = "exact_reduction"
     c = float(args.c)
+    fraction = experiments.markov_set_audit(exact, approx, c)  # checks 0 < c < 1
     epsilon = tv_distance(exact, approx)
     return {
         "n": instance.n,
@@ -360,7 +361,7 @@ def cmd_audit(args) -> dict:
         "approx_method": approx_method,
         "epsilon_realized": epsilon,
         "threshold": 2 * epsilon / (c * 2**instance.n),
-        "fraction_within": experiments.markov_set_audit(exact, approx, c),
+        "fraction_within": fraction,
         "markov_floor": 1 - c,
     }
 
@@ -406,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--dense-cap",
-        type=int,
+        type=_count(0),
         help=f"override the dense statevector qubit cap ({linalg.DENSE_CAP_ENV})",
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -241,9 +241,11 @@ def compile_word(
     """Best inverse-free word over the generators within the length budget.
 
     Breadth-first with beam pruning by distance to the target; deduplication
-    is up to global phase.  Because expansion is deterministic and pruning
-    depends only on the level, a longer budget explores a superset of a
-    shorter one, so the returned distance is monotone in max_length.
+    is up to global phase.  The beam is one (B, 2, 2) stack, expanded by one
+    matmul per level (child i is generator i % G after beam entry i // G) and
+    kept in stable distance order.  Because expansion is deterministic and
+    pruning depends only on the level, a longer budget explores a superset
+    of a shorter one, so the returned distance is monotone in max_length.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -257,27 +259,30 @@ def compile_word(
             f"word budget {max_length} exceeds the cap of {WORD_LENGTH_CAP}"
         )
 
+    stack, count = np.stack(gens)[None], len(gens)
+    beam = np.eye(2, dtype=complex)[None]
+    words: list[tuple[int, ...]] = [()]
     best_word: tuple[int, ...] = ()
-    best_dist = float(linalg.phase_invariant_distance(np.eye(2), target))
-    beam: list[tuple[np.ndarray, tuple[int, ...]]] = [(np.eye(2, dtype=complex), ())]
-    seen = set(_phase_canonical_keys(np.eye(2, dtype=complex)[None]))
+    best_dist = float(linalg.phase_invariant_distance_batch(beam, target)[0])
+    seen = set(_phase_canonical_keys(beam))
     for _ in range(max_length):
-        expanded = [(g @ m, word + (gi,)) for m, word in beam for gi, g in enumerate(gens)]
-        candidates: list[tuple[np.ndarray, tuple[int, ...]]] = []
-        for cand, key in zip(expanded, _phase_canonical_keys(np.stack([m for m, _ in expanded]))):
-            if key in seen:
-                continue
-            seen.add(key)
-            candidates.append(cand)
-        if not candidates:
+        expanded = np.matmul(stack, beam[:, None]).reshape(-1, 2, 2)
+        keep = []
+        for i, key in enumerate(_phase_canonical_keys(expanded)):
+            if key not in seen:
+                seen.add(key)
+                keep.append(i)
+        if not keep:
             break
-        stack = np.stack([m for m, _ in candidates])
-        dists = linalg.phase_invariant_distance_batch(stack, target)
-        for (m2, word), d in zip(candidates, dists):
+        beam = expanded[keep]
+        words = [words[i // count] + (i % count,) for i in keep]
+        dists = linalg.phase_invariant_distance_batch(beam, target)
+        for word, d in zip(words, dists):
             if d < best_dist - 1e-12:
                 best_dist, best_word = float(d), word
-        order = sorted(range(len(candidates)), key=lambda i: (dists[i], i))
-        beam = [candidates[i] for i in order[:beam_width]]
+        order = np.argsort(dists, kind="stable")[:beam_width]
+        beam = beam[order]
+        words = [words[i] for i in order]
     return best_word, best_dist
 
 

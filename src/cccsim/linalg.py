@@ -152,8 +152,8 @@ def unitary_scale(a: np.ndarray, tol: float = GATE_UNITARY_TOL) -> tuple[np.ndar
     The unitarity bounds in the package, by input:
       * ccc.UNITARY_TOL (1e-10), is_unitary on a `--u` / `--target` matrix;
       * GATE_UNITARY_TOL (1e-8), is_unitary on U in the gadget search, on
-        compile_word's target and generators, on the gate
-        mbqc.rotation_angle reads and on phase_invariant_distance's inputs;
+        compile_word's target and generators and on the gate
+        mbqc.rotation_angle reads;
       * tol*max(1, gamma) with tol = GATE_UNITARY_TOL, unitarity up to
         scale here (a gadget action);
       * 1e-9 on each Pauli coefficient in is_clifford.
@@ -209,23 +209,14 @@ def is_clifford(a: np.ndarray, tol: float = 1e-9, gamma: np.ndarray | None = Non
     return clifford
 
 
-def phase_invariant_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """min over unit phases of the operator norm ||a - exp(i*g)*b||.
-
-    Both inputs must be unitary.  The minimum is taken in closed form from
-    the eigenphases of b^dag a: the optimal phase sits at the center of the
-    shortest arc containing all eigenphases.
-    """
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ValueError("inputs must be square matrices of equal dimension")
-    if not (is_unitary(a) and is_unitary(b)):
-        raise ValueError("phase_invariant_distance requires unitary inputs")
-    return float(phase_invariant_distance_batch(a[None, :, :], b)[0])
-
-
 def phase_invariant_distance_batch(stack: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized phase_invariant_distance of each matrix in stack against b."""
+    """min over unit phases of the operator norm ||a - exp(i*g)*b||, for each
+    unitary a of an (N, d, d) stack against one unitary b.
+
+    The minimum is taken in closed form from the eigenphases of b^dag a:
+    the optimal phase sits at the center of the shortest arc containing
+    all eigenphases.  Inputs are not checked for unitarity.
+    """
     m = b.conj().T[None, :, :] @ stack
     phases = np.sort(np.angle(np.linalg.eigvals(m)), axis=-1)
     gaps = np.diff(phases, axis=-1)

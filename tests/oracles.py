@@ -25,6 +25,10 @@ The gadget search's first form is here too: each slice classified by
 three stacked predicates that each form a^dag a with matmul
 (`is_unitary_up_to_scale`, `scale`, `is_clifford`), in `search_gadgets`;
 `linalg.unitary_scale` and `gadgets.search_gadgets` are pinned to it.
+So is the beam compiler's first form, one `(matrix, word)` tuple per
+candidate, each product formed on its own and the beam sorted with a
+key (`compile_word`); `gadgets.compile_word` must return its word and
+distance exactly.
 
 The rest are helpers only tests call: dense Pauli and circuit matrices
 (`pauli_matrix`, `to_unitary`), the product of two Paulis
@@ -32,7 +36,8 @@ The rest are helpers only tests call: dense Pauli and circuit matrices
 Pauli pulled back through a gate word one gate at a time (`pull_back`),
 the finite-n Paley-Zygmund bound from a mean and second moment
 (`paley_zygmund_bound`; the trial reports its large-n limit), equality up to
-a factor (`proportional_up_to_phase`), a gadget's output wires
+a factor (`proportional_up_to_phase`), the checked distance up to phase
+between two unitaries (`phase_invariant_distance`), a gadget's output wires
 (`output_wires`), a PWEAK verdict's matrix (`canonical_matrix`), one dense
 outcome probability (`outcome_probability`) and the I and J gadgets
 multiplied out by hand (`gadget_I_closed_form`, `gadget_J_closed_form`).
@@ -589,7 +594,74 @@ def search_gadgets(u: np.ndarray) -> list[tuple[Gadget, GadgetAction]]:
     return [results[key] for key in sorted(results)]
 
 
+# -- the beam compiler, one (matrix, word) tuple per candidate -----------------------
+
+
+def compile_word(
+    target: np.ndarray,
+    generators: list[np.ndarray],
+    max_length: int,
+    beam_width: int = gadgets.DEFAULT_BEAM_WIDTH,
+) -> tuple[tuple[int, ...], float]:
+    """Best inverse-free word over the generators within the length budget.
+
+    Breadth-first with beam pruning by distance to the target; deduplication
+    is up to global phase.  Because expansion is deterministic and pruning
+    depends only on the level, a longer budget explores a superset of a
+    shorter one, so the returned distance is monotone in max_length.
+    """
+    if not generators:
+        raise ValueError("need at least one generator")
+    target = np.asarray(target, dtype=complex)
+    gens = [np.asarray(g, dtype=complex) for g in generators]
+    for g in [target, *gens]:
+        if g.shape != (2, 2) or not linalg.is_unitary(g, linalg.GATE_UNITARY_TOL):
+            raise ValueError("target and generators must be 2x2 unitaries")
+    if max_length > gadgets.WORD_LENGTH_CAP:
+        raise CapabilityError(
+            f"word budget {max_length} exceeds the cap of {gadgets.WORD_LENGTH_CAP}"
+        )
+
+    best_word: tuple[int, ...] = ()
+    best_dist = float(phase_invariant_distance(np.eye(2), target))
+    beam: list[tuple[np.ndarray, tuple[int, ...]]] = [(np.eye(2, dtype=complex), ())]
+    seen = set(gadgets._phase_canonical_keys(np.eye(2, dtype=complex)[None]))
+    for _ in range(max_length):
+        expanded = [(g @ m, word + (gi,)) for m, word in beam for gi, g in enumerate(gens)]
+        candidates: list[tuple[np.ndarray, tuple[int, ...]]] = []
+        for cand, key in zip(expanded, gadgets._phase_canonical_keys(np.stack([m for m, _ in expanded]))):
+            if key in seen:
+                continue
+            seen.add(key)
+            candidates.append(cand)
+        if not candidates:
+            break
+        stack = np.stack([m for m, _ in candidates])
+        dists = linalg.phase_invariant_distance_batch(stack, target)
+        for (m2, word), d in zip(candidates, dists):
+            if d < best_dist - 1e-12:
+                best_dist, best_word = float(d), word
+        order = sorted(range(len(candidates)), key=lambda i: (dists[i], i))
+        beam = [candidates[i] for i in order[:beam_width]]
+    return best_word, best_dist
+
+
 # -- helpers only tests call ---------------------------------------------------------
+
+
+def phase_invariant_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """min over unit phases of the operator norm ||a - exp(i*g)*b||.
+
+    Both inputs must be unitary.  The minimum is taken in closed form from
+    the eigenphases of b^dag a: the optimal phase sits at the center of the
+    shortest arc containing all eigenphases.
+    """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if a.shape != b.shape or a.shape[0] != a.shape[1]:
+        raise ValueError("inputs must be square matrices of equal dimension")
+    if not (linalg.is_unitary(a) and linalg.is_unitary(b)):
+        raise ValueError("phase_invariant_distance requires unitary inputs")
+    return float(linalg.phase_invariant_distance_batch(a[None, :, :], b)[0])
 
 
 def proportional_up_to_phase(

@@ -82,6 +82,8 @@ def test_simulate_needs_a_circuit(capsys, tmp_path):
         (["audit", "--u", "H", "--random-v", "3", "--approx-samples", "-5"], "--approx-samples"),
         (["compile", "--target", "H", "--generators", "H,S", "--max-length", "-3"], "--max-length"),
         (["compile", "--target", "H", "--generators", "H,S", "--beam-width", "0"], "--beam-width"),
+        (["--dense-cap", "-1", "simulate", "--u", "T", "--random-v", "1"], "--dense-cap"),
+        (["--dense-cap", "-1", "classify", "--u", "T"], "--dense-cap"),
     ],
 )
 def test_negative_counts_exit_2(capsys, argv, option):
@@ -237,6 +239,13 @@ def test_audit_exact_and_empirical(capsys):
     assert d["approx_method"] == "empirical_stabilizer"
     assert d["epsilon_realized"] > 0
     assert d["fraction_within"] >= d["markov_floor"] == 0.75
+
+
+@pytest.mark.parametrize("c", ["0", "1"])
+def test_audit_c_outside_the_open_unit_interval_exits_2(capsys, c):
+    # the threshold divides by c, so the range check must come first
+    code, out, err = run_cli(capsys, ["audit", "--u", "H", "--random-v", "2", "--c", c])
+    assert code == 2 and not out and err == f"error: c must lie in (0, 1), got {c}.0\n"
 
 
 def test_mbqc_check(capsys):

@@ -278,6 +278,11 @@ def test_moment_sweep_and_tails():
         assert (
             abs(rep.mean_p_squared - rep.theory_second_moment) <= 5 * rep.second_moment_se
         ), n
+        # the Clifford group is a unitary 3-design, so E[p^3] is the Haar value too
+        d = 2**n
+        cubes = rep.p_values**3
+        third_se = cubes.std(ddof=1) / math.sqrt(rep.num_samples)
+        assert abs(cubes.mean() - 6 / (d * (d + 1) * (d + 2))) <= 5 * third_se, n
         for a in (0.1, 0.2, 0.5):
             floor = (1 - a) ** 2 / 2
             sigma = math.sqrt(floor * (1 - floor) / rep.num_samples)

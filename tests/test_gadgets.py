@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import oracles
-from cccsim import gadgets, linalg
-from cccsim.ccc import classify, decompose_unitary
+from cccsim import cli, gadgets, linalg
+from cccsim.ccc import classify, decompose_unitary, parse_unitary_spec
 from cccsim.errors import CapabilityError, ParseError
 from cccsim.gadgets import (
     Gadget,
@@ -564,7 +564,7 @@ def test_compile_word_exact_targets():
     acc = np.eye(2)
     for i in word:
         acc = (h, s)[i] @ acc
-    assert linalg.phase_invariant_distance(acc, linalg.GATES["X"]) < 1e-12
+    assert oracles.phase_invariant_distance(acc, linalg.GATES["X"]) < 1e-12
 
 
 def test_compile_word_improves_with_budget():
@@ -582,6 +582,33 @@ def test_compile_word_improves_with_budget():
     # deterministic search: these distances are exact reruns
     assert math.isclose(short, 0.07093364769074777, abs_tol=1e-9)
     assert math.isclose(long, 0.004964357976787501, abs_tol=1e-9)
+
+
+COMPILE_TARGETS = {
+    "rz=pi*1/4": parse_unitary_spec("rz=pi*1/4").matrix,
+    "T": linalg.GATES["T"],
+    "X": linalg.GATES["X"],
+    "haar-5": haar_u(5),
+}
+COMPILE_GENERATORS = {
+    "H,S,AJ(0,pi*1/3)": [cli._generator_matrix(t) for t in ("H", "S", "AJ(0,pi*1/3)")],
+    "H,T": [linalg.GATES["H"], linalg.GATES["T"]],
+    "S": [linalg.GATES["S"]],
+    # the second generator is the first up to phase, so every child it makes
+    # is a duplicate of its sibling and the dedup must drop it
+    "H,e^(i pi/3) H": [linalg.GATES["H"], np.exp(1j * math.pi / 3) * linalg.GATES["H"]],
+}
+
+
+@pytest.mark.parametrize("gens_name", list(COMPILE_GENERATORS))
+@pytest.mark.parametrize("target_name", list(COMPILE_TARGETS))
+def test_compile_word_matches_per_candidate_route(target_name, gens_name):
+    target, gens = COMPILE_TARGETS[target_name], COMPILE_GENERATORS[gens_name]
+    for beam_width in (1, 2, 7, 5000):  # 1, 2 and 7 prune and break ties
+        for max_length in range(9):
+            got = compile_word(target, gens, max_length, beam_width)
+            expected = oracles.compile_word(target, gens, max_length, beam_width)
+            assert got == expected, (beam_width, max_length)
 
 
 def test_compile_word_validates():
