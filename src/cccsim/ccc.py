@@ -318,11 +318,10 @@ def marginal_single_qubit(instance: CccInstance, j: int) -> float:
 
     U Z U^dag expands over the Pauli basis with real coefficients; each term
     is pulled back through V by tableau conjugation and evaluated on the
-    product state U|0>^n as a product of one-qubit expectations.
+    product state U|0>^n as a product of one-qubit expectations.  A j
+    outside 0..n-1 raises ValueError, from PauliString.single.
     """
     n = instance.n
-    if not 0 <= j < n:
-        raise ValueError(f"qubit {j} out of range for n={n}")
     u = instance.u
     uzu = u @ linalg.GATES["Z"] @ u.conj().T
     coeff = {

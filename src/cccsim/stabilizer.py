@@ -19,6 +19,11 @@ are both the coins of a Z-basis measurement and the Hadamard set S, and it
 checks that the stabilizers commute (_symplectic_block).  One bit-matrix
 transpose, masked block swaps on one int (_transpose), serves that
 reduction, its symmetry check and random_clifford.
+
+A gate is checked once, by _checked_gate, where it enters: parse_circuit,
+CliffordCircuit.build and CliffordTableau.apply.  The native updates (_h,
+_cnot, ...) trust their qubits, so circuit_to_tableau and canonical_form
+apply them unchecked.
 """
 from __future__ import annotations
 
@@ -144,11 +149,9 @@ class CliffordTableau:
     # -- gate application (conjugates every row by the gate) --
 
     def apply(self, name: str, qubits: tuple[int, ...]) -> None:
-        try:
-            method = CLIFFORD_GATES[name]
-        except KeyError:
-            raise ValueError(f"tableau cannot apply gate {name!r}") from None
-        getattr(self, method)(*qubits)
+        """Apply one gate by name, checked by _checked_gate (ValueError)."""
+        _checked_gate(self.n, name, qubits)
+        getattr(self, CLIFFORD_GATES[name])(*qubits)
 
     def prepend_layer(self, name: str) -> None:
         """Turn the tableau of V into that of V G^(x)n, for G in {H, S, X}.
@@ -178,27 +181,19 @@ class CliffordTableau:
         else:
             raise ValueError(f"cannot prepend a layer of {name!r}")
 
-    def _check(self, q: int) -> None:
-        if not 0 <= q < self.n:
-            raise ValueError(f"qubit {q} out of range for n={self.n}")
+    # the native updates trust their qubits; apply checks a gate by name
 
     def _h(self, q: int) -> None:
-        self._check(q)
         x, z = self.xcol[q], self.zcol[q]
         self.sign ^= x & z
         self.xcol[q], self.zcol[q] = z, x
 
     def _s(self, q: int) -> None:
-        self._check(q)
         x = self.xcol[q]
         self.sign ^= x & self.zcol[q]
         self.zcol[q] ^= x
 
     def _cnot(self, c: int, t: int) -> None:
-        self._check(c)
-        self._check(t)
-        if c == t:
-            raise ValueError("CNOT control and target coincide")
         xcol, zcol = self.xcol, self.zcol
         self.sign ^= xcol[c] & zcol[t] & ~(xcol[t] ^ zcol[c])
         xcol[t] ^= xcol[c]
@@ -207,10 +202,6 @@ class CliffordTableau:
     def _cz(self, a: int, b: int) -> None:
         """CZ(a, b), the same tableau as H(b) CNOT(a, b) H(b): X_a picks up Z_b
         and X_b picks up Z_a, with a sign where the row has X at both and Z at one."""
-        self._check(a)
-        self._check(b)
-        if a == b:
-            raise ValueError("CZ qubits coincide")
         xcol, zcol = self.xcol, self.zcol
         self.sign ^= xcol[a] & xcol[b] & (zcol[a] ^ zcol[b])
         zcol[a] ^= xcol[b]
@@ -218,7 +209,6 @@ class CliffordTableau:
 
     def _sdg(self, q: int) -> None:
         """S-dagger, the same tableau as S applied three times (X -> -Y, Y -> X)."""
-        self._check(q)
         x = self.xcol[q]
         self.sign ^= x & ~self.zcol[q]
         self.zcol[q] ^= x
@@ -226,15 +216,12 @@ class CliffordTableau:
     # X, Y and Z only negate the rows that anticommute with them at q
 
     def _x(self, q: int) -> None:
-        self._check(q)
         self.sign ^= self.zcol[q]
 
     def _y(self, q: int) -> None:
-        self._check(q)
         self.sign ^= self.xcol[q] ^ self.zcol[q]
 
     def _z(self, q: int) -> None:
-        self._check(q)
         self.sign ^= self.xcol[q]
 
     # -- row algebra over bitsets of rows --
@@ -496,16 +483,20 @@ class CompiledMeasurement:
 
 @dataclass(frozen=True)
 class CliffordCircuit:
-    """Gate list over the names of CLIFFORD_GATES, each gate kept as written."""
+    """Gate list over the names of CLIFFORD_GATES, each gate kept as written.
+
+    parse_circuit and build check every gate (_checked_gate); the raw
+    constructor takes gates that are already checked, such as the BFS words
+    search_gadgets wraps, and circuit_to_tableau replays them unchecked.
+    """
 
     n: int
     gates: tuple[tuple[str, tuple[int, ...]], ...]
 
     @staticmethod
     def build(n: int, gates) -> "CliffordCircuit":
-        """Check a gate sequence; names are upper-cased, nothing is rewritten."""
-        flat = ((g[0], *g[1]) if isinstance(g[1], (tuple, list)) else g for g in gates)
-        checked = (_checked_gate(n, name.upper(), tuple(map(int, qs))) for name, *qs in flat)
+        """Check a sequence of (name, qubits); names are upper-cased, nothing is rewritten."""
+        checked = (_checked_gate(n, name.upper(), tuple(map(int, qubits))) for name, qubits in gates)
         return CliffordCircuit(n, tuple(checked))
 
     def __len__(self) -> int:
@@ -577,7 +568,7 @@ def parse_circuit(text: str) -> CliffordCircuit:
 def circuit_to_tableau(c: CliffordCircuit) -> CliffordTableau:
     t = CliffordTableau.identity(c.n)
     for name, qubits in c.gates:
-        t.apply(name, qubits)
+        getattr(t, CLIFFORD_GATES[name])(*qubits)
     return t
 
 

@@ -330,7 +330,8 @@ def _z_outcome(product: PauliString, q: int) -> int:
 
 def measure(t: CliffordTableau, q: int, rng: np.random.Generator) -> int:
     """Measure qubit q in Z basis, collapsing t in place; returns the bit."""
-    t._check(q)
+    if not 0 <= q < t.n:
+        raise ValueError(f"qubit {q} out of range for n={t.n}")
     pivot = _pivot(t, q)
     if pivot >= 0:
         _collapse(t, q, pivot)

@@ -459,8 +459,9 @@ def test_marginal_matches_the_sampler_past_the_dense_cap(spec):
 
 def test_marginal_validates_qubit_index():
     inst = make_instance(linalg.GATES["H"], bell_circuit())
-    with pytest.raises(ValueError):
-        marginal_single_qubit(inst, 2)
+    for j in (-1, 2):
+        with pytest.raises(ValueError, match=f"qubit {j} out of range for n=2"):
+            marginal_single_qubit(inst, j)
 
 
 # -- unitary spec parsing ----------------------------------------------------------

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -185,6 +186,21 @@ def test_build_validates():
         CliffordCircuit.build(2, [("H", (5,))])
     with pytest.raises(ValueError):
         CliffordCircuit.build(2, [("CNOT", (1, 1))])
+
+
+@pytest.mark.parametrize(
+    "name, qubits, message",
+    [("Q", (0,), "unknown gate 'Q'"), ("H", (-1,), "qubit -1 out of range in H for n=3"),
+     ("S", (3,), "qubit 3 out of range in S for n=3"), ("H", (0, 1), "H takes one qubit, got 2"),
+     ("CZ", (1,), "CZ takes two qubits, got 1"), ("CNOT", (2, 2), "CNOT takes two distinct qubits"),
+     ("CZ", (0, 0), "CZ takes two distinct qubits")],
+)
+def test_tableau_apply_checks_its_gate(name, qubits, message):
+    t = random_clifford(3, np.random.default_rng(5))
+    before = t.key()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        t.apply(name, qubits)
+    assert t.key() == before
 
 
 # -- measurement -----------------------------------------------------------------
