@@ -23,6 +23,7 @@ from . import linalg
 from .angles import ExactAngle, parse_angle
 from .errors import InvariantError, ParseError
 from .stabilizer import (
+    CLIFFORD_GATES,
     CliffordCircuit,
     CliffordTableau,
     PauliString,
@@ -269,8 +270,9 @@ def _easy_reduction(instance: CccInstance) -> tuple[CliffordTableau, bool]:
     for g in word:
         t.prepend_layer(g)
     for g in word:
+        update = getattr(t, CLIFFORD_GATES["SDG" if g == "S" else g])
         for q in range(instance.n):
-            t.apply("SDG" if g == "S" else g, (q,))
+            update(q)
     return t, False
 
 

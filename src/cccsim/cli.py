@@ -43,14 +43,14 @@ from .gadgets import (
     parse_gadget_file,
     search_gadgets,
 )
-from .stabilizer import parse_circuit, random_clifford
+from .stabilizer import parse_tableau, random_clifford
 
 
 def _load_instance(args, rng: np.random.Generator):
     """The (U, V) instance of --u and --circuit/--random-v; rng draws a random V."""
     spec = parse_unitary_spec(args.u)
     if args.circuit:
-        v = parse_circuit(Path(args.circuit).read_text())
+        v = parse_tableau(Path(args.circuit).read_text())
     elif args.random_v:
         v = random_clifford(args.random_v, rng)
     else:

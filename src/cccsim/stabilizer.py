@@ -20,10 +20,13 @@ checks that the stabilizers commute (_symplectic_block).  One bit-matrix
 transpose, masked block swaps on one int (_transpose), serves that
 reduction, its symmetry check and random_clifford.
 
-A gate is checked once, by _checked_gate, where it enters: parse_circuit,
-CliffordCircuit.build and CliffordTableau.apply.  The native updates (_h,
-_cnot, ...) trust their qubits, so circuit_to_tableau and canonical_form
-apply them unchecked.
+A gate is checked once, where it enters: circuit text in one loop
+(_read_circuit, under parse_circuit and parse_tableau; the CLI reads a
+--circuit file into a tableau with no CliffordCircuit), CliffordCircuit.build
+and CliffordTableau.apply.  The loop checks the common valid line inline and
+leaves any other to _checked_gate, the one source of the gate messages.  The
+native updates (_h, _cnot, ...) trust their qubits, so circuit_to_tableau,
+canonical_form and the easy reduction apply them unchecked.
 """
 from __future__ import annotations
 
@@ -41,6 +44,8 @@ from .errors import CapabilityError, InvariantError, ParseError
 #: applies it natively (the CHP rules of Aaronson and Gottesman); a circuit
 #: accepts exactly these names, each as wide as its matrix in linalg.GATES
 CLIFFORD_GATES = {name: "_" + name.lower() for name in ("H", "S", "SDG", "X", "Y", "Z", "CNOT", "CZ")}
+#: the number of qubits each gate takes, read from its matrix in linalg.GATES
+_ARITY = {name: len(linalg.GATES[name]).bit_length() - 1 for name in CLIFFORD_GATES}
 
 _PHASE_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 
@@ -485,7 +490,7 @@ class CompiledMeasurement:
 class CliffordCircuit:
     """Gate list over the names of CLIFFORD_GATES, each gate kept as written.
 
-    parse_circuit and build check every gate (_checked_gate); the raw
+    parse_circuit and build check every gate; the raw
     constructor takes gates that are already checked, such as the BFS words
     search_gadgets wraps, and circuit_to_tableau replays them unchecked.
     """
@@ -522,7 +527,7 @@ def _checked_gate(n: int, name: str, qubits: tuple[int, ...]) -> tuple[str, tupl
     """
     if name not in CLIFFORD_GATES:
         raise ValueError(f"unknown gate {name!r}")
-    arity = len(linalg.GATES[name]).bit_length() - 1
+    arity = _ARITY[name]
     if len(qubits) != arity:
         raise ValueError(f"{name} takes {'one qubit' if arity == 1 else 'two qubits'}, got {len(qubits)}")
     for q in qubits:
@@ -533,10 +538,13 @@ def _checked_gate(n: int, name: str, qubits: tuple[int, ...]) -> tuple[str, tupl
     return name, qubits
 
 
-def parse_circuit(text: str) -> CliffordCircuit:
-    """Parse the line-oriented circuit format (see to_text for the inverse)."""
+def _read_circuit(text: str, start):
+    """Feed each gate of the circuit text to ops[name](*qubits); start(n) gives
+    (result, ops) once the header gives n.  The common valid line is checked
+    inline; any other goes through int and _checked_gate, whose ValueError
+    becomes a ParseError naming the line.
+    """
     n = None
-    gates: list[tuple[str, tuple[int, ...]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split("#", 1)[0].split()
         if not fields:
@@ -550,19 +558,53 @@ def parse_circuit(text: str) -> CliffordCircuit:
                 raise ParseError(f"line {lineno}: bad qubit count {fields[1]!r}") from None
             if n < 1:
                 raise ParseError(f"line {lineno}: qubit count must be positive")
+            result, ops = start(n)
             continue
-        name, *indices = fields
+        name = fields[0].upper()
+        k = _ARITY.get(name)
+        try:  # the common valid line, checked inline
+            if k == 1 == len(fields) - 1:
+                q = int(fields[1])
+                if 0 <= q < n:
+                    ops[name](q)
+                    continue
+            elif k == 2 == len(fields) - 1:
+                a, b = int(fields[1]), int(fields[2])
+                if a != b and 0 <= a < n and 0 <= b < n:
+                    ops[name](a, b)
+                    continue
+        except ValueError:  # from int: the index is reported below
+            pass
         try:
-            qubits = tuple(map(int, indices))
+            qubits = tuple(map(int, fields[1:]))
         except ValueError:
             raise ParseError(f"line {lineno}: bad qubit index in {' '.join(fields)!r}") from None
         try:
-            gates.append(_checked_gate(n, name.upper(), qubits))
+            _checked_gate(n, name, qubits)
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
+        ops[name](*qubits)
     if n is None:
         raise ParseError("missing 'qubits N' header")
+    return result
+
+
+def parse_circuit(text: str) -> CliffordCircuit:
+    """Parse the line-oriented circuit format (see to_text for the inverse)."""
+    gates: list[tuple[str, tuple[int, ...]]] = []
+    record = {name: lambda *qubits, name=name: gates.append((name, qubits)) for name in CLIFFORD_GATES}
+    n = _read_circuit(text, lambda n: (n, record))
     return CliffordCircuit(n, tuple(gates))
+
+
+def parse_tableau(text: str) -> CliffordTableau:
+    """The tableau of a circuit text, each gate applied as it is read."""
+
+    def start(n: int):
+        t = CliffordTableau.identity(n)
+        return t, {name: getattr(t, method) for name, method in CLIFFORD_GATES.items()}
+
+    return _read_circuit(text, start)
 
 
 def circuit_to_tableau(c: CliffordCircuit) -> CliffordTableau:

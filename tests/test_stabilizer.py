@@ -22,6 +22,7 @@ from cccsim.stabilizer import (
     conjugate_pauli,
     enumerate_clifford_words,
     parse_circuit,
+    parse_tableau,
     random_clifford,
 )
 import oracles
@@ -576,6 +577,31 @@ def test_prepend_layer_matches_replaying_the_layer_first(n):
         t.prepend_layer("CNOT")
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_multiply_rows_matches_the_pauli_product(seed):
+    # rows with odd phases times factors with odd phases: on a valid tableau
+    # odd is 0 here, so only such rows tell `odd ^= lo` from `odd |= lo`
+    rng = np.random.default_rng(seed)
+    n, m = 5, 10
+    xs, zs = ([int(v) for v in rng.integers(0, 2**n, size=m)] for _ in range(2))
+    t = from_rows(n, xs, zs, [int(v) for v in rng.integers(0, 4, size=m)])
+    rows = int(rng.integers(1, 2**m))
+    factors = [PauliString(n, int(x), int(z), 1 + 2 * int(s))
+               for x, z, s in rng.integers(0, [2**n, 2**n, 2], size=(m, 3))]
+    before = [t.row(r) for r in range(m)]
+
+    def over_rows(bit):  # the bitset whose bit r is bit(factor r), for r in rows
+        return sum(bit(f) << r for r, f in enumerate(factors)) & rows
+
+    fx = [over_rows(lambda f: f.x >> q & 1) for q in range(n)]
+    fz = [over_rows(lambda f: f.z >> q & 1) for q in range(n)]
+    fodd, fsign = over_rows(lambda f: f.phase & 1), over_rows(lambda f: f.phase >> 1)
+    assert t.odd & fodd
+    t._multiply_rows(rows, fx, fz, fodd, fsign)
+    for r in range(m):
+        assert t.row(r) == (pauli_product(factors[r], before[r]) if rows >> r & 1 else before[r]), r
+
+
 def test_conjugation_inverse_past_the_dense_cap():
     rng = np.random.default_rng(22)
     n = 80
@@ -888,21 +914,66 @@ def test_parse_and_to_text_round_trip():
     assert again.gates == c.gates and again.n == 3
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        "",
-        "H 0\n",  # missing header
-        "qubits x\nH 0\n",
-        "qubits 2\nH\n",
-        "qubits 2\nH 0 1\n",
-        "qubits 2\nNOPE 0\n",
-        "qubits 2\nCNOT 0 5\n",
-    ],
-)
+# each malformed text and the exact message it raises
+PARSE_ERRORS = {
+    "": "missing 'qubits N' header",
+    "# only a comment\n\n": "missing 'qubits N' header",
+    "H 0\n": "line 1: expected 'qubits N' header",
+    "qubits x\nH 0\n": "line 1: bad qubit count 'x'",
+    "qubits 0\n": "line 1: qubit count must be positive",
+    "qubits 2\nH\n": "line 2: H takes one qubit, got 0",
+    "qubits 2\nH 0 1\n": "line 2: H takes one qubit, got 2",
+    "qubits 3\nCNOT 1\n": "line 2: CNOT takes two qubits, got 1",
+    "qubits 3\ncz 0 1 2\n": "line 2: CZ takes two qubits, got 3",
+    "qubits 2\nNOPE 0\n": "line 2: unknown gate 'NOPE'",
+    "qubits 3\nH 0\nfoo 1 # c\n": "line 3: unknown gate 'FOO'",
+    "qubits 3\nH x\n": "line 2: bad qubit index in 'H x'",
+    "qubits 3\n\nS 1.5\n": "line 3: bad qubit index in 'S 1.5'",
+    "qubits 3\nNOPE x\n": "line 2: bad qubit index in 'NOPE x'",  # the index is read first
+    "qubits 3\nX -1\n": "line 2: qubit -1 out of range in X for n=3",
+    "qubits 3\nS 3\n": "line 2: qubit 3 out of range in S for n=3",
+    "qubits 2\nCNOT 0 5\n": "line 2: qubit 5 out of range in CNOT for n=2",
+    "qubits 3\nCZ -1 0\n": "line 2: qubit -1 out of range in CZ for n=3",
+    "qubits 3\nCNOT 1 1\n": "line 2: CNOT takes two distinct qubits",
+    "qubits 3\n# c\nCZ 2 +2\n": "line 3: CZ takes two distinct qubits",
+}
+
+
+@pytest.mark.parametrize("bad", list(PARSE_ERRORS))
 def test_parse_circuit_rejects(bad):
-    with pytest.raises(ParseError):
-        parse_circuit(bad)
+    # parse_circuit and parse_tableau read through one loop: same message, same line
+    for parse in (parse_circuit, parse_tableau):
+        with pytest.raises(ParseError) as info:
+            parse(bad)
+        assert str(info.value) == PARSE_ERRORS[bad], parse.__name__
+
+
+@st.composite
+def written_circuits(draw):
+    """(n, gates, text): gates over all eight names, written with names in
+    mixed case, comments, blank lines and stray whitespace."""
+    n = draw(st.integers(1, 5))
+    names = [name for name in stabilizer.CLIFFORD_GATES if len(linalg.GATES[name]) <= 2**n]
+    filler = st.lists(st.sampled_from(["", "  ", "# a comment", "\t# CNOT 0 0"]), max_size=2)
+    gates, lines = [], draw(filler) + [f"qubits {n}"]
+    for _ in range(draw(st.integers(0, 40))):
+        name = draw(st.sampled_from(names))
+        qubits = tuple(draw(st.permutations(range(n)))[: len(linalg.GATES[name]).bit_length() - 1])
+        written = "".join(draw(st.sampled_from([c.lower(), c])) for c in name)
+        sep = draw(st.sampled_from([" ", "  ", "\t"]))
+        end = draw(st.sampled_from(["", " ", "\t", "# note", " # H 9"]))
+        lines += draw(filler) + [sep.join([written, *map(str, qubits)]) + end]
+        gates.append((written, qubits))
+    return n, gates, "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(written_circuits())
+def test_one_loop_reads_what_build_checks(circuit):
+    n, gates, text = circuit
+    built = CliffordCircuit.build(n, gates)
+    assert parse_circuit(text) == built
+    assert parse_tableau(text) == circuit_to_tableau(built)
 
 
 @pytest.mark.parametrize(
