@@ -24,12 +24,10 @@ from .angles import ExactAngle, parse_angle
 from .errors import InvariantError, ParseError
 from .stabilizer import (
     CLIFFORD_GATES,
-    CliffordCircuit,
     CliffordTableau,
     PauliString,
     apply_canonical_forms,
     canonical_form,
-    circuit_to_tableau,
     compile_measurement,
     conjugate_pauli,
 )
@@ -185,7 +183,7 @@ def classify(dec: UnitaryDecomposition) -> ClassificationVerdict:
 
 @dataclass(frozen=True, eq=False)
 class CccInstance:
-    """U, and V as its tableau, however V was given."""
+    """U, and V as its tableau."""
 
     u: np.ndarray
     decomposition: UnitaryDecomposition
@@ -194,17 +192,13 @@ class CccInstance:
 
 
 def make_instance(
-    u: np.ndarray,
-    v: CliffordCircuit | CliffordTableau,
-    decomposition: UnitaryDecomposition | None = None,
+    u: np.ndarray, v: CliffordTableau, decomposition: UnitaryDecomposition | None = None
 ) -> CccInstance:
     u = np.asarray(u, dtype=complex)
     if decomposition is None:
         decomposition = decompose_unitary(u)
     elif not linalg.is_unitary(u, UNITARY_TOL):
         raise ValueError(_NOT_UNITARY)
-    if isinstance(v, CliffordCircuit):
-        v = circuit_to_tableau(v)
     return CccInstance(u, decomposition, v, v.n)
 
 
@@ -217,11 +211,6 @@ class OutcomeDistribution:
         total = float(self.probs.sum())
         if not math.isclose(total, 1.0, abs_tol=1e-9):
             raise ValueError(f"probabilities sum to {total}, not 1")
-
-    def probability(self, y: str) -> float:
-        if len(y) != self.n or set(y) - {"0", "1"}:
-            raise ValueError(f"bad outcome string {y!r} for n={self.n}")
-        return float(self.probs[int(y, 2)])
 
 
 def tv_distance(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
@@ -354,13 +343,15 @@ def marginal_single_qubit(instance: CccInstance, j: int) -> float:
 
 # -- input parsing --------------------------------------------------------------
 
-_ROTATION_PATTERNS = (
-    ("rz",),
-    ("rx",),
-    ("rz", "rx"),
-    ("rx", "rz"),
-    ("rz", "rx", "rz"),
-)
+# each accepted rotation word, left factor first, and the Euler slot of
+# each of its angles in U = Rz(phi) Rx(theta) Rz(lam)
+_ROTATION_SLOTS = {
+    ("rz",): ("phi",),
+    ("rx",): ("theta",),
+    ("rz", "rx"): ("phi", "theta"),
+    ("rx", "rz"): ("theta", "lam"),
+    ("rz", "rx", "rz"): ("phi", "theta", "lam"),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,18 +385,13 @@ def parse_unitary_spec(text: str) -> UnitarySpec:
                 raise ParseError(f"bad rotation token {tok!r}")
             kinds.append(key)
             angles.append(parse_angle(val))
-        if tuple(kinds) not in _ROTATION_PATTERNS:
+        names = _ROTATION_SLOTS.get(tuple(kinds))
+        if names is None:
             raise ParseError(
                 f"rotation sequence {' '.join(kinds)} is not of the form rz rx rz"
             )
         zero = ExactAngle.rational(0)
-        slots = {"phi": zero, "theta": zero, "lam": zero}
-        order = iter(["phi", "lam"])
-        for kind, angle in zip(kinds, angles):
-            slots["theta" if kind == "rx" else next(order)] = angle
-        if kinds == ["rx", "rz"]:
-            # a lone trailing rz is the right factor, not the left one
-            slots["lam"], slots["phi"] = slots["phi"], zero
+        slots = {"phi": zero, "theta": zero, "lam": zero, **dict(zip(names, angles))}
         dec = _canonical_fold(zero, slots["phi"], slots["theta"], slots["lam"])
         return UnitarySpec(dec.recompose(), dec)
     if len(fields) == 8:

@@ -377,8 +377,6 @@ def cmd_mbqc_check(args) -> dict:
     verdict = mbqc.universality_check(theta)
     t = float(theta)
     g0, g1 = mbqc.g_gadget(t, 0), mbqc.g_gadget(t, 1)
-    rot0 = mbqc.rotation_angle(mbqc.g_closed_form(t, 0))
-    rot1 = mbqc.rotation_angle(mbqc.g_closed_form(t, 1))
     return {
         "theta": str(theta),
         "universal": verdict.universal,
@@ -389,8 +387,8 @@ def cmd_mbqc_check(args) -> dict:
         "exact_cosines": [str(f) for f in verdict.exact_cosines]
         if verdict.exact_cosines is not None
         else None,
-        "rotation_angle_g0": rot0.angle,
-        "rotation_angle_g1": rot1.angle,
+        "rotation_angle_g0": mbqc.rotation_angle(mbqc.g_closed_form(t, 0)),
+        "rotation_angle_g1": mbqc.rotation_angle(mbqc.g_closed_form(t, 1)),
         "residual_g0": _residual(g0, mbqc.g_closed_form(t, 0)),
         "residual_g1": _residual(g1, mbqc.g_closed_form(t, 1)),
         "residual_cz": float(np.max(np.abs(mbqc.cz_between_gadget_wires(t) - linalg.GATES["CZ"]))),

@@ -86,19 +86,13 @@ class AnticoncentrationReport:
     def theory_second_moment(self) -> float:
         return 2 * (1 - 2.0**-self.n) / (2 ** (2 * self.n) - 1)
 
-    def tail_fraction(self, a=None) -> float:
+    def tail_fraction(self) -> float:
         """Fraction of draws with p >= a / 2^n."""
-        a = self.a if a is None else float(a)
-        if not 0 <= a < 1:
-            raise ValueError(f"a must lie in [0, 1), got {a}")
-        return float(np.mean(self.p_values >= a / 2**self.n))
+        return float(np.mean(self.p_values >= self.a / 2**self.n))
 
-    def pz_bound(self, a=None) -> float:
+    def pz_bound(self) -> float:
         """Large-n limit of the Paley-Zygmund tail bound, (1-a)^2 / 2."""
-        a = self.a if a is None else float(a)
-        if not 0 <= a < 1:
-            raise ValueError(f"a must lie in [0, 1), got {a}")
-        return (1 - a) ** 2 / 2
+        return (1 - self.a) ** 2 / 2
 
     def as_dict(self) -> dict:
         """JSON-ready summary; raw p values are exported separately as CSV."""

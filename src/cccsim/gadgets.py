@@ -98,27 +98,21 @@ def gadget_action(g: Gadget) -> GadgetAction:
     return GadgetAction(a, float(gamma), True, bool(linalg.is_clifford(a, gamma=gamma)))
 
 
-def build_gadget_I(phi: float, theta: float, u: np.ndarray | None = None) -> Gadget:
-    """Two-wire gadget: CZ, with the input wire postselected after U-dagger.
-
-    The ancilla wire survives as the output.  Angles fix U = Rz(phi)Rx(theta)
-    unless an explicit U (with those Euler angles) is supplied.
+def build_gadget_I(phi: float, theta: float) -> Gadget:
+    """Two-wire gadget over U = Rz(phi)Rx(theta): CZ, with the input wire
+    postselected after U-dagger.  The ancilla wire survives as the output.
     """
-    if u is None:
-        u = linalg.rz(phi) @ linalg.rx(theta)
     gamma = CliffordCircuit.build(2, [("CZ", (0, 1))])
-    return Gadget(2, 1, np.asarray(u, dtype=complex), (0,), gamma, (0,), (0,))
+    return Gadget(2, 1, linalg.rz(phi) @ linalg.rx(theta), (0,), gamma, (0,), (0,))
 
 
-def build_gadget_J(phi: float, theta: float, u: np.ndarray | None = None) -> Gadget:
-    """Two-wire gadget: S then CZ on the ancilla, postselected on the ancilla.
-
-    The input wire passes straight through as the output.
+def build_gadget_J(phi: float, theta: float) -> Gadget:
+    """Two-wire gadget over U = Rz(phi)Rx(theta): S then CZ on the ancilla,
+    postselected on the ancilla.  The input wire passes straight through as
+    the output.
     """
-    if u is None:
-        u = linalg.rz(phi) @ linalg.rx(theta)
     gamma = CliffordCircuit.build(2, [("S", (1,)), ("CZ", (0, 1))])
-    return Gadget(2, 1, np.asarray(u, dtype=complex), (0,), gamma, (1,), (0,))
+    return Gadget(2, 1, linalg.rz(phi) @ linalg.rx(theta), (0,), gamma, (1,), (0,))
 
 
 # -- brute-force search over two-wire gadgets ---------------------------------
@@ -334,7 +328,8 @@ def parse_gadget_file(text: str, u: np.ndarray) -> Gadget:
         raise ParseError("missing 'ancilla' line")
     if not posts:
         raise ParseError("missing 'post' lines")
-    circuit = parse_circuit("\n".join(lines[consumed:]))
+    # the consumed lines stay as blank ones, so a circuit error names the file's line
+    circuit = parse_circuit("\n" * consumed + "\n".join(lines[consumed:]))
     if circuit.n != header["k"]:
         raise ParseError(
             f"circuit is on {circuit.n} qubits but the gadget declares k={header['k']}"
@@ -359,6 +354,8 @@ def _parse_kv(fields: list[str], keys: tuple[str, ...], lineno: int) -> dict[str
         key, _, val = f.partition("=")
         if key not in keys or not val:
             raise ParseError(f"line {lineno}: expected {'/'.join(keys)} assignments")
+        if key in out:
+            raise ParseError(f"line {lineno}: repeated key {key!r}")
         try:
             out[key] = int(val)
         except ValueError:

@@ -20,8 +20,10 @@ from .errors import CapabilityError
 
 DEFAULT_DENSE_CAP = 16
 DENSE_CAP_ENV = "CCCSIM_DENSE_CAP"
-# unitarity bound for gate-like inputs; unitary_scale lists every bound
+# unitarity bound for gate-like inputs, and is_clifford's bound on a Pauli
+# coefficient; unitary_scale lists every bound
 GATE_UNITARY_TOL = 1e-8
+PAULI_COEFF_TOL = 1e-9
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -141,7 +143,7 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b if a.ndim == 2 else np.einsum("...ik,...kj->...ij", a, b)
 
 
-def unitary_scale(a: np.ndarray, tol: float = GATE_UNITARY_TOL) -> tuple[np.ndarray, np.ndarray]:
+def unitary_scale(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each matrix of a (..., d, d) stack: is a^dag a = gamma*I, and gamma.
 
     Returns (mask, gamma), both of the stack's leading shape (numpy scalars
@@ -156,13 +158,13 @@ def unitary_scale(a: np.ndarray, tol: float = GATE_UNITARY_TOL) -> tuple[np.ndar
         mbqc.rotation_angle reads;
       * tol*max(1, gamma) with tol = GATE_UNITARY_TOL, unitarity up to
         scale here (a gadget action);
-      * 1e-9 on each Pauli coefficient in is_clifford.
+      * PAULI_COEFF_TOL (1e-9) on each Pauli coefficient in is_clifford.
     """
     a = _square_stack(a)
     m = _product(a.conj().swapaxes(-1, -2), a)
     gamma = np.trace(m, axis1=-2, axis2=-1).real / a.shape[-1]
     resid = np.abs(m - gamma[..., None, None] * np.eye(a.shape[-1])).max(axis=(-2, -1))
-    return (gamma > tol) & (resid <= tol * np.maximum(1.0, gamma)), gamma
+    return (gamma > GATE_UNITARY_TOL) & (resid <= GATE_UNITARY_TOL * np.maximum(1.0, gamma)), gamma
 
 
 def is_unitary(a: np.ndarray, tol: float = GATE_UNITARY_TOL) -> bool:
@@ -170,7 +172,7 @@ def is_unitary(a: np.ndarray, tol: float = GATE_UNITARY_TOL) -> bool:
     return bool(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) <= tol)
 
 
-def is_clifford(a: np.ndarray, tol: float = 1e-9, gamma: np.ndarray | None = None) -> np.ndarray:
+def is_clifford(a: np.ndarray, gamma: np.ndarray | None = None) -> np.ndarray:
     """For each matrix of a (..., d, d) stack, d = 2**l: Clifford up to scale?
 
     True iff the matrix is unitary up to scale (see unitary_scale) and
@@ -179,9 +181,10 @@ def is_clifford(a: np.ndarray, tol: float = 1e-9, gamma: np.ndarray | None = Non
     rows it found unitary; those rows are then taken as unitary, and only the
     Pauli images are tested.  The image a P a^dag / gamma has Pauli
     coefficients c_Q = tr(Q image) / d with sum |c_Q|^2 = 1; it is a Pauli
-    iff every coefficient but the largest is at most tol in modulus.  The
-    coefficients are read in one pass: tr(X^x Z^z M) = sum_c (-1)^(z.c)
-    M[c, c^x], a Walsh-Hadamard transform of the x-th diagonal of M.
+    iff every coefficient but the largest is at most PAULI_COEFF_TOL in
+    modulus.  The coefficients are read in one pass: tr(X^x Z^z M) =
+    sum_c (-1)^(z.c) M[c, c^x], a Walsh-Hadamard transform of the x-th
+    diagonal of M.
     """
     a = _square_stack(a)
     d = a.shape[-1]
@@ -204,8 +207,8 @@ def is_clifford(a: np.ndarray, tol: float = 1e-9, gamma: np.ndarray | None = Non
         z_w = a * np.where(idx & bit, -1.0, 1.0)  # a @ Z_w flips column signs
         for image in (_product(x_w, ad) / gamma, _product(z_w, ad) / gamma):
             coeffs = np.abs(_product(image[..., diagonals[0], diagonals[1]], walsh)) / d
-            # at most one coefficient above tol; a NaN counts as above
-            clifford = clifford & (np.count_nonzero(~(coeffs <= tol), axis=(-2, -1)) <= 1)
+            # at most one coefficient above the bound; a NaN counts as above
+            clifford = clifford & (np.count_nonzero(~(coeffs <= PAULI_COEFF_TOL), axis=(-2, -1)) <= 1)
     return clifford
 
 

@@ -91,35 +91,20 @@ def cz_between_gadget_wires(theta) -> np.ndarray:
     return _two_wire(linalg.rz(-t), linalg.rz(-t), linalg.rz(t), linalg.rz(t))
 
 
-@dataclass(frozen=True, eq=False)
-class BlochRotation:
-    axis: np.ndarray
-    angle: float
-    axis_arbitrary: bool = False
-
-
-def rotation_angle(g: np.ndarray) -> BlochRotation:
-    """Rotation angle in [0, pi] and axis of a 2x2 unitary, phase-stripped.
+def rotation_angle(g: np.ndarray) -> float:
+    """Bloch rotation angle in [0, pi] of a 2x2 unitary, phase-stripped.
 
     The global phase is removed by dividing out a square root of the
     determinant and flipping the sign to make the trace nonnegative; the
-    angle then satisfies cos(angle/2) = trace/2.
+    angle then satisfies cos(angle/2) = trace/2.  Below about 2.2e-8,
+    trace/2 rounds to 1 and the angle reads exactly 0.0; the smallest
+    nonzero angle is 2*acos(1 - 2^-53), about 2.98e-8.
     """
     g = np.asarray(g, dtype=complex)
     if g.shape != (2, 2) or not linalg.is_unitary(g, linalg.GATE_UNITARY_TOL):
         raise ValueError("rotation extraction needs a 2x2 unitary")
     su = g / np.sqrt(complex(np.linalg.det(g)))
-    tr = complex(np.trace(su)).real
-    if tr < 0:
-        su, tr = -su, -tr
-    half_cos = min(tr / 2.0, 1.0)
-    angle = 2.0 * math.acos(half_cos)
-    half_sin = math.sin(angle / 2.0)
-    if half_sin < 1e-9:
-        return BlochRotation(np.array([0.0, 0.0, 1.0]), 0.0, axis_arbitrary=True)
-    m = (su - (tr / 2.0) * _EYE) / (-1j * half_sin)
-    axis = np.array([m[0, 1].real, -m[0, 1].imag, m[0, 0].real])
-    return BlochRotation(axis / np.linalg.norm(axis), angle)
+    return 2.0 * math.acos(min(abs(complex(np.trace(su)).real) / 2.0, 1.0))
 
 
 @dataclass(frozen=True)

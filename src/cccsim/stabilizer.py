@@ -113,9 +113,6 @@ class CliffordTableau:
             return NotImplemented
         return self.key() == other.key()
 
-    def __hash__(self):
-        return hash(self.key())
-
     def key(self) -> tuple:
         return (self.n, tuple(self.xcol), tuple(self.zcol), self.odd, self.sign)
 

@@ -718,7 +718,7 @@ def dense_by_gates(u: np.ndarray, circuit: CliffordCircuit) -> np.ndarray:
 def outcome_probability(instance: CccInstance, y: str) -> float:
     if len(y) != instance.n or set(y) - {"0", "1"}:
         raise ValueError(f"bad outcome string {y!r} for n={instance.n}")
-    return dense_distribution(instance).probability(y)
+    return float(dense_distribution(instance).probs[int(y, 2)])
 
 
 def gadget_I_closed_form(phi: float, theta: float) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cccsim import linalg
-from cccsim.angles import ExactAngle
+from cccsim.angles import ExactAngle, parse_angle
 from cccsim.ccc import (
     _easy_reduction,
     PH_SUPREME,
@@ -26,6 +27,7 @@ from cccsim.ccc import (
 from cccsim.errors import CapabilityError, ParseError
 from cccsim.stabilizer import (
     CliffordCircuit,
+    CliffordTableau,
     circuit_to_tableau,
     random_clifford,
 )
@@ -193,22 +195,19 @@ def test_case_predicates_match_angle_lattices():
 # -- instances and distributions --------------------------------------------------
 
 
-def bell_circuit():
-    return CliffordCircuit.build(2, [("H", (0,)), ("CNOT", (0, 1))])
+def bell_tableau():
+    return circuit_to_tableau(CliffordCircuit.build(2, [("H", (0,)), ("CNOT", (0, 1))]))
 
 
 def test_make_instance_rejects_non_unitary():
     with pytest.raises(ValueError):
-        make_instance(np.array([[1, 1], [0, 1]], dtype=complex), bell_circuit())
+        make_instance(np.array([[1, 1], [0, 1]], dtype=complex), bell_tableau())
 
 
 def test_outcome_distribution_validates():
     with pytest.raises(ValueError):
         OutcomeDistribution(1, np.array([0.7, 0.7]))
-    d = OutcomeDistribution(2, np.array([0.5, 0.5, 0.0, 0.0]))
-    assert d.probability("01") == 0.5
-    with pytest.raises(ValueError):
-        d.probability("0")
+    OutcomeDistribution(2, np.array([0.5, 0.5, 0.0, 0.0]))
 
 
 def test_tv_distance():
@@ -223,7 +222,7 @@ def test_tv_distance():
 def test_dense_distribution_definition_by_hand():
     # one qubit, by direct matrix arithmetic on the defining expression
     u = linalg.rz(0.9) @ linalg.rx(0.4)
-    v = CliffordCircuit.build(1, [("H", (0,))])
+    v = circuit_to_tableau(CliffordCircuit.build(1, [("H", (0,))]))
     inst = make_instance(u, v)
     w = u.conj().T @ linalg.GATES["H"] @ u
     expected = np.abs(w[:, 0]) ** 2
@@ -234,17 +233,16 @@ def test_dense_distribution_definition_by_hand():
 
 def test_identity_v_reproduces_computational_zero():
     u = linalg.rz(1.1) @ linalg.rx(0.8)
-    v = CliffordCircuit.build(2, [])
-    inst = make_instance(u, v)
+    inst = make_instance(u, CliffordTableau.identity(2))
     # U-dagger undoes U: the outcome is always the all-zero string
     d = dense_distribution(inst)
-    assert math.isclose(d.probability("00"), 1.0, abs_tol=1e-12)
+    assert math.isclose(d.probs[int("00", 2)], 1.0, abs_tol=1e-12)
 
 
 def test_conjugated_hadamard_is_uniform_not_deterministic():
     # U = H conjugating V = H on one qubit gives U^dag V U = H H H = H,
     # so the outcome is uniform on both strings.
-    inst = make_instance(linalg.GATES["H"], CliffordCircuit.build(1, [("H", (0,))]))
+    inst = make_instance(linalg.GATES["H"], circuit_to_tableau(CliffordCircuit.build(1, [("H", (0,))])))
     d = dense_distribution(inst)
     assert np.allclose(d.probs, [0.5, 0.5])
     e = easy_reduction_distribution(inst)
@@ -272,7 +270,7 @@ def test_easy_reduction_matches_dense_everywhere():
     for text in EASY_SPECS:
         s = parse_unitary_spec(text)
         for n in (1, 3, 4):
-            v = random_clifford_circuit(n, rng)
+            v = circuit_to_tableau(random_clifford_circuit(n, rng))
             inst = make_instance(s.matrix, v, s.decomposition)
             tv = tv_distance(dense_distribution(inst), easy_reduction_distribution(inst))
             assert tv < 1e-10, (text, n, tv)
@@ -294,7 +292,7 @@ def test_easy_reduction_tableau_matches_the_reduced_circuit(spec, case, negated)
     rng = np.random.default_rng(38)
     for n in (1, 5, 12, 70):
         v = random_clifford_circuit(n, rng)
-        inst = make_instance(s.matrix, v, s.decomposition)
+        inst = make_instance(s.matrix, circuit_to_tableau(v), s.decomposition)
         before = inst.v.key()
         t, negate = _easy_reduction(inst)
         assert negate == negated and inst.v.key() == before
@@ -314,7 +312,7 @@ def test_weak_sampler_matches_measurement_oracle_after_reduction(spec, case, neg
     assert classify(s.decomposition or decompose_unitary(s.matrix)).case_tag == case
     rng = np.random.default_rng(39)
     for n in (1, 5, 12, 70):
-        inst = make_instance(s.matrix, random_clifford_circuit(n, rng), s.decomposition)
+        inst = make_instance(s.matrix, circuit_to_tableau(random_clifford_circuit(n, rng)), s.decomposition)
         t, negate = _easy_reduction(inst)
         assert negate == negated
         oracle_rng = np.random.default_rng(n)
@@ -326,7 +324,7 @@ def test_weak_sampler_matches_measurement_oracle_after_reduction(spec, case, neg
 
 def test_simulate_easy_weak_refuses_supreme():
     s = parse_unitary_spec("rx=pi*1/3")
-    inst = make_instance(s.matrix, bell_circuit(), s.decomposition)
+    inst = make_instance(s.matrix, bell_tableau(), s.decomposition)
     with pytest.raises(ValueError):
         simulate_easy_weak(inst, np.random.default_rng(0), 1)
 
@@ -334,7 +332,7 @@ def test_simulate_easy_weak_refuses_supreme():
 def test_weak_sampling_tracks_dense_distribution():
     rng = np.random.default_rng(35)
     s = parse_unitary_spec("H")
-    inst = make_instance(s.matrix, random_clifford_circuit(2, rng), s.decomposition)
+    inst = make_instance(s.matrix, circuit_to_tableau(random_clifford_circuit(2, rng)), s.decomposition)
     dense = dense_distribution(inst)
     draws = 6000
     counts = {}
@@ -351,7 +349,7 @@ def test_instance_from_a_tableau_keeps_it_and_runs_its_canonical_form_for_dense(
     u = parse_unitary_spec("rz=pi*1/5 rx=pi*1/3").matrix
     t = random_clifford(4, rng)
     from_tableau = make_instance(u, t)
-    from_word = make_instance(u, tableau_to_circuit(t))
+    from_word = make_instance(u, circuit_to_tableau(tableau_to_circuit(t)))
     assert from_tableau.v is t and from_word.v == t
     # equal tableaux, one canonical form: the same computation, bit for bit
     dense = dense_distribution(from_tableau).probs
@@ -374,7 +372,7 @@ def test_dense_distribution_matches_the_word_applied_gate_by_gate():
                 gates.append((str(name), tuple(int(q) for q in qubits)))
             circuit = CliffordCircuit.build(n, gates)
             for u in us:
-                dense = dense_distribution(make_instance(u, circuit)).probs
+                dense = dense_distribution(make_instance(u, circuit_to_tableau(circuit))).probs
                 assert np.max(np.abs(dense - dense_by_gates(u, circuit))) <= 1e-15, (n, u)
 
 
@@ -393,7 +391,7 @@ def test_case_i_odd_bit_flip_route():
     # theta = pi conjugation flips every output bit relative to the even case
     rng = np.random.default_rng(36)
     s = parse_unitary_spec("rz=0.4 rx=pi")
-    inst = make_instance(s.matrix, random_clifford_circuit(3, rng), s.decomposition)
+    inst = make_instance(s.matrix, circuit_to_tableau(random_clifford_circuit(3, rng)), s.decomposition)
     assert tv_distance(dense_distribution(inst), easy_reduction_distribution(inst)) < 1e-10
 
 
@@ -405,7 +403,7 @@ def test_marginal_matches_dense():
     for _ in range(12):
         n = int(rng.integers(1, 5))
         u = random_unitary(rng)
-        inst = make_instance(u, random_clifford_circuit(n, rng))
+        inst = make_instance(u, circuit_to_tableau(random_clifford_circuit(n, rng)))
         dense = dense_distribution(inst)
         j = int(rng.integers(0, n))
         mask = 1 << (n - 1 - j)
@@ -416,20 +414,21 @@ def test_marginal_matches_dense():
 def test_marginal_scales_past_the_dense_cap():
     rng = np.random.default_rng(38)
     u = parse_unitary_spec("rz=pi*1/3 rx=pi*1/3").matrix  # not easy either
-    inst = make_instance(u, random_clifford_circuit(40, rng))
+    inst = make_instance(u, circuit_to_tableau(random_clifford_circuit(40, rng)))
     p0 = marginal_single_qubit(inst, 17)
     assert 0.0 <= p0 <= 1.0
 
 
-def shallow_word(n, rng, depth):
-    """depth random H, S and CNOT gates: most qubits keep a certain bit."""
+def shallow_tableau(n, rng, depth):
+    """The tableau of depth random H, S and CNOT gates: most qubits keep a
+    certain bit."""
     gates = []
     for kind in rng.integers(0, 4, size=depth):
         if kind >= 2:
             gates.append(("CNOT", tuple(int(q) for q in rng.choice(n, size=2, replace=False))))
         else:
             gates.append((("H", "S")[kind], (int(rng.integers(n)),)))
-    return CliffordCircuit.build(n, gates)
+    return circuit_to_tableau(CliffordCircuit.build(n, gates))
 
 
 @pytest.mark.parametrize("spec", [spec for spec, _, _ in REDUCTION_CASES])
@@ -443,7 +442,7 @@ def test_marginal_matches_the_sampler_past_the_dense_cap(spec):
     s = parse_unitary_spec(spec)
     rng = np.random.default_rng(49)
     certain = 0
-    for v in (random_clifford(n, rng), shallow_word(n, rng, n)):
+    for v in (random_clifford(n, rng), shallow_tableau(n, rng, n)):
         inst = make_instance(s.matrix, v, s.decomposition)
         text = "".join(simulate_easy_weak(inst, rng, shots))
         ones = (np.frombuffer(text.encode(), dtype=np.uint8).reshape(shots, n) - ord("0")).mean(axis=0)
@@ -458,7 +457,7 @@ def test_marginal_matches_the_sampler_past_the_dense_cap(spec):
 
 
 def test_marginal_validates_qubit_index():
-    inst = make_instance(linalg.GATES["H"], bell_circuit())
+    inst = make_instance(linalg.GATES["H"], bell_tableau())
     for j in (-1, 2):
         with pytest.raises(ValueError, match=f"qubit {j} out of range for n=2"):
             marginal_single_qubit(inst, j)
@@ -485,6 +484,30 @@ def test_parse_rotation_tokens():
     assert np.allclose(s.matrix, linalg.rx(math.pi / 2) @ linalg.rz(math.pi / 3))
 
 
+# each accepted rotation word, left factor first, and the Euler angles
+# (phi, theta, lambda) it fills, as multiples of pi
+ROTATION_FORMS = {
+    "rz=pi*1/3": (Fraction(1, 3), 0, 0),
+    "rx=pi*1/5": (0, Fraction(1, 5), 0),
+    "rz=pi*1/3 rx=pi*1/5": (Fraction(1, 3), Fraction(1, 5), 0),
+    "rx=pi*1/5 rz=pi*1/7": (0, Fraction(1, 5), Fraction(1, 7)),
+    "rz=pi*1/3 rx=pi*1/5 rz=pi*1/7": (Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)),
+}
+
+
+@pytest.mark.parametrize("text", list(ROTATION_FORMS))
+def test_parse_rotation_forms(text):
+    s = parse_unitary_spec(text)
+    dec = s.decomposition
+    assert dec.alpha.pi_multiple == 0
+    assert (dec.phi.pi_multiple, dec.theta.pi_multiple, dec.lam.pi_multiple) == ROTATION_FORMS[text]
+    product = np.eye(2)
+    for token in text.split():
+        kind, _, angle = token.partition("=")
+        product = product @ (linalg.rz if kind == "rz" else linalg.rx)(float(parse_angle(angle)))
+    assert np.max(np.abs(s.matrix - product)) < 1e-12
+
+
 def test_parse_raw_matrix():
     h = linalg.GATES["H"]
     flat = " ".join(f"{z.real} {z.imag}" for z in h.reshape(-1))
@@ -493,17 +516,26 @@ def test_parse_raw_matrix():
     assert s.decomposition is None
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        "",
-        "Q",
-        "rz=pi*1/3 rz=pi*1/4",
-        "rz=nonsense",
-        "1 0 0 1",  # wrong arity
-        "1 0 0 0 0 0 0 0",  # not unitary
-    ],
-)
+# each malformed spec and its exact message; in a rotation word a bad token
+# or angle is reported before the word's form
+SPEC_ERRORS = {
+    "": "empty unitary spec",
+    "Q": "cannot parse unitary spec 'Q': expected a gate name, rz/rx rotations, or eight reals",
+    "rz=pi*1/3 rz=pi*1/4": "rotation sequence rz rz is not of the form rz rx rz",
+    "rx=1 rz=1 rx=1": "rotation sequence rx rz rx is not of the form rz rx rz",
+    "rz=1 rx=1 rz=1 rx=1": "rotation sequence rz rx rz rx is not of the form rz rx rz",
+    "rz=nonsense": "cannot parse angle 'nonsense'",
+    "rz=1 rz=nonsense": "cannot parse angle 'nonsense'",
+    "rz=1 ry=1": "bad rotation token 'ry=1'",
+    "rz= rz=1": "bad rotation token 'rz='",
+    # wrong arity
+    "1 0 0 1": "cannot parse unitary spec '1 0 0 1': expected a gate name, rz/rx rotations, or eight reals",
+    "1 0 0 0 0 0 0 0": "matrix is not unitary within 1e-10",
+}
+
+
+@pytest.mark.parametrize("bad", list(SPEC_ERRORS))
 def test_parse_unitary_spec_rejects(bad):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as info:
         parse_unitary_spec(bad)
+    assert str(info.value) == SPEC_ERRORS[bad]

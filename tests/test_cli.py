@@ -196,6 +196,19 @@ def test_gadget_analyze_from_file(tmp_path, capsys):
     assert code == 2  # missing --u
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("gadget k=2 l=1\nancilla 0\npost wire=1 bit=0\nqubits 2\nS 1\nCZ 0 5\n", "line 6: qubit 5 out of range in CZ for n=2"),
+     ("gadget k=2 l=1\nancilla 0\npost wire=1 bit=0 bit=1\nqubits 2\nCZ 0 1\n", "line 3: repeated key 'bit'"),
+     ("gadget k=2 k=3 l=1\nancilla 0\npost wire=1 bit=0\nqubits 2\nCZ 0 1\n", "line 1: repeated key 'k'")],
+)
+def test_gadget_analyze_names_the_file_line(tmp_path, capsys, text, message):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, ["gadget", "analyze", "--file", str(path), "--u", "T"])
+    assert code == 2 and not out and err == f"error: {message}\n"
+
+
 def test_gadget_search(capsys):
     d = run_json(capsys, ["gadget", "search", "--u", "rz=pi*1/5 rx=pi*1/3", "--limit", "2"])
     assert d["num_classes"] > 0 and len(d["classes"]) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from functools import reduce
@@ -16,7 +17,7 @@ from cccsim.ccc import (
 from cccsim.errors import CapabilityError
 from cccsim.experiments import anticoncentration_trial, markov_set_audit, supremacy_parameters
 from cccsim.gadgets import _clifford_table
-from cccsim.stabilizer import CliffordCircuit, enumerate_clifford_words
+from cccsim.stabilizer import CliffordCircuit, circuit_to_tableau, enumerate_clifford_words
 from oracles import anticoncentration_p_values, paley_zygmund_bound, random_clifford_circuit, to_unitary
 
 HARD_U = parse_unitary_spec("rz=pi*1/3 rx=pi*1/2").matrix
@@ -113,7 +114,7 @@ def test_markov_guarantee_over_random_pairs():
 
 def test_markov_on_simulator_routes():
     rng = np.random.default_rng(52)
-    inst = make_instance(linalg.GATES["H"], random_clifford_circuit(3, rng))
+    inst = make_instance(linalg.GATES["H"], circuit_to_tableau(random_clifford_circuit(3, rng)))
     exact = dense_distribution(inst)
     approx = easy_reduction_distribution(inst)
     assert markov_set_audit(exact, approx, 0.25) == 1.0
@@ -143,7 +144,7 @@ def test_report_theory_fields():
     assert np.all(rep.p_values >= 0) and np.all(rep.p_values <= 1)
     assert 0 <= rep.tail_fraction() <= 1
     d = rep.as_dict()
-    assert d["tail_fraction"] == rep.tail_fraction(0.2)
+    assert d["tail_fraction"] == rep.tail_fraction()
     assert d["y"] == "000"
 
 
@@ -286,4 +287,4 @@ def test_moment_sweep_and_tails():
         for a in (0.1, 0.2, 0.5):
             floor = (1 - a) ** 2 / 2
             sigma = math.sqrt(floor * (1 - floor) / rep.num_samples)
-            assert rep.tail_fraction(a) >= floor - 3 * sigma, (n, a)
+            assert dataclasses.replace(rep, a=a).tail_fraction() >= floor - 3 * sigma, (n, a)

@@ -287,7 +287,7 @@ CZ 0 1
 def test_parse_gadget_file_round_trip():
     u = linalg.rz(0.7) @ linalg.rx(math.pi / 2)
     g = parse_gadget_file(GADGET_I_TEXT, u)
-    built = build_gadget_I(0.7, math.pi / 2, u=u)
+    built = build_gadget_I(0.7, math.pi / 2)
     assert g.k == 2 and g.l == 1
     assert g.ancilla_bits == built.ancilla_bits
     assert g.postselect_set == built.postselect_set
@@ -296,21 +296,32 @@ def test_parse_gadget_file_round_trip():
     )
 
 
-@pytest.mark.parametrize(
-    "mutation",
-    [
-        lambda t: t.replace("gadget k=2 l=1", "gadget k=2"),
-        lambda t: t.replace("ancilla 0\n", ""),
-        lambda t: t.replace("post wire=0 bit=0\n", ""),
-        lambda t: t.replace("wire=0", "wire=7"),
-        lambda t: t.replace("qubits 2", "qubits 3"),
-        lambda t: t.replace("ancilla 0", "ancilla 2"),
-        lambda t: "junk\n" + t,
-    ],
-)
+# each malformed variant of GADGET_I_TEXT and the exact message it raises;
+# a circuit error names its line in the whole file
+GADGET_FILE_ERRORS = {
+    lambda t: t.replace("gadget k=2 l=1", "gadget k=2"): "line 1: need all of k, l",
+    lambda t: t.replace("ancilla 0\n", ""): "missing 'ancilla' line",
+    lambda t: t.replace("post wire=0 bit=0\n", ""): "missing 'post' lines",
+    lambda t: t.replace("wire=0", "wire=7"): "postselect wire out of range",
+    lambda t: t.replace("qubits 2", "qubits 3"): "circuit is on 3 qubits but the gadget declares k=2",
+    lambda t: t.replace("ancilla 0", "ancilla 2"): "line 2: ancilla bits must be 0/1",
+    lambda t: "junk\n" + t: "line 1: expected 'gadget k=K l=L' header",
+    lambda t: t.replace("CZ 0 1", "S 1\nCZ 0 5"): "line 6: qubit 5 out of range in CZ for n=2",
+    lambda t: "# a gadget\n\n" + t.replace("CZ 0 1", "CZ 0 2"): "line 7: qubit 2 out of range in CZ for n=2",
+    lambda t: t.replace("k=2", "k=2 k=3"): "line 1: repeated key 'k'",
+    lambda t: t.replace("bit=0", "bit=0 bit=1"): "line 3: repeated key 'bit'",
+    lambda t: t.replace("ancilla 0", "ancilla x"): "line 2: bad ancilla bits",
+    lambda t: t.replace("wire=0", "wire=a"): "line 3: bad integer in 'wire=a'",
+    lambda t: t.replace("wire=0", "side=0"): "line 3: expected wire/bit assignments",
+    lambda t: t.replace("qubits 2\nCZ 0 1\n", ""): "missing 'qubits N' header",
+}
+
+
+@pytest.mark.parametrize("mutation", list(GADGET_FILE_ERRORS))
 def test_parse_gadget_file_rejects(mutation):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as info:
         parse_gadget_file(mutation(GADGET_I_TEXT), linalg.GATES["H"])
+    assert str(info.value) == GADGET_FILE_ERRORS[mutation]
 
 
 # -- search --------------------------------------------------------------------------

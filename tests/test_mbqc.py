@@ -77,15 +77,21 @@ def test_cz_gadget_layers_cancel_exactly():
 
 
 def test_rotation_angle_reference_gates():
-    r = mbqc.rotation_angle(linalg.GATES["H"])
-    assert math.isclose(r.angle, math.pi, abs_tol=1e-9)
-    assert np.allclose(r.axis, np.array([1, 0, 1]) / math.sqrt(2), atol=1e-9)
-    r = mbqc.rotation_angle(linalg.rz(0.7))
-    assert math.isclose(r.angle, 0.7) and np.allclose(r.axis, [0, 0, 1], atol=1e-9)
-    r = mbqc.rotation_angle(linalg.rx(-0.4))
-    assert math.isclose(r.angle, 0.4) and np.allclose(r.axis, [-1, 0, 0], atol=1e-9)
-    r = mbqc.rotation_angle(1j * np.eye(2))
-    assert r.axis_arbitrary and r.angle == 0.0
+    assert math.isclose(mbqc.rotation_angle(linalg.GATES["H"]), math.pi, abs_tol=1e-9)
+    assert math.isclose(mbqc.rotation_angle(linalg.rz(0.7)), 0.7)
+    assert math.isclose(mbqc.rotation_angle(linalg.rx(-0.4)), 0.4)
+    assert mbqc.rotation_angle(1j * np.eye(2)) == 0.0
+
+
+def test_rotation_angle_near_the_identity():
+    # trace/2 rounds to 1 below about 2.2e-8, so the angle reads exactly 0.0
+    # there; the smallest angle above it is 2 acos(1 - 2^-53)
+    smallest = 2.0 * math.acos(1.0 - 2.0**-53)
+    for t in (0.0, 1e-9, 2e-8):
+        assert mbqc.rotation_angle(np.exp(0.3j) * linalg.rz(t)) == 0.0, t
+        assert mbqc.rotation_angle(linalg.rx(-t)) == 0.0, t
+    assert mbqc.rotation_angle(linalg.rz(3e-8)) == smallest
+    assert 2.9e-8 < smallest < 3e-8
 
 
 def test_rotation_angle_rejects_non_unitary():
@@ -99,8 +105,8 @@ def test_gadget_rotation_cosines():
     # cos(angle(G0)) = -cos^2 theta, cos(angle(G1)) = -sin^2 theta
     rng = np.random.default_rng(73)
     for theta in rng.uniform(-math.pi, math.pi, 20):
-        a0 = mbqc.rotation_angle(mbqc.g_closed_form(theta, 0)).angle
-        a1 = mbqc.rotation_angle(mbqc.g_closed_form(theta, 1)).angle
+        a0 = mbqc.rotation_angle(mbqc.g_closed_form(theta, 0))
+        a1 = mbqc.rotation_angle(mbqc.g_closed_form(theta, 1))
         assert abs(math.cos(a0) + math.cos(theta) ** 2) < 1e-10, theta
         assert abs(math.cos(a1) + math.sin(theta) ** 2) < 1e-10, theta
 

@@ -204,6 +204,14 @@ def test_tableau_apply_checks_its_gate(name, qubits, message):
     assert t.key() == before
 
 
+def test_tableau_is_unhashable():
+    # a tableau is mutable and compares by content; key() is its hashable snapshot
+    t = CliffordTableau.identity(2)
+    with pytest.raises(TypeError):
+        hash(t)
+    assert t == CliffordTableau.identity(2) and {t.key()} == {CliffordTableau.identity(2).key()}
+
+
 # -- measurement -----------------------------------------------------------------
 
 
