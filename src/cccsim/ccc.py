@@ -364,8 +364,8 @@ def parse_unitary_spec(text: str) -> UnitarySpec:
     """Parse a one-qubit unitary description.
 
     Three forms: a gate name (H, T, ...), a rotation word like
-    'rz=pi*1/3 rx=pi*1/2' (at most Rz Rx Rz, left factor first), or eight
-    reals giving the matrix row-major as re,im pairs.
+    'rz=pi*1/3 rx=pi*1/2' (keys in any case; at most Rz Rx Rz, left factor
+    first), or eight reals giving the matrix row-major as re,im pairs.
     """
     text = text.strip()
     if not text:
@@ -381,6 +381,7 @@ def parse_unitary_spec(text: str) -> UnitarySpec:
         angles: list[ExactAngle] = []
         for tok in fields:
             key, _, val = tok.partition("=")
+            key = key.lower()
             if key not in ("rz", "rx") or not val:
                 raise ParseError(f"bad rotation token {tok!r}")
             kinds.append(key)

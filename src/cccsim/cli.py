@@ -30,7 +30,6 @@ from .ccc import (
     marginal_single_qubit,
     parse_unitary_spec,
     simulate_easy_weak,
-    tv_distance,
 )
 from .errors import CapabilityError, ParseError
 from .gadgets import (
@@ -353,14 +352,13 @@ def cmd_audit(args) -> dict:
         approx = easy_reduction_distribution(instance)
         approx_method = "exact_reduction"
     c = float(args.c)
-    fraction = experiments.markov_set_audit(exact, approx, c)  # checks 0 < c < 1
-    epsilon = tv_distance(exact, approx)
+    epsilon, threshold, fraction = experiments.markov_set_audit(exact, approx, c)  # checks 0 < c < 1
     return {
         "n": instance.n,
         "c": c,
         "approx_method": approx_method,
         "epsilon_realized": epsilon,
-        "threshold": 2 * epsilon / (c * 2**instance.n),
+        "threshold": threshold,
         "fraction_within": fraction,
         "markov_floor": 1 - c,
     }
@@ -450,8 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     gsub = gadget.add_subparsers(dest="subcommand", required=True)
     p = gsub.add_parser("analyze")
     p.set_defaults(func=cmd_gadget_analyze, command="gadget analyze")
-    p.add_argument("--builtin", choices=("I", "J"))
-    p.add_argument("--file", help="gadget description file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--builtin", choices=("I", "J"))
+    source.add_argument("--file", help="gadget description file")
     p.add_argument("--u", help="unitary spec (required with --file)")
     p.add_argument("--phi", default="0")
     p.add_argument("--theta", default="0")

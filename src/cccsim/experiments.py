@@ -172,19 +172,21 @@ def anticoncentration_trial(
     )
 
 
-def markov_set_audit(exact: OutcomeDistribution, approx: OutcomeDistribution, c) -> float:
-    """Fraction of outcomes whose error fits the per-outcome Markov budget.
-
-    With realized total-variation error e, the budget is 2e/(c 2^n); the
-    returned fraction always lands at or above 1 - c.
+def markov_set_audit(
+    exact: OutcomeDistribution, approx: OutcomeDistribution, c
+) -> tuple[float, float, float]:
+    """(epsilon, threshold, fraction): the realized total-variation error,
+    the per-outcome Markov budget 2 epsilon/(c 2^n), and the fraction of
+    outcomes whose error fits it, which always lands at or above 1 - c.
     """
     c = float(c)
     if not 0 < c < 1:
         raise ValueError(f"c must lie in (0, 1), got {c}")
     if exact.n != approx.n:
         raise ValueError("qubit count mismatch")
-    threshold = 2 * tv_distance(exact, approx) / (c * 2**exact.n)
+    epsilon = tv_distance(exact, approx)
+    threshold = 2 * epsilon / (c * 2**exact.n)
     fraction = float(np.mean(np.abs(approx.probs - exact.probs) <= threshold))
     if fraction < 1 - c:
         raise InvariantError(f"Markov bound broken: {fraction} of outcomes within, below 1 - c")
-    return fraction
+    return epsilon, threshold, fraction

@@ -212,18 +212,22 @@ def is_clifford(a: np.ndarray, gamma: np.ndarray | None = None) -> np.ndarray:
     return clifford
 
 
+def eigenphase_gap(m: np.ndarray) -> np.ndarray:
+    """The arc in [0, pi] between the two eigenphases a, b of each 2x2
+    unitary of a (..., 2, 2) stack: 2 atan2(|sin((a-b)/2)|, |cos((a-b)/2)|),
+    read as the Frobenius norm of m's traceless part over sqrt(2) and
+    |tr m|/2, which keeps full precision near 0 and near pi."""
+    h = (m[..., 0, 0] + m[..., 1, 1]) / 2
+    s = np.sqrt(np.abs(m[..., 0, 0] - h) ** 2 + (np.abs(m[..., 0, 1]) ** 2 + np.abs(m[..., 1, 0]) ** 2) / 2)
+    return 2.0 * np.arctan2(s, np.abs(h))
+
+
 def phase_invariant_distance_batch(stack: np.ndarray, b: np.ndarray) -> np.ndarray:
     """min over unit phases of the operator norm ||a - exp(i*g)*b||, for each
-    unitary a of an (N, d, d) stack against one unitary b.
+    2x2 unitary a of an (N, 2, 2) stack against one 2x2 unitary b.
 
-    The minimum is taken in closed form from the eigenphases of b^dag a:
-    the optimal phase sits at the center of the shortest arc containing
-    all eigenphases.  Inputs are not checked for unitarity.
+    The optimal phase sits midway between the two eigenphases of b^dag a,
+    so the distance is 2 sin(arc/4) of the arc between them
+    (eigenphase_gap).  Inputs are not checked for unitarity.
     """
-    m = b.conj().T[None, :, :] @ stack
-    phases = np.sort(np.angle(np.linalg.eigvals(m)), axis=-1)
-    gaps = np.diff(phases, axis=-1)
-    wrap = (2 * math.pi + phases[..., 0] - phases[..., -1])[..., None]
-    largest_gap = np.max(np.concatenate([gaps, wrap], axis=-1), axis=-1)
-    arc = 2 * math.pi - largest_gap
-    return 2.0 * np.sin(arc / 4.0)
+    return 2.0 * np.sin(eigenphase_gap(b.conj().T @ stack) / 4.0)

@@ -92,19 +92,12 @@ def cz_between_gadget_wires(theta) -> np.ndarray:
 
 
 def rotation_angle(g: np.ndarray) -> float:
-    """Bloch rotation angle in [0, pi] of a 2x2 unitary, phase-stripped.
-
-    The global phase is removed by dividing out a square root of the
-    determinant and flipping the sign to make the trace nonnegative; the
-    angle then satisfies cos(angle/2) = trace/2.  Below about 2.2e-8,
-    trace/2 rounds to 1 and the angle reads exactly 0.0; the smallest
-    nonzero angle is 2*acos(1 - 2^-53), about 2.98e-8.
-    """
+    """Bloch rotation angle in [0, pi] of a 2x2 unitary, phase-stripped: the
+    arc between its two eigenphases (linalg.eigenphase_gap)."""
     g = np.asarray(g, dtype=complex)
     if g.shape != (2, 2) or not linalg.is_unitary(g, linalg.GATE_UNITARY_TOL):
         raise ValueError("rotation extraction needs a 2x2 unitary")
-    su = g / np.sqrt(complex(np.linalg.det(g)))
-    return 2.0 * math.acos(min(abs(complex(np.trace(su)).real) / 2.0, 1.0))
+    return float(linalg.eigenphase_gap(g))
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,8 @@ Pauli pulled back through a gate word one gate at a time (`pull_back`),
 the finite-n Paley-Zygmund bound from a mean and second moment
 (`paley_zygmund_bound`; the trial reports its large-n limit), equality up to
 a factor (`proportional_up_to_phase`), the checked distance up to phase
-between two unitaries (`phase_invariant_distance`), a gadget's output wires
+between two unitaries by an eigensolver (`phase_invariant_distance`; the
+reference for the 2x2 closed form), a gadget's output wires
 (`output_wires`), a PWEAK verdict's matrix (`canonical_matrix`), one dense
 outcome probability (`outcome_probability`) and the I and J gadgets
 multiplied out by hand (`gadget_I_closed_form`, `gadget_J_closed_form`).
@@ -624,7 +625,7 @@ def compile_word(
         )
 
     best_word: tuple[int, ...] = ()
-    best_dist = float(phase_invariant_distance(np.eye(2), target))
+    best_dist = float(linalg.phase_invariant_distance_batch(np.eye(2)[None], target)[0])
     beam: list[tuple[np.ndarray, tuple[int, ...]]] = [(np.eye(2, dtype=complex), ())]
     seen = set(gadgets._phase_canonical_keys(np.eye(2, dtype=complex)[None]))
     for _ in range(max_length):
@@ -651,18 +652,23 @@ def compile_word(
 
 
 def phase_invariant_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """min over unit phases of the operator norm ||a - exp(i*g)*b||.
+    """min over unit phases of the operator norm ||a - exp(i*g)*b||, for two
+    d x d unitaries.
 
-    Both inputs must be unitary.  The minimum is taken in closed form from
-    the eigenphases of b^dag a: the optimal phase sits at the center of the
-    shortest arc containing all eigenphases.
+    Found from the eigenphases of b^dag a, by an eigensolver: the optimal
+    phase sits at the center of the shortest arc containing all of them,
+    which is the circle less its largest gap, and the distance is 2 sin of a
+    quarter of that arc.  The reference for linalg.phase_invariant_distance_batch,
+    which reads the 2x2 arc in closed form.
     """
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValueError("inputs must be square matrices of equal dimension")
     if not (linalg.is_unitary(a) and linalg.is_unitary(b)):
         raise ValueError("phase_invariant_distance requires unitary inputs")
-    return float(linalg.phase_invariant_distance_batch(a[None, :, :], b)[0])
+    phases = np.sort(np.angle(np.linalg.eigvals(b.conj().T @ a)))
+    largest_gap = max(np.max(np.diff(phases), initial=0.0), 2 * math.pi + phases[0] - phases[-1])
+    return float(2.0 * math.sin((2 * math.pi - largest_gap) / 4.0))
 
 
 def proportional_up_to_phase(

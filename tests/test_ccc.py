@@ -484,6 +484,15 @@ def test_parse_rotation_tokens():
     assert np.allclose(s.matrix, linalg.rx(math.pi / 2) @ linalg.rz(math.pi / 3))
 
 
+@pytest.mark.parametrize(
+    "spec", ["RZ=pi*1/3 RX=pi*1/2", "Rz=1 rx=1", "rX=pi*1/5 RZ=pi*1/7", "Rz=pi*1/3 rX=0.4 RZ=pi*1/7"]
+)
+def test_parse_rotation_keys_in_any_case(spec):
+    s, lower = parse_unitary_spec(spec), parse_unitary_spec(spec.lower())
+    assert s.decomposition == lower.decomposition
+    assert np.array_equal(s.matrix, lower.matrix)
+
+
 # each accepted rotation word, left factor first, and the Euler angles
 # (phi, theta, lambda) it fills, as multiples of pi
 ROTATION_FORMS = {
@@ -528,6 +537,8 @@ SPEC_ERRORS = {
     "rz=1 rz=nonsense": "cannot parse angle 'nonsense'",
     "rz=1 ry=1": "bad rotation token 'ry=1'",
     "rz= rz=1": "bad rotation token 'rz='",
+    "RZ=1 Ry=1": "bad rotation token 'Ry=1'",
+    "RZ=1 rz=1": "rotation sequence rz rz is not of the form rz rx rz",
     # wrong arity
     "1 0 0 1": "cannot parse unitary spec '1 0 0 1': expected a gate name, rz/rx rotations, or eight reals",
     "1 0 0 0 0 0 0 0": "matrix is not unitary within 1e-10",

@@ -194,6 +194,10 @@ def test_gadget_analyze_from_file(tmp_path, capsys):
     assert d["is_unitary"] and not d["is_clifford"]
     code, _, err = run_cli(capsys, ["gadget", "analyze", "--file", str(path)])
     assert code == 2  # missing --u
+    code, out, err = run_cli(
+        capsys, ["gadget", "analyze", "--builtin", "I", "--theta", "pi*1/3", "--file", str(path), "--u", "T"]
+    )
+    assert code == 2 and not out and "not allowed with" in err
 
 
 @pytest.mark.parametrize(
@@ -511,8 +515,11 @@ def test_dense_golden_outputs(capsys, tmp_path):
 # the compile and gadget-file outputs before every dense gate went through
 # the one batched apply_gate; the classify and mbqc outputs while a REAL angle
 # could still be reconstructed on the fly.  The gadget search was re-recorded
-# when printed matrices stopped carrying -0.0.  The seed -> output map must
-# not move.
+# when printed matrices stopped carrying -0.0, and the compile output when its
+# distance came from the closed-form eigenphase arc in place of an
+# eigensolver (same word; 0.03299058583669093 -> 0.0329905858366905, against
+# 0.0329905858366903491... for the same float word at 50 digits).  The
+# seed -> output map must not move.
 GOLDEN_GADGET = "gadget k=3 l=2\nancilla 1\npost wire=2 bit=0\nqubits 3\nH 0\nCNOT 0 2\nS 2\nCZ 1 2\nH 1\nCNOT 1 0\n"
 GOLDEN_DIGESTS = [
     (
@@ -529,7 +536,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["compile", "--target", "rz=pi*1/4", "--generators", "H,S,AJ(0,pi*1/3)", "--max-length", "10"],
-        "2004381561e0efcc6a7c82427b837a544c000099233267f68fda235b5b1a10b4",
+        "983c07540c1dcdff6dcaea6adcbe44510367f520e7b799ae228ac846a331e9d6",
     ),
     (
         ["gadget", "analyze", "--file", "gadget.txt", "--u", "rz=pi*1/3 rx=pi*1/2"],

@@ -86,14 +86,15 @@ def test_paley_zygmund_validation():
 
 def test_markov_identical_distributions():
     u4 = OutcomeDistribution(2, np.full(4, 0.25))
-    assert markov_set_audit(u4, u4, 0.3) == 1.0
+    assert markov_set_audit(u4, u4, 0.3)[2] == 1.0
 
 
 def test_markov_uniform_vs_point_mass():
     # n=2: tv = 3/4, threshold = 2*(3/4)/(c*4); enumerate by hand for c=1/2
     u4 = OutcomeDistribution(2, np.full(4, 0.25))
     point = OutcomeDistribution(2, np.array([1.0, 0, 0, 0]))
-    frac = markov_set_audit(u4, point, 0.5)
+    epsilon, threshold, frac = markov_set_audit(u4, point, 0.5)
+    assert epsilon == threshold == 0.75
     # threshold 0.75 excludes only the point-mass outcome (error 0.75 <= 0.75 is in)
     assert frac >= 0.5
     assert frac == 1.0  # |1 - 1/4| = 0.75 <= 0.75 exactly
@@ -108,7 +109,7 @@ def test_markov_guarantee_over_random_pairs():
         for c in (0.1, 0.2, 0.5):
             frac = markov_set_audit(
                 OutcomeDistribution(n, p), OutcomeDistribution(n, q), c
-            )
+            )[2]
             assert frac >= 1 - c
 
 
@@ -117,7 +118,7 @@ def test_markov_on_simulator_routes():
     inst = make_instance(linalg.GATES["H"], circuit_to_tableau(random_clifford_circuit(3, rng)))
     exact = dense_distribution(inst)
     approx = easy_reduction_distribution(inst)
-    assert markov_set_audit(exact, approx, 0.25) == 1.0
+    assert markov_set_audit(exact, approx, 0.25)[2] == 1.0
 
 
 def test_markov_validation():

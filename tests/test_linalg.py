@@ -191,6 +191,9 @@ def test_phase_invariant_distance_basics():
     d = phase_invariant_distance(linalg.GATES["S"], np.eye(2))
     # S vs I differ by a relative pi/2 phase between eigenvalues
     assert math.isclose(d, 2 * math.sin(math.pi / 8), rel_tol=1e-9)
+    # CZ vs I: eigenphases {0, 0, 0, pi}, so the arc is pi
+    d = phase_invariant_distance(linalg.GATES["CZ"], np.eye(4))
+    assert math.isclose(d, math.sqrt(2), rel_tol=1e-12)
 
 
 def test_phase_invariant_distance_is_a_metric_on_projective_unitaries():
@@ -210,12 +213,22 @@ def test_phase_invariant_distance_is_a_metric_on_projective_unitaries():
 
 
 def test_phase_invariant_distance_batch_agrees():
+    # the closed form against the eigensolver, over Haar pairs and the arcs
+    # near 0 and near pi where an acos of the trace would flatten
     rng = np.random.default_rng(7)
-    target = random_unitary(rng)
-    stack = np.stack([random_unitary(rng) for _ in range(12)])
-    batch = linalg.phase_invariant_distance_batch(stack, target)
-    single = [phase_invariant_distance(m, target) for m in stack]
-    assert np.allclose(batch, single, atol=1e-9)
+    targets = [random_unitary(rng) for _ in range(100)]
+    cases = [(np.stack([random_unitary(rng) for _ in range(100)]), target) for target in targets]
+    target = targets[0]
+    near = [target, np.exp(0.3j) * target]
+    for t in (0.0, 1e-15, 1e-12, 1e-9, 3e-8, 1e-4):
+        for turn in (linalg.rz(t), linalg.rx(-t), linalg.rz(math.pi - t), linalg.rx(t - math.pi)):
+            near.append(target @ turn)
+            near.append(np.exp(-1.2j) * turn @ target)
+    cases.append((np.stack(near), target))
+    for stack, target in cases:
+        batch = linalg.phase_invariant_distance_batch(stack, target)
+        single = [phase_invariant_distance(m, target) for m in stack]
+        assert np.max(np.abs(batch - single)) <= 2e-15
 
 
 @given(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))

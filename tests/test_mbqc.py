@@ -84,14 +84,11 @@ def test_rotation_angle_reference_gates():
 
 
 def test_rotation_angle_near_the_identity():
-    # trace/2 rounds to 1 below about 2.2e-8, so the angle reads exactly 0.0
-    # there; the smallest angle above it is 2 acos(1 - 2^-53)
-    smallest = 2.0 * math.acos(1.0 - 2.0**-53)
-    for t in (0.0, 1e-9, 2e-8):
-        assert mbqc.rotation_angle(np.exp(0.3j) * linalg.rz(t)) == 0.0, t
-        assert mbqc.rotation_angle(linalg.rx(-t)) == 0.0, t
-    assert mbqc.rotation_angle(linalg.rz(3e-8)) == smallest
-    assert 2.9e-8 < smallest < 3e-8
+    # the sine is read from the traceless part, so small angles keep their
+    # precision instead of flattening to 0 as an acos of the trace would
+    for t in (0.0, 1e-12, 1e-9, 2e-8, 3e-8):
+        assert abs(mbqc.rotation_angle(np.exp(0.3j) * linalg.rz(t)) - t) <= 1e-15, t
+        assert abs(mbqc.rotation_angle(linalg.rx(-t)) - t) <= 1e-15, t
 
 
 def test_rotation_angle_rejects_non_unitary():
