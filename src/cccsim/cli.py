@@ -201,8 +201,12 @@ def cmd_gadget_analyze(args) -> dict:
     if args.file:
         if not args.u:
             raise ValueError("--file needs --u for the conjugating unitary")
+        if args.phi != "0" or args.theta != "0":
+            raise ValueError("--phi and --theta only feed --builtin; with --file, U comes from --u")
         gadget = parse_gadget_file(Path(args.file).read_text(), parse_unitary_spec(args.u).matrix)
     elif args.builtin:
+        if args.u:
+            raise ValueError("--u only feeds --file; --builtin builds U from --phi and --theta")
         gadget = _builtin_gadget(args)
     else:
         raise ValueError("provide --builtin I|J or --file PATH")

@@ -11,6 +11,7 @@ are independent.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,7 +131,8 @@ def _phase_canonical_keys(stack: np.ndarray) -> list[bytes]:
     flat = stack.reshape(len(stack), stack.shape[-2] * stack.shape[-1])
     lead = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > 1e-6, axis=1)]
     canon = np.round(flat * (lead.conj() / np.abs(lead))[:, None], _SEARCH_KEY_DECIMALS) + 0.0
-    return [row.tobytes() for row in canon]
+    raw, width = canon.tobytes(), canon.itemsize * canon.shape[1]
+    return [raw[i : i + width] for i in range(0, len(raw), width)]
 
 
 @functools.cache
@@ -165,13 +167,15 @@ def search_gadgets(u: np.ndarray, k: int) -> list[tuple[Gadget, GadgetAction]]:
     ancilla bit, postselect wire and postselect bit.  The classes' words and
     4x4 unitaries do not depend on U: they are built once per process, on
     the first search, and every search after that only sandwiches them
-    between U and U-dagger.  Each of the 8 slices of 11520 actions is
-    classified in one batched pass: unitarity and scale once, then the
-    Pauli-image test on the unitary actions with their scale, whose square
-    root also normalizes the keys.  The survivors are deduplicated by their
-    action up to scale and global phase before any Gadget is built; the
-    first one found represents its class.  Results are sorted by canonical key, so the
-    order is stable across runs.
+    between U and U-dagger.  Each of the 8 slices (postselect wire, ancilla
+    bit, postselect bit) is bilinear in the table, A = L[rows] M R[:, cols],
+    so one (4, 16) @ (16, 11520) product gives its 11520 actions, read matrix
+    first as (2, 2, 11520).  They are classified in one pass: unitarity and
+    scale once, then the Pauli-image test on the unitary actions with their
+    scale, whose square root also normalizes the keys.  The first (slice,
+    index) found for each key, up to scale and global phase, represents its
+    class, and a Gadget is built for the representatives alone.  Results are
+    sorted by canonical key, so the order is stable across runs.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2) or not linalg.is_unitary(u, linalg.GATE_UNITARY_TOL):
@@ -187,40 +191,29 @@ def search_gadgets(u: np.ndarray, k: int) -> list[tuple[Gadget, GadgetAction]]:
         raise ValueError("search is specified for k of 2 or 3 only")
 
     words, mats = _clifford_table()
+    table = mats.reshape(len(mats), 16).T  # column i is word i's unitary, row-major
     eye = np.eye(4, dtype=complex)
-    ud = u.conj().T
-    results: dict[bytes, tuple[Gadget, GadgetAction]] = {}
     right = linalg.apply_gate(eye, u, (1,))  # U feeds the ancilla wire (wire 1)
-    for post_wire in (0, 1):
-        left = linalg.apply_gate(eye, ud, (post_wire,))
-        w = left @ mats @ right
-        for a_bit in (0, 1):
-            cols = [a_bit, 2 + a_bit]  # input wire 0 = i, wire 1 = a
-            for b_bit in (0, 1):
-                if post_wire == 0:
-                    rows = [2 * b_bit, 2 * b_bit + 1]
-                else:
-                    rows = [b_bit, 2 + b_bit]
-                actions = w[:, rows][:, :, cols]
-                unitary, gammas = linalg.unitary_scale(actions)
-                unitary = np.flatnonzero(unitary)
-                keep = unitary[~linalg.is_clifford(actions[unitary], gamma=gammas[unitary])]
-                gammas = gammas[keep]
-                keys = _phase_canonical_keys(actions[keep] / np.sqrt(gammas)[:, None, None])
-                for idx, gamma, key in zip(keep, gammas, keys):
-                    if key in results:
-                        continue
-                    gadget = Gadget(
-                        2,
-                        1,
-                        u,
-                        (a_bit,),
-                        CliffordCircuit(2, words[idx]),
-                        (post_wire,),
-                        (b_bit,),
-                    )
-                    results[key] = (gadget, GadgetAction(actions[idx], float(gamma), True, False))
-    return [results[key] for key in sorted(results)]
+    found: dict[bytes, tuple] = {}
+    for post_wire, a_bit, b_bit in itertools.product((0, 1), repeat=3):
+        left = linalg.apply_gate(eye, u.conj().T, (post_wire,))
+        rows = [2 * b_bit, 2 * b_bit + 1] if post_wire == 0 else [b_bit, 2 + b_bit]
+        cols = [a_bit, 2 + a_bit]  # input wire 0 = i, wire 1 = a
+        actions = (np.kron(left[rows], right[:, cols].T) @ table).reshape(2, 2, len(mats))
+        unitary, gammas = linalg.unitary_scale(np.moveaxis(actions, -1, 0))
+        unitary = np.flatnonzero(unitary)
+        clifford = linalg.is_clifford(np.moveaxis(actions[:, :, unitary], -1, 0), gamma=gammas[unitary])
+        keep = unitary[~clifford]
+        picked, gammas = np.moveaxis(actions[:, :, keep], -1, 0).copy(), gammas[keep]
+        keys = _phase_canonical_keys(picked / np.sqrt(gammas)[:, None, None])
+        for j, (idx, key) in enumerate(zip(keep.tolist(), keys)):
+            if key not in found:
+                found[key] = (post_wire, a_bit, b_bit, idx, picked[j], gammas[j])
+    results = []
+    for _, (post_wire, a_bit, b_bit, idx, matrix, gamma) in sorted(found.items()):
+        gadget = Gadget(2, 1, u, (a_bit,), CliffordCircuit(2, words[idx]), (post_wire,), (b_bit,))
+        results.append((gadget, GadgetAction(matrix, float(gamma), True, False)))
+    return results
 
 
 # -- bounded-budget word search (stand-in for a real compiler) -----------------

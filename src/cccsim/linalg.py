@@ -130,17 +130,15 @@ def normalized_action(a: np.ndarray) -> np.ndarray:
     return a / det ** (1.0 / d)
 
 
-def _square_stack(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
-    return a
-
-
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, matrix by matrix; a stack goes through one batched einsum, since
-    matmul makes one BLAS call per matrix of a stack."""
-    return a @ b if a.ndim == 2 else np.einsum("...ik,...kj->...ij", a, b)
+    """a @ b for matrix-first (d, e, ...) and (e, f, ...) stacks: one
+    elementwise pass over the batch per inner index.  One matrix takes `@`."""
+    if a.ndim == 2:
+        return a @ b
+    out = a[:, 0, None] * b[None, 0]
+    for k in range(1, a.shape[1]):
+        out += a[:, k, None] * b[None, k]
+    return out
 
 
 def unitary_scale(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,7 +147,8 @@ def unitary_scale(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (mask, gamma), both of the stack's leading shape (numpy scalars
     for a 2-D input).  gamma = tr(a^dag a) / d for every matrix; the mask
     holds where gamma > tol and a^dag a is within tol*max(1, gamma) of
-    gamma*I, entrywise.  a^dag a is formed once, for both answers.
+    gamma*I, entrywise.  a^dag a is formed once, for both answers, matrix
+    first: gamma and the residual reduce over its two leading axes.
 
     The unitarity bounds in the package, by input:
       * ccc.UNITARY_TOL (1e-10), is_unitary on a `--u` / `--target` matrix;
@@ -160,10 +159,11 @@ def unitary_scale(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         scale here (a gadget action);
       * PAULI_COEFF_TOL (1e-9) on each Pauli coefficient in is_clifford.
     """
-    a = _square_stack(a)
-    m = _product(a.conj().swapaxes(-1, -2), a)
-    gamma = np.trace(m, axis1=-2, axis2=-1).real / a.shape[-1]
-    resid = np.abs(m - gamma[..., None, None] * np.eye(a.shape[-1])).max(axis=(-2, -1))
+    a = np.moveaxis(np.asarray(a, dtype=complex), (-2, -1), (0, 1))
+    m = _product(a.conj().swapaxes(0, 1), a)
+    gamma = np.trace(m).real / len(m)
+    m[np.diag_indices(len(m))] -= gamma
+    resid = np.abs(m).max(axis=(0, 1))
     return (gamma > GATE_UNITARY_TOL) & (resid <= GATE_UNITARY_TOL * np.maximum(1.0, gamma)), gamma
 
 
@@ -184,31 +184,29 @@ def is_clifford(a: np.ndarray, gamma: np.ndarray | None = None) -> np.ndarray:
     iff every coefficient but the largest is at most PAULI_COEFF_TOL in
     modulus.  The coefficients are read in one pass: tr(X^x Z^z M) =
     sum_c (-1)^(z.c) M[c, c^x], a Walsh-Hadamard transform of the x-th
-    diagonal of M.
+    diagonal of M, run matrix first as in unitary_scale.
     """
-    a = _square_stack(a)
-    d = a.shape[-1]
-    l = d.bit_length() - 1
-    if d != 2**l:
-        raise ValueError(f"matrix dimension {d} is not a power of two")
     if gamma is None:
         clifford, gamma = unitary_scale(a)
         gamma = np.where(clifford, gamma, 1.0)
     else:
-        clifford = np.ones(a.shape[:-2], dtype=bool)
-    gamma = np.asarray(gamma)[..., None, None]
-    ad = a.conj().swapaxes(-1, -2)
+        clifford = np.ones(np.shape(a)[:-2], dtype=bool)
+    a = np.moveaxis(np.asarray(a, dtype=complex), (-2, -1), (0, 1))
+    d, l, batch = len(a), len(a).bit_length() - 1, (1,) * (a.ndim - 2)
+    if a.shape[1] != d or d != 2**l:
+        raise ValueError(f"expected 2**l x 2**l matrices, got {a.shape[0]} x {a.shape[1]}")
+    ad = a.conj().swapaxes(0, 1)
     idx = np.arange(d)
     diagonals = (idx[None, :], idx[None, :] ^ idx[:, None])  # [x, c] -> (c, c^x)
-    walsh = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * l, np.ones((1, 1)))
+    walsh = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * l, np.ones((1, 1))).reshape((d, d) + batch)
     for w in range(l):
         bit = 1 << (l - 1 - w)
-        x_w = a[..., idx ^ bit]  # a @ X_w permutes columns
-        z_w = a * np.where(idx & bit, -1.0, 1.0)  # a @ Z_w flips column signs
+        x_w = a[:, idx ^ bit]  # a @ X_w permutes columns
+        z_w = a * np.where(idx & bit, -1.0, 1.0).reshape((d,) + batch)  # a @ Z_w flips column signs
         for image in (_product(x_w, ad) / gamma, _product(z_w, ad) / gamma):
-            coeffs = np.abs(_product(image[..., diagonals[0], diagonals[1]], walsh)) / d
+            coeffs = np.abs(_product(image[diagonals], walsh)) / d
             # at most one coefficient above the bound; a NaN counts as above
-            clifford = clifford & (np.count_nonzero(~(coeffs <= PAULI_COEFF_TOL), axis=(-2, -1)) <= 1)
+            clifford = clifford & (np.count_nonzero(~(coeffs <= PAULI_COEFF_TOL), axis=(0, 1)) <= 1)
     return clifford
 
 

@@ -201,6 +201,27 @@ def test_gadget_analyze_from_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "extra, message",
+    [(["--theta", "pi*1/3"], "--phi and --theta only feed --builtin"),
+     (["--phi", "0.7"], "--phi and --theta only feed --builtin"),
+     (["--phi", "0.7", "--theta", "pi*1/2"], "--phi and --theta only feed --builtin")],
+)
+def test_gadget_analyze_refuses_angles_with_a_file(tmp_path, capsys, extra, message):
+    # the angles only build the builtin gadgets' U; a file's U comes from --u
+    path = tmp_path / "g.txt"
+    path.write_text("gadget k=2 l=1\nancilla 0\npost wire=0 bit=0\nqubits 2\nCZ 0 1\n")
+    code, out, err = run_cli(capsys, ["gadget", "analyze", "--file", str(path), "--u", "T", *extra])
+    assert code == 2 and not out and message in err
+    # the defaults, given explicitly, are still accepted
+    run_json(capsys, ["gadget", "analyze", "--file", str(path), "--u", "T", "--phi", "0", "--theta", "0"])
+
+
+def test_gadget_analyze_refuses_u_with_a_builtin(capsys):
+    code, out, err = run_cli(capsys, ["gadget", "analyze", "--builtin", "J", "--theta", "pi*1/3", "--u", "T"])
+    assert code == 2 and not out and "--u only feeds --file" in err
+
+
+@pytest.mark.parametrize(
     "text, message",
     [("gadget k=2 l=1\nancilla 0\npost wire=1 bit=0\nqubits 2\nS 1\nCZ 0 5\n", "line 6: qubit 5 out of range in CZ for n=2"),
      ("gadget k=2 l=1\nancilla 0\npost wire=1 bit=0 bit=1\nqubits 2\nCZ 0 1\n", "line 3: repeated key 'bit'"),
@@ -519,7 +540,10 @@ def test_dense_golden_outputs(capsys, tmp_path):
 # distance came from the closed-form eigenphase arc in place of an
 # eigensolver (same word; 0.03299058583669093 -> 0.0329905858366905, against
 # 0.0329905858366903491... for the same float word at 50 digits).  The
-# seed -> output map must not move.
+# gadget search was re-recorded again when each slice's actions came from one
+# (4, 16) @ (16, 11520) product in place of two stacked 4x4 products: the same
+# 1152 classes in the same order, with entries moved by at most 2.3e-16 by
+# the product's summation order.  The seed -> output map must not move.
 GOLDEN_GADGET = "gadget k=3 l=2\nancilla 1\npost wire=2 bit=0\nqubits 3\nH 0\nCNOT 0 2\nS 2\nCZ 1 2\nH 1\nCNOT 1 0\n"
 GOLDEN_DIGESTS = [
     (
@@ -532,7 +556,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["gadget", "search", "--u", "rz=pi*1/3 rx=pi*1/2", "--k", "2", "--limit", "2000"],
-        "104b0c9f4688d5cc4f92dc27963800f1d9baedbe7ad70d8d1d626552c1f86a0b",
+        "ea82bbf163b4e27ffe2bde5819b4e3b18b2fe58bbf3dcb240b67bec2b4833371",
     ),
     (
         ["compile", "--target", "rz=pi*1/4", "--generators", "H,S,AJ(0,pi*1/3)", "--max-length", "10"],

@@ -141,6 +141,48 @@ def test_unitary_up_to_scale():
     assert np.allclose(gamma, [0.25, 0.625, 0.0])
 
 
+@pytest.mark.parametrize(
+    "m, gamma, clifford",
+    [(linalg.GATES["H"], 0.9999999999999998, True),
+     (linalg.GATES["T"], 1.0, False),
+     (linalg.GATES["CNOT"], 1.0, True),
+     (2 * linalg.GATES["S"], 4.0, True)],
+    ids=["H", "T", "CNOT", "2S"],
+)
+def test_predicates_on_one_matrix_keep_their_bits(m, gamma, clifford):
+    # a single matrix still goes through `@`: gamma keeps the bits it had before
+    # the predicates went matrix first (H's is 1 - 2^-52), and the answers are
+    # numpy scalars
+    unitary, g = linalg.unitary_scale(m)
+    assert isinstance(unitary, np.bool_) and isinstance(g, np.float64)
+    assert unitary and g == gamma
+    is_c = linalg.is_clifford(m)
+    assert isinstance(is_c, np.bool_) and is_c == clifford
+    assert linalg.is_clifford(m, gamma=g) == clifford
+
+
+def test_predicates_read_strided_stacks_as_their_copies():
+    rng = np.random.default_rng(11)
+    cliffords = [to_unitary(random_clifford_circuit(2, rng)) for _ in range(6)]
+    others = [random_unitary(rng, 4) for _ in range(6)]
+    stack = np.stack(cliffords + others + [2j * c for c in cliffords] + [np.diag([1, 1, 1, 0.5])])
+    views = {
+        "reversed-rows": stack[:, ::-1],
+        "every-other": stack[::2],
+        "matrix-first": np.moveaxis(np.ascontiguousarray(np.moveaxis(stack, 0, -1)), -1, 0),
+    }
+    for name, view in views.items():
+        copy = np.ascontiguousarray(view)
+        assert not view.flags.c_contiguous, name
+        (unitary, gamma), (unitary_copy, gamma_copy) = linalg.unitary_scale(view), linalg.unitary_scale(copy)
+        # numpy's elementwise loops may round a strided pass apart from a
+        # contiguous one in the last bit; the masks must not move
+        assert np.array_equal(unitary, unitary_copy), name
+        assert np.max(np.abs(gamma - gamma_copy)) <= 1e-15 * np.max(gamma), name
+        assert np.array_equal(linalg.is_clifford(view), linalg.is_clifford(copy)), name
+    assert linalg.is_clifford(stack).tolist() == [True] * 6 + [False] * 6 + [True] * 6 + [False]
+
+
 # -- the Clifford-membership predicate ---------------------------------------------
 
 
