@@ -21,6 +21,11 @@ from .errors import ParseError
 
 RECONSTRUCT_MAX_DENOMINATOR = 64
 RECONSTRUCT_TOL = 1e-9
+# The tag decision sits this far past RECONSTRUCT_TOL, so that an angle at
+# exactly RECONSTRUCT_TOL from pi*p/q is tagged whatever rounding reaches it
+# on the way in: the Euler extraction of U and of e^{ia} U differ by a few
+# ulps of pi.  A sharp edge stays, but no longer at the declared tolerance.
+_ROUNDING_SLACK = 2.0 ** -40
 
 _ANGLE_RE = re.compile(r"^([+-]?)pi(?:\*(-?\d+)(?:/(\d+))?)?$")
 
@@ -91,7 +96,7 @@ class ExactAngle:
 
 def _reconstruct(radians: float) -> Fraction | None:
     frac = Fraction(radians / math.pi).limit_denominator(RECONSTRUCT_MAX_DENOMINATOR)
-    if abs(float(frac) * math.pi - radians) <= RECONSTRUCT_TOL:
+    if abs(float(frac) * math.pi - radians) <= RECONSTRUCT_TOL + _ROUNDING_SLACK:
         return frac
     return None
 

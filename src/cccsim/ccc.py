@@ -29,7 +29,7 @@ from .stabilizer import (
     apply_canonical_forms,
     canonical_form,
     compile_measurement,
-    conjugate_pauli,
+    pull_back_pauli,
 )
 
 PWEAK = "PWEAK"
@@ -308,7 +308,7 @@ def marginal_single_qubit(instance: CccInstance, j: int) -> float:
     """p(y_j = 0), in time polynomial in n (no dense statevector).
 
     U Z U^dag expands over the Pauli basis with real coefficients; each term
-    is pulled back through V by tableau conjugation and evaluated on the
+    is pulled back through V's tableau (pull_back_pauli) and evaluated on the
     product state U|0>^n as a product of one-qubit expectations.  A j
     outside 0..n-1 raises ValueError, from PauliString.single.
     """
@@ -331,7 +331,7 @@ def marginal_single_qubit(instance: CccInstance, j: int) -> float:
     for name in ("X", "Y", "Z"):
         if abs(coeff[name]) < 1e-15:
             continue
-        back = conjugate_pauli(instance.v, PauliString.single(n, name, j), inverse=True)
+        back = pull_back_pauli(instance.v, PauliString.single(n, name, j))
         # the pullback of a Hermitian Pauli is Hermitian: phase is 0 or 2
         sign = 1.0 if back.phase == 0 else -1.0
         value = sign

@@ -79,9 +79,9 @@ def _fraction(text: str) -> Fraction:
     return value
 
 
-def _matrix_json(m: np.ndarray, digits: int = 10) -> list:
+def _matrix_json(m: np.ndarray) -> list:
     # + 0.0 turns the -0.0 that rounding noise of either sign leaves into 0.0
-    return [[[round(z.real, digits) + 0.0, round(z.imag, digits) + 0.0] for z in row] for row in m]
+    return [[[round(z.real, 10) + 0.0, round(z.imag, 10) + 0.0] for z in row] for row in m]
 
 
 def _bits(width: int) -> list[str]:

@@ -71,7 +71,9 @@ def gadget_action(g: Gadget) -> GadgetAction:
     """Contract the gadget fragment exactly and classify the result.
 
     All 2**l inputs are contracted at once, as the columns of one
-    (2**k, 2**l) block.
+    (2**k, 2**l) block.  Gamma is applied gate by gate, keeping the global
+    phase its gates give it: its canonical form (apply_canonical_forms) would
+    shift 5,220 of the 11,520 two-qubit classes by e^{ik pi/4}, k != 0.
     """
     if g.k > GADGET_WIRE_CAP:
         raise CapabilityError(
@@ -85,7 +87,8 @@ def gadget_action(g: Gadget) -> GadgetAction:
     state[np.arange(dim) << (g.k - g.l) | anc, np.arange(dim)] = 1.0
     for w in g.ancilla_wires:
         state = linalg.apply_gate(state, g.u, (w,))
-    state = g.gamma.apply(state)
+    for name, qubits in g.gamma.gates:
+        state = linalg.apply_gate(state, linalg.GATES[name], qubits)
     ud = g.u.conj().T
     for w in g.postselect_set:
         state = linalg.apply_gate(state, ud, (w,))
@@ -300,6 +303,8 @@ def parse_gadget_file(text: str, u: np.ndarray) -> Gadget:
             header = _parse_kv(fields[1:], ("k", "l"), lineno)
             continue
         if fields[0] == "ancilla":
+            if ancilla is not None:
+                raise ParseError(f"line {lineno}: repeated 'ancilla' line")
             try:
                 ancilla = tuple(int(f) for f in fields[1:])
             except ValueError:

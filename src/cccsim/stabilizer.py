@@ -1,4 +1,4 @@
-"""Pauli and Clifford machinery: tableau simulation, sampling, conjugation.
+"""Pauli and Clifford machinery: tableau simulation, sampling, pull-back.
 
 Representation notes.  A Pauli operator on n qubits is stored as two n-bit
 masks plus a power of i: value = i^phase * (P_0 x P_1 x ... x P_{n-1}) where
@@ -25,8 +25,11 @@ A gate is checked once, where it enters: circuit text in one loop
 --circuit file into a tableau with no CliffordCircuit), CliffordCircuit.build
 and CliffordTableau.apply.  The loop checks the common valid line inline and
 leaves any other to _checked_gate, the one source of the gate messages.  The
-native updates (_h, _cnot, ...) trust their qubits, so circuit_to_tableau,
+native updates (_h, _cnot, ...) trust their qubits, so parse_tableau,
 canonical_form and the easy reduction apply them unchecked.
+
+A Clifford is a CliffordTableau, which everything here computes with; a
+CliffordCircuit is only a gadget's Gamma, a checked, printable gate word.
 """
 from __future__ import annotations
 
@@ -485,11 +488,10 @@ class CompiledMeasurement:
 
 @dataclass(frozen=True)
 class CliffordCircuit:
-    """Gate list over the names of CLIFFORD_GATES, each gate kept as written.
+    """A gadget's Gamma: gates over the names of CLIFFORD_GATES, as written.
 
-    parse_circuit and build check every gate; the raw
-    constructor takes gates that are already checked, such as the BFS words
-    search_gadgets wraps, and circuit_to_tableau replays them unchecked.
+    parse_circuit and build check every gate; the raw constructor takes
+    gates that are already checked, such as the BFS words search_gadgets wraps.
     """
 
     n: int
@@ -500,15 +502,6 @@ class CliffordCircuit:
         """Check a sequence of (name, qubits); names are upper-cased, nothing is rewritten."""
         checked = (_checked_gate(n, name.upper(), tuple(map(int, qubits))) for name, qubits in gates)
         return CliffordCircuit(n, tuple(checked))
-
-    def __len__(self) -> int:
-        return len(self.gates)
-
-    def apply(self, state: np.ndarray) -> np.ndarray:
-        """The gates in order, applied to a (2**n, *batch) block of states."""
-        for name, qubits in self.gates:
-            state = linalg.apply_gate(state, linalg.GATES[name], qubits)
-        return state
 
     def to_text(self) -> str:
         lines = [f"qubits {self.n}"]
@@ -604,13 +597,6 @@ def parse_tableau(text: str) -> CliffordTableau:
     return _read_circuit(text, start)
 
 
-def circuit_to_tableau(c: CliffordCircuit) -> CliffordTableau:
-    t = CliffordTableau.identity(c.n)
-    for name, qubits in c.gates:
-        getattr(t, CLIFFORD_GATES[name])(*qubits)
-    return t
-
-
 def compile_measurement(t: CliffordTableau) -> CompiledMeasurement:
     """Measure qubits 0..n-1 once, symbolically, for any number of draws.
 
@@ -643,32 +629,24 @@ def compile_measurement(t: CliffordTableau) -> CompiledMeasurement:
     return CompiledMeasurement(tuple(terms))
 
 
-def conjugate_pauli(
-    t: CliffordTableau, p: PauliString, inverse: bool = False
-) -> PauliString:
-    """V p V-dagger, or V-dagger p V with inverse=True, with the exact sign.
+def pull_back_pauli(t: CliffordTableau, p: PauliString) -> PauliString:
+    """V-dagger p V, with the exact sign, and no inverse tableau.
 
-    Writes p as i^(phase+|Y positions|) * prod X_j^{x_j} * prod Z_j^{z_j} and
-    multiplies out the tableau rows, which are exactly the images of X_j, Z_j.
-    The inverse direction needs no inverse tableau: q = V-dagger p V has X at
-    j exactly when p anticommutes with stabilizer j (the image of Z_j), and Z
-    at j when p anticommutes with destabilizer j; one forward conjugation of q
-    then gives its sign.
+    q = V-dagger p V has X at j exactly when p anticommutes with stabilizer
+    j (the image of Z_j), and Z at j when p anticommutes with destabilizer j.
+    Written as i^(phase+|Y positions|) * prod X_j^{x_j} * prod Z_j^{z_j}, q
+    maps to the product of the tableau rows, which are exactly the images of
+    X_j, Z_j; that product must be p, and its phase gives q's sign.
     """
     n = p.n
     if t.n != n:
         raise ValueError("qubit count mismatch")
-    x, z = p.x, p.z
-    if inverse:
-        anti = t._anticommuting(x, z)
-        x, z = anti >> n, anti & ((1 << n) - 1)
+    anti = t._anticommuting(p.x, p.z)
+    x, z = anti >> n, anti & ((1 << n) - 1)
     acc = t._row_product(x | z << n)
-    phase = acc.phase + (x & z).bit_count()  # of the image of the Pauli x, z
-    if not inverse:
-        return PauliString(n, acc.x, acc.z, (phase + p.phase) % 4)
     if (acc.x, acc.z) != (p.x, p.z):
         raise InvariantError("tableau rows are not a symplectic basis")
-    return PauliString(n, x, z, (p.phase - phase) % 4)
+    return PauliString(n, x, z, (p.phase - acc.phase - (x & z).bit_count()) % 4)
 
 
 # -- the canonical form F1 . H_S . F2 and its dense action --------------------

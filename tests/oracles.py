@@ -30,8 +30,10 @@ candidate, each product formed on its own and the beam sorted with a
 key (`compile_word`); `gadgets.compile_word` must return its word and
 distance exactly.
 
-The rest are helpers only tests call: dense Pauli and circuit matrices
-(`pauli_matrix`, `to_unitary`), the product of two Paulis
+The rest are helpers only tests call: a gate word replayed gate by gate
+into a tableau (`circuit_to_tableau`; `stabilizer.parse_tableau` is pinned
+to it) or onto a block of states (`apply_word`), dense Pauli and circuit
+matrices (`pauli_matrix`, `to_unitary`), the product of two Paulis
 (`pauli_product`), the Pauli commutation test (`commutes`), a
 Pauli pulled back through a gate word one gate at a time (`pull_back`),
 the finite-n Paley-Zygmund bound from a mean and second moment
@@ -120,10 +122,25 @@ def commutes(a: PauliString, b: PauliString) -> bool:
     return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
 
 
+def circuit_to_tableau(c: CliffordCircuit) -> CliffordTableau:
+    """The tableau of the word, each gate replayed by its native update."""
+    t = CliffordTableau.identity(c.n)
+    for name, qubits in c.gates:
+        getattr(t, stabilizer.CLIFFORD_GATES[name])(*qubits)
+    return t
+
+
+def apply_word(c: CliffordCircuit, state: np.ndarray) -> np.ndarray:
+    """The gates in order, applied to a (2**n, *batch) block of states."""
+    for name, qubits in c.gates:
+        state = linalg.apply_gate(state, linalg.GATES[name], qubits)
+    return state
+
+
 def to_unitary(c: CliffordCircuit) -> np.ndarray:
     """Dense matrix of the circuit (subject to the dense cap)."""
     linalg.check_dense_cap(c.n, what="dense circuit unitary")
-    return c.apply(np.eye(2**c.n, dtype=complex))
+    return apply_word(c, np.eye(2**c.n, dtype=complex))
 
 
 def inverse(c: CliffordCircuit) -> CliffordCircuit:
@@ -451,7 +468,7 @@ def anticoncentration_p_values(n: int, u: np.ndarray, y: str, num_samples: int, 
     rng = np.random.default_rng(seed)
     p_values = np.empty(num_samples)
     for i in range(num_samples):
-        p_values[i] = abs(np.vdot(phi, random_clifford_circuit(n, rng).apply(psi))) ** 2
+        p_values[i] = abs(np.vdot(phi, apply_word(random_clifford_circuit(n, rng), psi))) ** 2
     return p_values
 
 
@@ -714,7 +731,7 @@ def dense_by_gates(u: np.ndarray, circuit: CliffordCircuit) -> np.ndarray:
     state = linalg.zero_state(circuit.n)
     for q in range(circuit.n):
         state = linalg.apply_gate(state, u, (q,))
-    state = circuit.apply(state)
+    state = apply_word(circuit, state)
     ud = u.conj().T
     for q in range(circuit.n):
         state = linalg.apply_gate(state, ud, (q,))

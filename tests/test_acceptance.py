@@ -32,8 +32,7 @@ from cccsim.gadgets import (
     search_gadgets,
 )
 from cccsim.mbqc import g_closed_form, g_gadget, rotation_angle, universality_check
-from cccsim.stabilizer import circuit_to_tableau
-from oracles import gadget_I_closed_form, gadget_J_closed_form
+from oracles import circuit_to_tableau, gadget_I_closed_form, gadget_J_closed_form
 from oracles import random_clifford_circuit, sample_measurement, to_unitary
 
 from fractions import Fraction

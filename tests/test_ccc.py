@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cccsim import linalg
-from cccsim.angles import ExactAngle, parse_angle
+from cccsim.angles import RECONSTRUCT_TOL, ExactAngle, parse_angle
 from cccsim.ccc import (
     _easy_reduction,
     PH_SUPREME,
@@ -28,11 +28,10 @@ from cccsim.errors import CapabilityError, ParseError
 from cccsim.stabilizer import (
     CliffordCircuit,
     CliffordTableau,
-    circuit_to_tableau,
     random_clifford,
 )
-from oracles import canonical_matrix, dense_by_gates, outcome_probability, proportional_up_to_phase
-from oracles import random_clifford_circuit, sample_measurement, tableau_to_circuit
+from oracles import canonical_matrix, circuit_to_tableau, dense_by_gates, outcome_probability
+from oracles import proportional_up_to_phase, random_clifford_circuit, sample_measurement, tableau_to_circuit
 
 angles = st.floats(-math.pi, math.pi, allow_nan=False)
 
@@ -166,12 +165,30 @@ def test_canonical_matrix_reproduces_u_up_to_phase():
 
 @settings(max_examples=60, deadline=None)
 @given(angles, angles, angles, angles)
+# theta at exactly RECONSTRUCT_TOL, where the tag once hung on the ulps that
+# the global phase moves
+@example(1.0, 1.0, 1e-9, 0.0)
+@example(0.947, 0.0, 1e-9, 1 / 32)
+@example(1.069331880610144, 0.0, 1e-9, 0.15625)
 def test_classification_ignores_alpha_and_is_total(alpha, phi, theta, lam):
     u = euler_matrix(alpha, phi, theta, lam)
     v1 = classify(decompose_unitary(u))
     v2 = classify(decompose_unitary(np.exp(0.6j) * u))
     assert v1.case_tag in ("i", "ii", "iii", "iv")
     assert v1.complexity_class == v2.complexity_class
+
+
+def test_angles_at_the_tolerance_keep_their_tag_under_any_phase():
+    # an angle RECONSTRUCT_TOL from a tag point is tagged, however the
+    # global phase rounds the extracted angle
+    for phi, theta, case in [(0.3, 0.0, "i"), (0.3, math.pi, "i"),
+                             (0.0, math.pi / 2, "ii"), (0.3, math.pi / 2, "iii")]:
+        for d_theta, d_phi in [(RECONSTRUCT_TOL, 0.0), (-RECONSTRUCT_TOL, 0.0),
+                               (0.0, RECONSTRUCT_TOL), (0.0, -RECONSTRUCT_TOL)]:
+            u = euler_matrix(0.0, phi + d_phi, theta + d_theta, 0.2)
+            for alpha in np.linspace(-math.pi, math.pi, 25):
+                v = classify(decompose_unitary(np.exp(1j * alpha) * u))
+                assert v.case_tag == case, (phi, theta, d_theta, d_phi, alpha)
 
 
 def test_case_predicates_match_angle_lattices():

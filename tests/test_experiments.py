@@ -17,8 +17,9 @@ from cccsim.ccc import (
 from cccsim.errors import CapabilityError
 from cccsim.experiments import anticoncentration_trial, markov_set_audit, supremacy_parameters
 from cccsim.gadgets import _clifford_table
-from cccsim.stabilizer import CliffordCircuit, circuit_to_tableau, enumerate_clifford_words
-from oracles import anticoncentration_p_values, paley_zygmund_bound, random_clifford_circuit, to_unitary
+from cccsim.stabilizer import CliffordCircuit, enumerate_clifford_words
+from oracles import anticoncentration_p_values, circuit_to_tableau, paley_zygmund_bound
+from oracles import random_clifford_circuit, to_unitary
 
 HARD_U = parse_unitary_spec("rz=pi*1/3 rx=pi*1/2").matrix
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -239,10 +240,16 @@ def _kron_sandwich(g: Gadget) -> np.ndarray:
 
 
 def test_gadget_action_matches_the_kron_sandwich():
-    gamma = CliffordCircuit.build(
-        3, [("H", (0,)), ("CNOT", (0, 2)), ("S", (2,)), ("CZ", (1, 2)), ("H", (1,)), ("CNOT", (2, 0))]
-    )
-    for u in (linalg.rz(math.pi / 3) @ linalg.rx(math.pi / 2), linalg.rz(0.4) @ linalg.rx(1.3)):
+    gammas = [
+        [("H", (0,)), ("CNOT", (0, 2)), ("S", (2,)), ("CZ", (1, 2)), ("H", (1,)), ("CNOT", (2, 0))],
+        # every name a circuit accepts, each matrix applied exactly as written
+        [("H", (0,)), ("S", (1,)), ("SDG", (2,)), ("X", (0,)), ("Y", (1,)), ("Z", (2,)),
+         ("CNOT", (0, 2)), ("CZ", (1, 2)), ("SDG", (0,)), ("Y", (2,)), ("CNOT", (2, 1))],
+    ]
+    for gamma, u in itertools.product(
+        (CliffordCircuit.build(3, gates) for gates in gammas),
+        (linalg.rz(math.pi / 3) @ linalg.rx(math.pi / 2), linalg.rz(0.4) @ linalg.rx(1.3)),
+    ):
         gadgets = [
             Gadget(3, 2, u, (1,), gamma, (2,), (0,)),
             Gadget(3, 2, u, (0,), gamma, (1,), (1,)),  # postselects input wire 1
@@ -315,6 +322,7 @@ GADGET_FILE_ERRORS = {
     lambda t: t.replace("wire=0", "wire=a"): "line 3: bad integer in 'wire=a'",
     lambda t: t.replace("wire=0", "side=0"): "line 3: expected wire/bit assignments",
     lambda t: t.replace("qubits 2\nCZ 0 1\n", ""): "missing 'qubits N' header",
+    lambda t: t.replace("ancilla 0\n", "ancilla 0\nancilla 1\n"): "line 3: repeated 'ancilla' line",
 }
 
 

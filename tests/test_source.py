@@ -1,0 +1,69 @@
+"""The source tree itself, read with the stdlib parser: no helper without a caller."""
+import ast
+from pathlib import Path
+
+from cccsim import stabilizer
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "cccsim"
+
+# the functions that may have no caller in src/, each with its reason
+NO_CALLER_YET = {
+    # the tableau's invariant check (symplectic pairing, Hermitian rows); the
+    # stage timer of ROADMAP item 2 runs it on V and the reduced tableau
+    "stabilizer.CliffordTableau.validate",
+}
+
+
+def _scan(node: ast.AST, prefix: str, enclosing: frozenset, defs: dict, refs: list) -> None:
+    """Collect each function or method under node as defs[qualified name] =
+    its def, and each reference (a Name, an Attribute or a string constant)
+    as (identifier, the ids of the defs it lies in)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs[prefix + child.name] = child
+            _scan(child, f"{prefix}{child.name}.", enclosing | {id(child)}, defs, refs)
+            continue
+        if isinstance(child, ast.ClassDef):
+            _scan(child, f"{prefix}{child.name}.", enclosing, defs, refs)
+            continue
+        if isinstance(child, ast.Name):
+            refs.append((child.id, enclosing))
+        elif isinstance(child, ast.Attribute):
+            refs.append((child.attr, enclosing))
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            refs.append((child.value, enclosing))
+        _scan(child, prefix, enclosing, defs, refs)
+
+
+def uncalled_functions(src: Path) -> list[str]:
+    """Each function or method defined under src that nothing in src refers
+    to outside its own def.  Dunders are exempt, and so are the native gate
+    updates, which CliffordTableau reaches by the names CLIFFORD_GATES builds."""
+    defs: dict[str, ast.AST] = {}
+    refs: list[tuple[str, frozenset]] = []
+    for path in sorted(src.glob("*.py")):
+        _scan(ast.parse(path.read_text(), filename=str(path)), f"{path.stem}.", frozenset(), defs, refs)
+    exempt = set(stabilizer.CLIFFORD_GATES.values())
+    return sorted(
+        qualname
+        for qualname, node in defs.items()
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in exempt
+        and not any(name == node.name and id(node) not in inside for name, inside in refs)
+    )
+
+
+def test_every_function_in_src_has_a_caller_in_src():
+    assert uncalled_functions(SRC) == sorted(NO_CALLER_YET)
+
+
+def test_the_caller_check_sees_a_helper_called_only_by_itself(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def used():\n    return 1\n\n"
+        "def recursive(k):\n    return recursive(k - 1) if k else used()\n\n"
+        "class C:\n    def __len__(self):\n        return 0\n\n"
+        "    def named(self):\n        return getattr(self, 'by_string')()\n\n"
+        "    def by_string(self):\n        return self.named\n\n"
+        "    def _h(self):\n        pass\n"
+    )
+    assert uncalled_functions(tmp_path) == ["m.recursive"]

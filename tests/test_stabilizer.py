@@ -17,16 +17,17 @@ from cccsim.stabilizer import (
     PauliString,
     apply_canonical_forms,
     canonical_form,
-    circuit_to_tableau,
     compile_measurement,
-    conjugate_pauli,
     enumerate_clifford_words,
     parse_circuit,
     parse_tableau,
+    pull_back_pauli,
     random_clifford,
 )
 import oracles
 from oracles import (
+    apply_word,
+    circuit_to_tableau,
     commutes,
     draw,
     from_rows,
@@ -137,19 +138,17 @@ def test_conjugation_matches_dense():
             u = to_unitary(c)
             word = "".join(rng.choice(list(LETTERS)) for _ in range(n))
             p = pauli_from_letters(word)
-            got = conjugate_pauli(t, p)
-            assert np.allclose(pauli_matrix(got), u @ pauli_matrix(p) @ u.conj().T)
-            back = conjugate_pauli(t, p, inverse=True)
+            back = pull_back_pauli(t, p)
             assert np.allclose(pauli_matrix(back), u.conj().T @ pauli_matrix(p) @ u)
 
 
 def test_conjugation_inverse_round_trip():
+    # pulled back through V, then through V-dagger, p comes back exactly
     rng = np.random.default_rng(12)
     c = random_circuit(3, rng)
-    t = circuit_to_tableau(c)
+    t, t_inv = circuit_to_tableau(c), circuit_to_tableau(inverse(c))
     p = pauli_from_letters("XZY")
-    back = conjugate_pauli(t, conjugate_pauli(t, p), inverse=True)
-    assert back == p
+    assert pull_back_pauli(t_inv, pull_back_pauli(t, p)) == p
 
 
 def test_gate_table_names_the_circuit_format():
@@ -170,7 +169,7 @@ def test_gate_table_names_the_circuit_format():
         t = circuit_to_tableau(c)
         for x, z, phase in itertools.product(range(4), range(4), range(4)):
             p = PauliString(2, x, z, phase)
-            assert conjugate_pauli(t, p, inverse=True) == oracles.pull_back(c.gates, p), (name, str(p))
+            assert pull_back_pauli(t, p) == oracles.pull_back(c.gates, p), (name, str(p))
 
 
 def test_circuit_inverse_and_then():
@@ -614,17 +613,17 @@ def test_conjugation_inverse_past_the_dense_cap():
     rng = np.random.default_rng(22)
     n = 80
     t = random_clifford(n, rng)
-    inverse = circuit_to_tableau(oracles.inverse(tableau_to_circuit(t)))
+    t_inv = circuit_to_tableau(inverse(tableau_to_circuit(t)))
     for _ in range(10):
         x, z = (int(v) for v in rng.integers(0, 2**62, size=2))
         p = PauliString(n, x << 18, z, int(rng.integers(4)))
-        assert conjugate_pauli(t, p, inverse=True) == conjugate_pauli(inverse, p)
+        assert pull_back_pauli(t_inv, pull_back_pauli(t, p)) == p
 
 
 def test_pull_back_matches_the_gate_word_past_the_dense_cap():
-    # conjugate_pauli's inverse direction against a --circuit V at n=200
-    # read gate by gate: a random Clifford's synthesized word, then gates of
-    # every name the format accepts, each conjugating P as a dense matrix
+    # pull_back_pauli against a --circuit V at n=200 read gate by gate: a
+    # random Clifford's synthesized word, then gates of every name the
+    # format accepts, each conjugating P as a dense matrix
     n = 200
     rng = np.random.default_rng(47)
     gates = list(tableau_to_circuit(random_clifford(n, rng)).gates)
@@ -637,7 +636,7 @@ def test_pull_back_matches_the_gate_word_past_the_dense_cap():
     for _ in range(4):
         x, z = (int.from_bytes(rng.bytes(n // 8), "little") for _ in range(2))
         p = PauliString(n, x, z, int(rng.integers(4)))
-        assert conjugate_pauli(t, p, inverse=True) == oracles.pull_back(gates, p)
+        assert pull_back_pauli(t, p) == oracles.pull_back(gates, p)
 
 
 # -- the canonical form F1 . H_S . F2 --------------------------------------------
@@ -674,7 +673,7 @@ def assert_equal_up_to_phase(got, ref):
 def check_canonical_forms(tableaux, rng):
     forms = replayed_forms(tableaux)
     states = random_states(rng, len(tableaux), tableaux[0].n)
-    ref = np.array([tableau_to_circuit(t).apply(state) for t, state in zip(tableaux, states)])
+    ref = np.array([apply_word(tableau_to_circuit(t), state) for t, state in zip(tableaux, states)])
     assert_equal_up_to_phase(apply_canonical_forms(forms, states), ref)
 
 
