@@ -30,6 +30,7 @@ from .stabilizer import (
     canonical_form,
     compile_measurement,
     pull_back_pauli,
+    stack_forms,
 )
 
 PWEAK = "PWEAK"
@@ -224,7 +225,7 @@ def _conjugated_state(instance: CccInstance) -> np.ndarray:
     state = linalg.zero_state(instance.n)
     for q in range(instance.n):
         state = linalg.apply_gate(state, instance.u, (q,))
-    state = apply_canonical_forms([canonical_form(instance.v)], state[None])[0]
+    state = apply_canonical_forms(stack_forms([canonical_form(instance.v)]), state[None])[0]
     ud = instance.u.conj().T
     for q in range(instance.n):
         state = linalg.apply_gate(state, ud, (q,))

@@ -3,10 +3,11 @@ exact parameter arithmetic behind the hardness argument.
 
 The anticoncentration bound holds for any fixed conjugating unitary and
 outcome string, so a trial prepares the conjugated reference states once and
-only redraws the random Clifford.  Each drawn Clifford is put in canonical
-form F1 H_S F2, and a chunk of forms runs over one block of copies of the
-reference state: two scatters with phases and a masked Hadamard pass per
-qubit for the whole chunk.  Parameter arithmetic stays in Fractions
+only redraws the random Clifford.  A chunk of Cliffords is drawn as one
+batch of tableaux and put in canonical form F1 H_S F2 as one batch, with
+numpy passes over the whole chunk, and the forms run over one block of
+copies of the reference state: two scatters with phases and a masked
+Hadamard pass per qubit.  Parameter arithmetic stays in Fractions
 end to end; floats are converted through their decimal string so that 1/5
 arrives as 1/5 and not as its binary neighbour.
 """
@@ -22,7 +23,7 @@ import numpy as np
 from . import linalg
 from .ccc import OutcomeDistribution, tv_distance
 from .errors import InvariantError
-from .stabilizer import apply_canonical_forms, canonical_form, random_clifford
+from .stabilizer import apply_canonical_forms, canonical_forms, random_cliffords
 
 MIN_TRIAL_SAMPLES = 100
 #: a trial runs its draws in chunks of at most this many amplitudes (4 MiB),
@@ -127,10 +128,12 @@ def anticoncentration_trial(
     over uniformly random Cliffords Gamma.
 
     The conjugation by U only relabels the fixed bra and ket, so the states
-    U^n|0^n> and U^n|y> are built once.  The Cliffords are drawn in order
-    and put in canonical form, a chunk of at most MAX_BLOCK_AMPLITUDES
-    amplitudes at a time, and each chunk's forms run over one block of
-    copies of U^n|0^n> (see stabilizer.apply_canonical_forms).
+    U^n|0^n> and U^n|y> are built once.  The Cliffords come a chunk of at
+    most MAX_BLOCK_AMPLITUDES amplitudes at a time: random_cliffords draws
+    the chunk as one batch, the same tableaux and generator state as one
+    random_clifford call per draw in order, canonical_forms puts the batch
+    in canonical form, and the forms run over one block of copies of
+    U^n|0^n> (see stabilizer.apply_canonical_forms).
     """
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
@@ -152,7 +155,7 @@ def anticoncentration_trial(
     p_values = np.empty(num_samples)
     for start in range(0, num_samples, chunk):
         stop = min(start + chunk, num_samples)
-        forms = [canonical_form(random_clifford(n, rng)) for _ in range(start, stop)]
+        forms = canonical_forms(random_cliffords(n, rng, stop - start))
         block = apply_canonical_forms(forms, np.tile(psi, (stop - start, 1)))
         p_values[start:stop] = np.abs(block @ phi.conj()) ** 2
 

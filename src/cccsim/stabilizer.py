@@ -8,11 +8,15 @@ the image of X_i under conjugation (destabilizer), row n+i the image of Z_i
 (stabilizer).  Global phases are never tracked; every consumer here is
 phase-insensitive.  The tableau is held by columns: per qubit, its X bits and
 its Z bits over all 2n rows are one Python int each, so a gate is a few
-word-wise XOR/AND operations at any n.
+word-wise XOR/AND operations at any n.  The same columns as numpy int64
+arrays make a batch, one tableau per entry (n <= 31): the BFS frontiers of
+enumerate_clifford_words, and the anticoncentration trial's draws, which
+random_cliffords makes and canonical_forms reduces a whole chunk at a time.
 
 On a dense state a tableau acts in its canonical form F1 . H_S . F2: two
 basis permutations with phases and |S| Hadamard passes, over a whole block
-of states at once (canonical_form, apply_canonical_forms).  The sampler
+of states at once (canonical_form or canonical_forms, then
+apply_canonical_forms on a batch of forms).  The sampler
 (compile_measurement) and the canonical form enter one GF(2) reduction of
 the stabilizers, _reduce_stabilizers: the pivots of its X block (_echelon)
 are both the coins of a Z-basis measurement and the Hadamard set S, and it
@@ -90,9 +94,9 @@ class CliffordTableau:
     (bit 0 of the phase) and sign (bit 1), so row i carries
     i^(odd_i + 2 sign_i).  A gate is then a few big-int operations on one or
     two columns and the sign, at any n (the CHP/Stim layout).  The gates
-    work unchanged on numpy int arrays in place of the ints, one entry per
-    tableau, which is how enumerate_clifford_words applies a gate to a whole
-    BFS frontier at once; row algebra and copy() need ints.
+    work unchanged on numpy int64 arrays in place of the ints, one entry per
+    tableau (a batch), which is how enumerate_clifford_words applies a gate
+    to a whole BFS frontier at once; row algebra and copy() need ints.
     """
 
     __slots__ = ("n", "xcol", "zcol", "odd", "sign")
@@ -695,34 +699,160 @@ def canonical_form(t: CliffordTableau) -> tuple[CliffordTableau, tuple[int, ...]
     return f1, tuple(sorted(pivots)), f2
 
 
+#: a batch holds each column of 2n row bits in one int64 per entry
+_BATCH_MAX_QUBITS = 31
+
+
+def _check_batch_width(n: int) -> None:
+    if n > _BATCH_MAX_QUBITS:
+        raise CapabilityError(
+            f"a batch of tableaux holds 2n row bits in int64 columns, so n <= {_BATCH_MAX_QUBITS}; got n={n}"
+        )
+
+
+def _stack(tableaux) -> CliffordTableau:
+    """The tableaux as one batch: columns of int64 arrays, an entry per tableau."""
+    n = tableaux[0].n
+    _check_batch_width(n)
+    cols = np.array([[*t.xcol, *t.zcol, t.odd, t.sign] for t in tableaux], dtype=np.int64).T.copy()
+    return CliffordTableau(n, list(cols[:n]), list(cols[n : 2 * n]), cols[2 * n], cols[2 * n + 1])
+
+
+def stack_forms(forms) -> tuple[CliffordTableau, np.ndarray, CliffordTableau]:
+    """canonical_form results as one batch of forms, as canonical_forms gives them."""
+    f1s, hs, f2s = zip(*forms)
+    return _stack(f1s), np.array([sum(1 << s for s in h) for h in hs], dtype=np.int64), _stack(f2s)
+
+
+def canonical_forms(t: CliffordTableau) -> tuple[CliffordTableau, np.ndarray, CliffordTableau]:
+    """canonical_form of every entry of the batch t: (F1, S, F2), with F1
+    and F2 batches and S the (count,) bitsets of the Hadamard sets.
+
+    The stabilizers' X block goes to reduced echelon form by Gauss-Jordan,
+    one column at a time for the whole batch, each entry with its own pivot
+    row (the first free row holding the column).  Reduced echelon X parts
+    are unique, so they are _echelon's.  The Z parts can differ from
+    _echelon's only by rows with no X, which commute with every pivot, so
+    the block N, and F1, S and F2 with it, are canonical_form's, bit for
+    bit.  The commutation check is _symplectic_block's: a row with no X
+    must commute with every pivot, and N must be symmetric.  Each gate layer
+    is one masked update per qubit or pair of qubits some entry needs: the
+    CNOTs commute (controls in S, targets outside), CZ and S are diagonal.
+    """
+    n = t.n
+    _check_batch_width(n)
+    count, low = len(t.sign), (1 << n) - 1
+    entries = np.arange(count)
+    # rows[:, j]: stabilizer j as x | z << n
+    bits = np.stack([*t.xcol, *t.zcol])[:, :, None] >> np.arange(n, 2 * n) & 1
+    rows = (bits << np.arange(2 * n)[:, None, None]).sum(axis=0)
+    free = np.ones((count, n), dtype=bool)  # the rows no column has taken as pivot
+    at = np.zeros((count, n), dtype=np.intp)  # at[:, q]: the pivot row of column q
+    found = np.zeros((count, n), dtype=bool)  # found[:, q]: q is in S
+    for q in range(n):
+        has = (rows >> q & 1).astype(bool)
+        p = (has & free).argmax(axis=1)
+        found[:, q] = ok = has[entries, p] & free[entries, p]
+        at[:, q] = p
+        free[entries, p] &= ~ok
+        has[entries, p] = False
+        rows ^= np.where(has & ok[:, None], rows[entries, p][:, None], 0)
+    pivots = np.where(found, np.take_along_axis(rows, at, axis=1), 0)
+    # odd[:, r, s]: whether row r's Z part meets pivot s's X part an odd number of times
+    odd = (np.bitwise_count((rows >> n)[:, :, None] & (pivots & low)[:, None, :]) & 1).astype(bool)
+    block = np.take_along_axis(odd, at[:, :, None], axis=1) & found[:, :, None]
+    if (odd & free[:, :, None]).any() or (block != block.transpose(0, 2, 1)).any():
+        raise InvariantError("the stabilizers do not commute")
+    cnots = _needed((pivots[:, :, None] >> np.arange(n) & 1).astype(bool) & ~found[:, None, :])
+    f2 = CliffordTableau(n, [c.copy() for c in t.xcol], [c.copy() for c in t.zcol], t.odd.copy(), t.sign.copy())
+    for (c, u), k in cnots:
+        _cnot_where(f2, c, u, k)
+    for (a, b), k in _needed(np.triu(block, 1)):
+        _cz_where(f2, a, b, k)
+    phases = np.diagonal(block, axis1=1, axis2=2)
+    for (s,), k in _needed(phases):
+        _s_where(f2, s, k)
+    for (s,), k in _needed(found):
+        _h_where(f2, s, k)
+    # as in canonical_form: bit s of zcol[q] is M[q][s], and S-dagger's sign
+    weights = 1 << np.arange(n, dtype=np.int64)
+    zcol = list((1 << n + np.arange(n))[:, None] + (block * weights).sum(axis=2).T)
+    xcol = [np.full(count, 1 << q, dtype=np.int64) for q in range(n)]
+    f1 = CliffordTableau(n, xcol, zcol, np.zeros(count, dtype=np.int64), (phases * weights).sum(axis=1))
+    for (c, u), k in cnots:
+        _cnot_where(f1, c, u, k)
+    return f1, (found * weights).sum(axis=1), f2
+
+
+def _needed(need: np.ndarray) -> list:
+    """(qubits, k) per gate some entry needs: need is (count, n) or (count,
+    n, n) bool, and k is -1 at the entries that need the gate, 0 elsewhere."""
+    k = -need.astype(np.int64)
+    return [(idx, k[(slice(None), *idx)]) for idx in np.argwhere(need.any(axis=0)).tolist()]
+
+
+# the native updates on the entries of a batch where k is -1, each XOR masked by k
+
+
+def _cnot_where(t: CliffordTableau, c: int, u: int, k: np.ndarray) -> None:
+    xcol, zcol = t.xcol, t.zcol
+    t.sign ^= xcol[c] & zcol[u] & ~(xcol[u] ^ zcol[c]) & k
+    xcol[u] ^= xcol[c] & k
+    zcol[c] ^= zcol[u] & k
+
+
+def _cz_where(t: CliffordTableau, a: int, b: int, k: np.ndarray) -> None:
+    xcol, zcol = t.xcol, t.zcol
+    t.sign ^= xcol[a] & xcol[b] & (zcol[a] ^ zcol[b]) & k
+    zcol[a] ^= xcol[b] & k
+    zcol[b] ^= xcol[a] & k
+
+
+def _s_where(t: CliffordTableau, q: int, k: np.ndarray) -> None:
+    x = t.xcol[q] & k
+    t.sign ^= x & t.zcol[q]
+    t.zcol[q] ^= x
+
+
+def _h_where(t: CliffordTableau, q: int, k: np.ndarray) -> None:
+    x, z = t.xcol[q], t.zcol[q]
+    t.sign ^= x & z & k
+    swap = (x ^ z) & k
+    x ^= swap
+    z ^= swap
+
+
 _I_POWERS = np.array([1, 1j, -1, -1j])
 _H_ENTRY = linalg.GATES["H"][0, 0].real
 
 
 def apply_canonical_forms(forms, block: np.ndarray) -> np.ndarray:
-    """Row r of the result is forms[r] = (F1, S, F2) applied to row r of the
-    (len(forms), 2**n) block, up to a phase per row.
+    """Row r of the result is entry r of forms = (F1, S, F2) applied to row
+    r of the block, up to a phase per row.
 
-    The Hadamard-free F2 and F1 are one scatter with phases each over the
-    whole block (_apply_hadamard_free), and H_S one masked pass per qubit.
+    forms is a batch of canonical forms: F1 and F2 batch tableaux and S the
+    bitsets of the Hadamard sets, one entry per row, as canonical_forms or
+    stack_forms gives them.  The Hadamard-free F2 and F1 are one scatter
+    with phases each over the whole block (_apply_hadamard_free), and H_S
+    one masked pass per qubit.
     """
-    f1s, hs, f2s = zip(*forms)
-    block = _apply_hadamard_free(f2s, block)
+    f1, hs, f2 = forms
+    block = _apply_hadamard_free(f2, block)
     m, dim = block.shape
     n = dim.bit_length() - 1
     for q in range(n):
-        rows = np.flatnonzero([q in s for s in hs])
+        rows = np.flatnonzero(hs >> q & 1)
         if not rows.size:
             continue
         v = block.reshape(m, 2**q, 2, dim >> (q + 1))
         sub = v if rows.size == m else v[rows]
         a, b = sub[:, :, 0], sub[:, :, 1]
         v[rows] = np.stack((a + b, a - b), axis=2) * _H_ENTRY
-    return _apply_hadamard_free(f1s, block)
+    return _apply_hadamard_free(f1, block)
 
 
-def _apply_hadamard_free(tableaux, block: np.ndarray) -> np.ndarray:
-    """Row r of the result is tableaux[r] applied to row r of the block, up to phase.
+def _apply_hadamard_free(f: CliffordTableau, block: np.ndarray) -> np.ndarray:
+    """Row r of the result is entry r of the batch f applied to row r of the block, up to phase.
 
     A Hadamard-free F sends |x> to i^q(x) |Ax + b> (Dehaene and De Moor).
     Destabilizer j, F X_j F-dagger = i^ph_j X^a_j Z^d_j, gives column a_j of
@@ -734,14 +864,13 @@ def _apply_hadamard_free(tableaux, block: np.ndarray) -> np.ndarray:
     """
     m, dim = block.shape
     n = dim.bit_length() - 1
-    xcols = np.array([f.xcol for f in tableaux], dtype=np.int64)  # (m, n) over 2n rows
-    zcols = np.array([f.zcol for f in tableaux], dtype=np.int64)
+    xcols = np.stack(f.xcol, axis=1)  # (m, n) over 2n rows
+    zcols = np.stack(f.zcol, axis=1)
     weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)  # qubit q -> index bit
     row_bits = np.arange(n, dtype=np.int64)
     a = ((xcols[:, :, None] >> row_bits & 1) * weights[:, None]).sum(axis=1)  # (m, j)
     d = ((zcols[:, :, None] >> row_bits & 1) * weights[:, None]).sum(axis=1)
-    odd = np.array([f.odd for f in tableaux], dtype=np.int64)[:, None]
-    sign = np.array([f.sign for f in tableaux], dtype=np.int64)[:, None]
+    odd, sign = f.odd[:, None], f.sign[:, None]
     # i^ph_j X^a Z^d: the row's phase, plus one i per Y (Y = iXZ)
     ph = (odd >> row_bits & 1) + 2 * (sign >> row_bits & 1) + np.bitwise_count(a & d)
     target = np.bitwise_xor.reduce(a * (sign >> (n + row_bits) & 1), axis=1)[:, None]
@@ -758,8 +887,9 @@ def _apply_hadamard_free(tableaux, block: np.ndarray) -> np.ndarray:
 # -- uniform random Cliffords ------------------------------------------------
 
 
-#: the most coins random_clifford asks of the generator in one call, so a
-#: draw at large n (about 2n^2 coins) holds only a bounded block of them
+#: the most coins random_clifford or random_cliffords asks of the generator
+#: in one call, so a draw at large n (about 2n^2 coins) holds only a bounded
+#: block of them
 _COIN_BLOCK = 1 << 14
 
 
@@ -787,7 +917,8 @@ def random_clifford(n: int, rng: np.random.Generator) -> CliffordTableau:
     _COIN_BLOCK: the draw and the generator state after it are those of the
     per-read calls.  A draw takes 2n(n + 2) coins, plus 2n - 2j for each
     retry at step j, and the stream never draws a coin the draw does not
-    read.
+    read.  The coins are default-dtype integers(0, 2); a uint8 dtype draws
+    another stream.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -842,6 +973,96 @@ def _coin_stream(rng: np.random.Generator, planned: int):
         return coins
 
     return take
+
+
+def random_cliffords(n: int, rng: np.random.Generator, count: int) -> CliffordTableau:
+    """count random_clifford draws as one batch: a tableau of (count,) int64 columns.
+
+    The draws, and the generator state after them, are those of count
+    random_clifford(n, rng) calls in turn.  Which coins a draw reads
+    depends on the coins alone, so one scan finds every window of every
+    draw (_coin_windows), and each step of the elimination is then one pass
+    over the whole batch, each entry with its own coins.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    _check_batch_width(n)
+    coins, starts = _coin_windows(n, rng, count)
+    entries = np.arange(count)
+    basis = np.tile(1 << np.arange(2 * n, dtype=np.int64), (count, 1))
+    rows = np.empty((count, 2 * n), dtype=np.int64)
+
+    def swapped(v):
+        return v >> n | (v & (1 << n) - 1) << n
+
+    def pairing(v):  # basis vector i against the vector v of each entry
+        return (np.bitwise_count(basis & swapped(v)[:, None]) & 1).astype(bool)
+
+    for j in range(n):
+        m2 = 2 * (n - j)
+        c = coins[starts[:, 2 * j, None] + np.arange(m2)].astype(bool)
+        d = coins[starts[:, 2 * j + 1, None] + np.arange(m2)].astype(bool)
+        v = np.bitwise_xor.reduce(np.where(c, basis, 0), axis=1)
+        w = np.bitwise_xor.reduce(np.where(d, basis, 0), axis=1)
+        pairs_v = pairing(v)
+        fix = np.flatnonzero(~(np.bitwise_count(w & swapped(v)) & 1).astype(bool))
+        i0 = pairs_v[fix].argmax(axis=1)  # w = u + w0, w0 the first basis vector pairing with v
+        d[fix, i0] ^= True
+        w[fix] ^= basis[fix, i0]
+        basis ^= np.where(pairing(w), v[:, None], 0) ^ np.where(pairs_v, w[:, None], 0)
+        # the highest picked index of c and d, or of c ^ d where they agree
+        hi = m2 - 1 - c[:, ::-1].argmax(axis=1)
+        lo = m2 - 1 - d[:, ::-1].argmax(axis=1)
+        same = np.flatnonzero(hi == lo)
+        lo[same] = m2 - 1 - (c[same] ^ d[same])[:, ::-1].argmax(axis=1)
+        keep = np.ones((count, m2), dtype=bool)
+        keep[entries, hi] = keep[entries, lo] = False
+        basis = basis[keep].reshape(count, m2 - 2)
+        rows[:, j], rows[:, n + j] = v, w
+    # column q holds bit q of every row
+    weights = 1 << np.arange(2 * n, dtype=np.int64)
+    cols = ((rows[:, :, None] >> np.arange(2 * n) & 1) * weights[:, None]).sum(axis=1).T.copy()
+    sign = (coins[starts[:, 2 * n, None] + np.arange(2 * n)] * weights).sum(axis=1)
+    return CliffordTableau(n, list(cols[:n]), list(cols[n:]), np.zeros(count, dtype=np.int64), sign)
+
+
+def _coin_windows(n: int, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(coins, starts): the coins of count random_clifford draws, as uint8,
+    and where each draw's windows start, one row per draw: per step its v
+    and w windows, then its 2n signs.
+
+    The scan reads random_clifford's windows in its order, a v window again
+    while it is all 0.  It draws the coins as _coin_stream does, with
+    default-dtype rng.integers(0, 2, size=k): the planned 2n(n + 2) per
+    draw in blocks of at most _COIN_BLOCK, past them only the coins a
+    window lacks.  A window needs at most 2m coins past its start (its own
+    m and the next m, which a retry or the w window reads), so no coin is
+    drawn that no window reads.
+    """
+    coins = bytearray()
+    planned = 2 * n * (n + 2) * count
+    starts = []
+    pos = 0
+
+    def fill(end: int) -> None:  # hold the coins before end
+        nonlocal planned
+        if end > len(coins):
+            size = max(end - len(coins), min(planned, _COIN_BLOCK))
+            planned -= size
+            coins.extend(rng.integers(0, 2, size=size).astype(np.uint8).tobytes())
+
+    for _ in range(count):
+        for m in range(2 * n, 0, -2):
+            fill(pos + 2 * m)
+            while coins.find(1, pos, pos + m) < 0:  # all 0: read the v window again
+                pos += m
+                fill(pos + 2 * m)
+            starts += (pos, pos + m)
+            pos += 2 * m
+        fill(pos + 2 * n)
+        starts.append(pos)
+        pos += 2 * n
+    return np.frombuffer(coins, dtype=np.uint8), np.array(starts, dtype=np.intp).reshape(count, 2 * n + 1)
 
 
 def _combine(basis: list[int], picked: Iterable[int]) -> tuple[int, int]:

@@ -668,7 +668,7 @@ def test_bitstrings_count_in_order(n):
 
 
 def test_anticonc_golden_output(capsys):
-    # 200 Cliffords drawn by random_clifford at n=6: every moment bit for bit
+    # 200 Cliffords drawn by random_cliffords at n=6: every moment bit for bit
     d = run_json(capsys, ["anticonc", "--n", "6", "--samples", "200", "--u", "rz=pi*1/3 rx=pi*1/2", "--seed", "5"])
     assert {k: d[k] for k in ("mean_p", "mean_p_squared", "mean_se", "second_moment_se", "tail_fraction")} == {
         "mean_p": 0.016194442315762156,

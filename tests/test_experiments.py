@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 from functools import reduce
@@ -195,7 +196,9 @@ def test_trial_chunks_keep_the_draw_order(monkeypatch):
     apply_forms = experiments.apply_canonical_forms
 
     def recording(forms, block):
-        chunks.append(len(forms))
+        f1, hs, f2 = forms
+        assert len(f1.sign) == len(hs) == len(f2.sign) == len(block)
+        chunks.append(len(block))
         return apply_forms(forms, block)
 
     monkeypatch.setattr(experiments, "MAX_BLOCK_AMPLITUDES", 40 * 2**3)
@@ -203,6 +206,20 @@ def test_trial_chunks_keep_the_draw_order(monkeypatch):
     chunked = anticoncentration_trial(3, HARD_U, "010", 130, seed=12)
     assert chunks == [40, 40, 40, 10]
     assert np.max(np.abs(chunked.p_values - whole.p_values)) <= 1e-14
+
+
+# sha256 of p_values.tobytes(), recorded before the draws were batched: one
+# chunk of 3000 one-qubit draws, and 25 chunks of 4 at n = 16, the dense cap
+P_VALUE_DIGESTS = {
+    (1, "1", 3000, 31): "bbc48eac00a3cc2a2cfa82fc9dd03b17a6784eb74cd8e5f52d88f7c331acaed1",
+    (16, "0110100110010110", 100, 32): "c8a796e89c757bafb09a52dbcca351dc44791665d358480c3a17e46d9caf341b",
+}
+
+
+@pytest.mark.parametrize("n, y, draws, seed", list(P_VALUE_DIGESTS), ids=["n1-3000", "n16-100"])
+def test_trial_p_values_at_the_chunk_edges(n, y, draws, seed):
+    rep = anticoncentration_trial(n, HARD_U, y, draws, seed=seed)
+    assert hashlib.sha256(rep.p_values.tobytes()).hexdigest() == P_VALUE_DIGESTS[n, y, draws, seed]
 
 
 def test_trial_validation():

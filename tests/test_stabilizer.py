@@ -1,3 +1,4 @@
+import copy
 import functools
 import itertools
 import math
@@ -17,12 +18,15 @@ from cccsim.stabilizer import (
     PauliString,
     apply_canonical_forms,
     canonical_form,
+    canonical_forms,
     compile_measurement,
     enumerate_clifford_words,
     parse_circuit,
     parse_tableau,
     pull_back_pauli,
     random_clifford,
+    random_cliffords,
+    stack_forms,
 )
 import oracles
 from oracles import (
@@ -341,6 +345,8 @@ def test_one_commutation_check_for_both_readers_of_the_echelon():
     # both readers raise exactly when some pair of stabilizers anticommutes,
     # a pairwise check by commutes; otherwise canonical_form's F2 is
     # Hadamard-free and compile_measurement raises only for a dependent set.
+    # canonical_forms, on a batch of one, runs its own reduction and check:
+    # the same verdict, and else the same forms.
     # The product takes destabilizer j, which anticommutes only with the
     # replaced stabilizer, at odds 1/2 and the others rarely, so both kinds
     # of set are common
@@ -361,10 +367,11 @@ def test_one_commutation_check_for_both_readers_of_the_echelon():
             anticommuting = not all(commutes(a, b) for a, b in itertools.combinations(rows[n:], 2))
             seen[anticommuting] += 1
             if anticommuting:
-                for reader in (compile_measurement, canonical_form):
+                for reader in (compile_measurement, canonical_form, lambda t: canonical_forms(stabilizer._stack([t]))):
                     with pytest.raises(InvariantError, match="the stabilizers do not commute"):
                         reader(broken)
                 continue
+            assert_batch_forms(stabilizer._stack([broken]), [broken])
             f1, _, f2 = canonical_form(broken)
             assert _hadamard_free(f1) and _hadamard_free(f2)
             try:
@@ -674,7 +681,7 @@ def check_canonical_forms(tableaux, rng):
     forms = replayed_forms(tableaux)
     states = random_states(rng, len(tableaux), tableaux[0].n)
     ref = np.array([apply_word(tableau_to_circuit(t), state) for t, state in zip(tableaux, states)])
-    assert_equal_up_to_phase(apply_canonical_forms(forms, states), ref)
+    assert_equal_up_to_phase(apply_canonical_forms(stack_forms(forms), states), ref)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -703,7 +710,7 @@ def test_canonical_form_of_every_two_qubit_class():
     states = random_states(np.random.default_rng(105), len(tableaux), 2)
     mats = oracles.word_unitaries([tableau_to_circuit(t).gates for t in tableaux])
     ref = np.einsum("kij,kj->ki", mats, states)
-    assert_equal_up_to_phase(apply_canonical_forms(forms, states), ref)
+    assert_equal_up_to_phase(apply_canonical_forms(stack_forms(forms), states), ref)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -736,10 +743,40 @@ def test_echelon_is_reduced_and_spans_its_rows():
 
 
 def test_canonical_form_rejects_anticommuting_stabilizers():
-    # stabilizers X_0 and Z_0 cannot both be images of commuting Z_j
+    # stabilizers X_0 and Z_0 cannot both be images of commuting Z_j; a
+    # batch with that one entry among good ones is refused too
     broken = from_rows(2, [0, 0, 1, 0], [1, 2, 0, 1])
     with pytest.raises(InvariantError):
         canonical_form(broken)
+    rng = np.random.default_rng(125)
+    good = [random_clifford(2, rng) for _ in range(6)]
+    with pytest.raises(InvariantError, match="the stabilizers do not commute"):
+        canonical_forms(stabilizer._stack([*good[:4], broken, *good[4:]]))
+    canonical_forms(stabilizer._stack(good))
+
+
+def assert_batch_forms(batch, tableaux):
+    """canonical_forms of the batch is canonical_form of each of its tableaux."""
+    f1, hs, f2 = canonical_forms(batch)
+    for i, t in enumerate(tableaux):
+        g1, h, g2 = canonical_form(t)
+        assert (_entry(f1, i), int(hs[i]), _entry(f2, i)) == (g1, sum(1 << s for s in h), g2), i
+
+
+@pytest.mark.parametrize("n", [*range(1, 17), 31])
+def test_canonical_forms_are_the_scalar_forms(n):
+    rng = np.random.default_rng(130 + n)
+    batch = random_cliffords(n, rng, 50)
+    assert_batch_forms(batch, [_entry(batch, i) for i in range(50)])
+
+
+def test_canonical_forms_of_every_two_qubit_class():
+    # every Hadamard set and block N, each with random row signs
+    rng = np.random.default_rng(131)
+    tableaux = [circuit_to_tableau(CliffordCircuit(2, w)) for w in enumerate_clifford_words(2)[0]]
+    for t in tableaux:
+        t.sign = int(rng.integers(16))
+    assert_batch_forms(stabilizer._stack(tableaux), tableaux)
 
 
 def _same_draw(n, seed):
@@ -778,6 +815,53 @@ def test_random_clifford_matches_the_greedy_elimination_in_small_blocks(block, m
     for n in range(1, 7):
         for seed in range(30):
             _same_draw(n, seed)
+
+
+def _entry(batch, i):
+    """Entry i of a batch of tableaux, as a tableau of ints."""
+    ints = [[int(c[i]) for c in cols] for cols in (batch.xcol, batch.zcol)]
+    return CliffordTableau(batch.n, *ints, int(batch.odd[i]), int(batch.sign[i]))
+
+
+def test_random_cliffords_is_one_random_clifford_call_per_entry():
+    # the same tableaux, and the same generator state after them
+    retried = 0
+    for n, counts in [*((n, (1, 7, 200)) for n in range(1, 17)), (31, (1, 3))]:
+        for count in counts:
+            batch_rng, scalar_rng = np.random.default_rng(1000 * n + count), np.random.default_rng(1000 * n + count)
+            batch = random_cliffords(n, batch_rng, count)
+            for i in range(count):
+                probe = copy.deepcopy(scalar_rng)
+                assert _entry(batch, i).key() == random_clifford(n, scalar_rng).key(), (n, count, i)
+                # exactly two coins past the planned 2n(n + 2): one retry, at the last step
+                probe.integers(0, 2, size=2 * n * (n + 2) + 2)
+                retried += probe.bit_generator.state == scalar_rng.bit_generator.state
+            assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state, (n, count)
+    assert retried > 0
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 13])
+def test_random_cliffords_in_small_blocks(block, monkeypatch):
+    # refills mid-draw, past the planned coins and on a retry
+    monkeypatch.setattr(stabilizer, "_COIN_BLOCK", block)
+    for n in range(1, 7):
+        batch_rng, scalar_rng = np.random.default_rng(n), np.random.default_rng(n)
+        batch = random_cliffords(n, batch_rng, 30)
+        assert [_entry(batch, i) for i in range(30)] == [random_clifford(n, scalar_rng) for _ in range(30)]
+        assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state, n
+
+
+def test_batches_stop_at_31_qubits():
+    # 2n row bits per int64 column: refused before any coin is drawn
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(CapabilityError, match="n <= 31"):
+        random_cliffords(32, rng, 1)
+    assert rng.bit_generator.state == state
+    with pytest.raises(CapabilityError, match="n <= 31"):
+        canonical_forms(CliffordTableau.identity(32))
+    with pytest.raises(CapabilityError, match="n <= 31"):
+        stack_forms([canonical_form(CliffordTableau.identity(32))])
 
 
 def stabilizer_states_by_coins(n):
