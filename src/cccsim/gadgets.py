@@ -172,12 +172,13 @@ def search_gadgets(u: np.ndarray, k: int) -> list[tuple[Gadget, GadgetAction]]:
     the first search, and every search after that only sandwiches them
     between U and U-dagger.  Each of the 8 slices (postselect wire, ancilla
     bit, postselect bit) is bilinear in the table, A = L[rows] M R[:, cols],
-    so one (4, 16) @ (16, 11520) product gives its 11520 actions, read matrix
-    first as (2, 2, 11520).  They are classified in one pass: unitarity and
-    scale once, then the Pauli-image test on the unitary actions with their
-    scale, whose square root also normalizes the keys.  The first (slice,
-    index) found for each key, up to scale and global phase, represents its
-    class, and a Gadget is built for the representatives alone.  Results are
+    so one (4, 16) @ (16, 11520) product gives its 11520 actions as a
+    (2, 2, 11520) block, whose four entries are contiguous (11520,) rows.
+    The predicates read them entry by entry: unitarity and scale once, then
+    the Pauli-image test on the unitary actions with their scale, whose
+    square root also normalizes the keys.  The first (slice, index) found
+    for each key, up to scale and global phase, represents its class,
+    and a Gadget is built for the representatives alone.  Results are
     sorted by canonical key, so the order is stable across runs.
     """
     u = np.asarray(u, dtype=complex)

@@ -10,6 +10,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import os
 from functools import reduce
@@ -130,14 +131,14 @@ def normalized_action(a: np.ndarray) -> np.ndarray:
     return a / det ** (1.0 / d)
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for matrix-first (d, e, ...) and (e, f, ...) stacks: one
-    elementwise pass over the batch per inner index.  One matrix takes `@`."""
-    if a.ndim == 2:
-        return a @ b
-    out = a[:, 0, None] * b[None, 0]
-    for k in range(1, a.shape[1]):
-        out += a[:, k, None] * b[None, k]
+def _signed_sum(terms):
+    """t_0 +- t_1 +- ..., added in order, for (negate, t) pairs whose first
+    negate is False.  Subtracting t rounds as adding (-1.0) * t does, so each
+    sum keeps the bits of the product with a +-1 matrix it stands for."""
+    terms = iter(terms)
+    _, out = next(terms)
+    for negate, t in terms:
+        out = out - t if negate else out + t
     return out
 
 
@@ -147,8 +148,14 @@ def unitary_scale(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (mask, gamma), both of the stack's leading shape (numpy scalars
     for a 2-D input).  gamma = tr(a^dag a) / d for every matrix; the mask
     holds where gamma > tol and a^dag a is within tol*max(1, gamma) of
-    gamma*I, entrywise.  a^dag a is formed once, for both answers, matrix
-    first: gamma and the residual reduce over its two leading axes.
+    gamma*I, entrywise.  a^dag a is formed once, for both answers.  On a
+    stack, each of its entries is one (...)-shaped array, summed over the
+    inner index in order, and so is its trace; the entries are formed one
+    at a time, never as a (d, d, ...) block.  Both triangles are read:
+    numpy's complex multiply may fuse a multiply-add, so |m_ji| can differ
+    from |m_ij| in the last bit.  A single matrix goes through `@` and
+    np.trace; BLAS and the in-order sums round differently, so a matrix's
+    gamma alone may differ from its gamma in a stack in the last bits.
 
     The unitarity bounds in the package, by input:
       * ccc.UNITARY_TOL (1e-10), is_unitary on a `--u` / `--target` matrix;
@@ -159,11 +166,21 @@ def unitary_scale(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         scale here (a gadget action);
       * PAULI_COEFF_TOL (1e-9) on each Pauli coefficient in is_clifford.
     """
-    a = np.moveaxis(np.asarray(a, dtype=complex), (-2, -1), (0, 1))
-    m = _product(a.conj().swapaxes(0, 1), a)
-    gamma = np.trace(m).real / len(m)
-    m[np.diag_indices(len(m))] -= gamma
-    resid = np.abs(m).max(axis=(0, 1))
+    a = np.asarray(a, dtype=complex)
+    d = a.shape[-1]
+    if a.ndim == 2:
+        m = a.conj().T @ a
+        gamma = np.trace(m).real / d
+        m[np.diag_indices(d)] -= gamma
+        resid = np.abs(m).max()
+    else:
+        def gram(i: int, j: int) -> np.ndarray:  # (a^dag a)[i, j], summed over k in order
+            return reduce(np.add, (a[..., k, i].conj() * a[..., k, j] for k in range(a.shape[-2])))
+
+        diagonal = [gram(i, i) for i in range(d)]
+        gamma = reduce(np.add, diagonal).real / d
+        off = (gram(i, j) for i in range(d) for j in range(d) if i != j)
+        resid = reduce(np.maximum, itertools.chain((np.abs(g - gamma) for g in diagonal), map(np.abs, off)))
     return (gamma > GATE_UNITARY_TOL) & (resid <= GATE_UNITARY_TOL * np.maximum(1.0, gamma)), gamma
 
 
@@ -184,29 +201,52 @@ def is_clifford(a: np.ndarray, gamma: np.ndarray | None = None) -> np.ndarray:
     iff every coefficient but the largest is at most PAULI_COEFF_TOL in
     modulus.  The coefficients are read in one pass: tr(X^x Z^z M) =
     sum_c (-1)^(z.c) M[c, c^x], a Walsh-Hadamard transform of the x-th
-    diagonal of M, run matrix first as in unitary_scale.
+    diagonal of M.  A single matrix forms each image and each transform with
+    `@`.  On a stack only those d entries of each image are formed, one
+    (...)-shaped array each, summed over the inner index in order as in
+    unitary_scale, and the transform is a +-sum over c in order.
     """
+    a = np.asarray(a, dtype=complex)
+    d = a.shape[-1]
+    l = d.bit_length() - 1
+    if a.ndim < 2 or a.shape[-2] != d or d != 2**l:
+        raise ValueError(f"expected 2**l x 2**l matrices, got {' x '.join(map(str, a.shape[-2:]))}")
     if gamma is None:
         clifford, gamma = unitary_scale(a)
         gamma = np.where(clifford, gamma, 1.0)
     else:
-        clifford = np.ones(np.shape(a)[:-2], dtype=bool)
-    a = np.moveaxis(np.asarray(a, dtype=complex), (-2, -1), (0, 1))
-    d, l, batch = len(a), len(a).bit_length() - 1, (1,) * (a.ndim - 2)
-    if a.shape[1] != d or d != 2**l:
-        raise ValueError(f"expected 2**l x 2**l matrices, got {a.shape[0]} x {a.shape[1]}")
-    ad = a.conj().swapaxes(0, 1)
-    idx = np.arange(d)
-    diagonals = (idx[None, :], idx[None, :] ^ idx[:, None])  # [x, c] -> (c, c^x)
-    walsh = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * l, np.ones((1, 1))).reshape((d, d) + batch)
+        clifford = np.ones(a.shape[:-2], dtype=bool)
+    if a.ndim == 2:  # one matrix: each image and each Walsh transform is one `@`
+        idx = np.arange(d)
+        diagonals = (idx[None, :], idx[None, :] ^ idx[:, None])  # [x, c] -> (c, c^x)
+        walsh = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * l, np.ones((1, 1)))  # (-1)^(z.c)
+
+        def above(swap: int, flip: int) -> int:
+            image = (a[:, idx ^ swap] * np.where(idx & flip, -1.0, 1.0)) @ a.conj().T / gamma
+            return np.count_nonzero(~(np.abs(image[diagonals] @ walsh) / d <= PAULI_COEFF_TOL))
+
+    else:  # a stack: only the d entries (c, c^x) of each image, one (...)-shaped array each
+        entries = [[a[..., r, c] for c in range(d)] for r in range(d)]
+        conj = [[x.conj() for x in row] for row in entries]
+        odd = [[bin(c & z).count("1") % 2 for z in range(d)] for c in range(d)]  # Walsh sign of (c, z)
+
+        def above(swap: int, flip: int) -> np.ndarray:
+            def image(r: int, c: int) -> np.ndarray:  # (a P a^dag)[r, c] / gamma, summed over k in order
+                return _signed_sum((k & flip, entries[r][k ^ swap] * conj[c][k]) for k in range(d)) / gamma
+
+            diagonals = [[image(c, c ^ x) for c in range(d)] for x in range(d)]
+            return sum(
+                ~(np.abs(_signed_sum((odd[c][z], diagonals[x][c]) for c in range(d))) / d <= PAULI_COEFF_TOL)
+                for x in range(d)
+                for z in range(d)
+            )
+
     for w in range(l):
         bit = 1 << (l - 1 - w)
-        x_w = a[:, idx ^ bit]  # a @ X_w permutes columns
-        z_w = a * np.where(idx & bit, -1.0, 1.0).reshape((d,) + batch)  # a @ Z_w flips column signs
-        for image in (_product(x_w, ad) / gamma, _product(z_w, ad) / gamma):
-            coeffs = np.abs(_product(image[diagonals], walsh)) / d
+        # a @ X_w permutes a's columns by ^bit, a @ Z_w negates those with the bit set
+        for swap, flip in ((bit, 0), (0, bit)):
             # at most one coefficient above the bound; a NaN counts as above
-            clifford = clifford & (np.count_nonzero(~(coeffs <= PAULI_COEFF_TOL), axis=(0, 1)) <= 1)
+            clifford = clifford & (above(swap, flip) <= 1)
     return clifford
 
 

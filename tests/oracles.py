@@ -25,6 +25,11 @@ The gadget search's first form is here too: each slice classified by
 three stacked predicates that each form a^dag a with matmul
 (`is_unitary_up_to_scale`, `scale`, `is_clifford`), in `search_gadgets`;
 `linalg.unitary_scale` and `gadgets.search_gadgets` are pinned to it.
+So are the two predicates as they were before they read a stack entry by
+entry: a^dag a, each image a P a^dag and each Walsh transform formed whole,
+one broadcast `(d, d, N)` product per inner index
+(`matrix_first_unitary_scale`, `matrix_first_is_clifford`); the entry-wise
+predicates must give their masks and gammas bit for bit.
 So is the beam compiler's first form, one `(matrix, word)` tuple per
 candidate, each product formed on its own and the beam sorted with a
 key (`compile_word`); `gadgets.compile_word` must return its word and
@@ -611,6 +616,56 @@ def search_gadgets(u: np.ndarray) -> list[tuple[Gadget, GadgetAction]]:
                 )
                 results[key] = (gadget, GadgetAction(actions[idx], float(gamma), True, False))
     return [results[key] for key in sorted(results)]
+
+
+# -- the two predicates matrix first, one broadcast product per inner index ---------
+
+
+def matrix_first_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for matrix-first (d, e, ...) and (e, f, ...) stacks: one
+    elementwise pass over the batch per inner index.  One matrix takes `@`."""
+    if a.ndim == 2:
+        return a @ b
+    out = a[:, 0, None] * b[None, 0]
+    for k in range(1, a.shape[1]):
+        out += a[:, k, None] * b[None, k]
+    return out
+
+
+def matrix_first_unitary_scale(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """linalg.unitary_scale with a^dag a formed whole, as a (d, d, ...) stack."""
+    a = np.moveaxis(np.asarray(a, dtype=complex), (-2, -1), (0, 1))
+    m = matrix_first_product(a.conj().swapaxes(0, 1), a)
+    gamma = np.trace(m).real / len(m)
+    m[np.diag_indices(len(m))] -= gamma
+    resid = np.abs(m).max(axis=(0, 1))
+    tol = linalg.GATE_UNITARY_TOL
+    return (gamma > tol) & (resid <= tol * np.maximum(1.0, gamma)), gamma
+
+
+def matrix_first_is_clifford(a: np.ndarray, gamma: np.ndarray | None = None) -> np.ndarray:
+    """linalg.is_clifford with each image a P a^dag formed whole and each
+    Walsh transform one product with the +-1 matrix, matrix first."""
+    if gamma is None:
+        clifford, gamma = matrix_first_unitary_scale(a)
+        gamma = np.where(clifford, gamma, 1.0)
+    else:
+        clifford = np.ones(np.shape(a)[:-2], dtype=bool)
+    a = np.moveaxis(np.asarray(a, dtype=complex), (-2, -1), (0, 1))
+    d, l, batch = len(a), len(a).bit_length() - 1, (1,) * (a.ndim - 2)
+    ad = a.conj().swapaxes(0, 1)
+    idx = np.arange(d)
+    diagonals = (idx[None, :], idx[None, :] ^ idx[:, None])  # [x, c] -> (c, c^x)
+    walsh = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * l, np.ones((1, 1))).reshape((d, d) + batch)
+    for w in range(l):
+        bit = 1 << (l - 1 - w)
+        x_w = a[:, idx ^ bit]
+        z_w = a * np.where(idx & bit, -1.0, 1.0).reshape((d,) + batch)
+        for image in (matrix_first_product(x_w, ad) / gamma, matrix_first_product(z_w, ad) / gamma):
+            coeffs = np.abs(matrix_first_product(image[diagonals], walsh)) / d
+            above = np.count_nonzero(~(coeffs <= linalg.PAULI_COEFF_TOL), axis=(0, 1))
+            clifford = clifford & (above <= 1)
+    return clifford
 
 
 # -- the beam compiler, one (matrix, word) tuple per candidate -----------------------

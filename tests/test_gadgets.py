@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -467,9 +468,26 @@ def test_search_matches_three_predicate_route(name):
         assert (a.is_unitary, a.is_clifford) == (True, False)
 
 
+@pytest.mark.parametrize("name", list(ROUTE_US))
+def test_predicates_keep_the_bits_of_the_matrix_first_route(name):
+    # all 8 x 11,520 search actions of each U: the entry-wise predicates sum
+    # in the order the whole-matrix broadcasts did, so nothing moves a bit
+    stack = np.concatenate([actions for *_, actions in oracles.search_actions(ROUTE_US[name])])
+    unitary, gamma = linalg.unitary_scale(stack)
+    ref_unitary, ref_gamma = oracles.matrix_first_unitary_scale(stack)
+    assert np.array_equal(unitary, ref_unitary)
+    assert np.array_equal(gamma, ref_gamma)
+    assert np.array_equal(linalg.is_clifford(stack), oracles.matrix_first_is_clifford(stack))
+    rows = np.flatnonzero(unitary)
+    with_scale = linalg.is_clifford(stack[rows], gamma=gamma[rows])
+    assert np.array_equal(with_scale, oracles.matrix_first_is_clifford(stack[rows], gamma=gamma[rows]))
+
+
 def test_search_peak_memory_stays_small():
-    # one warm search holds one slice of 11520 actions at a time; a search
-    # that stacked all 8 slices (92,160 actions) would peak above this bound
+    # one warm search holds one slice of 11520 actions at a time, and the
+    # predicates read it one (11520,) entry at a time: a predicate that formed
+    # a (2, 2, 11520) product, or a search that stacked all 8 slices (92,160
+    # actions), would peak above this bound
     search_gadgets(HARD_U, 2)
     tracemalloc.start()
     try:
@@ -477,7 +495,7 @@ def test_search_peak_memory_stays_small():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6e6, peak
+    assert peak < 3.5e6, peak
 
 
 def test_stacked_predicates_match_per_matrix_calls():
@@ -549,6 +567,22 @@ def test_gadget_action_gamma_matches_three_predicate_route():
                 assert action.is_clifford == bool(oracles.is_clifford(action.matrix))
 
 
+
+def test_gadget_action_classifies_a_wide_gadget_through_matmul():
+    # a 7-to-6 gadget: gadget I on wires 5 and 6, Cliffords on the other inputs.
+    # Its one 64 x 64 action goes through `@` in both predicates; forming it one
+    # numpy scalar per entry and per Walsh coefficient would take seconds
+    k = 7
+    gates = [("CZ", (0, 1)), ("H", (2,)), ("S", (3,))]
+    narrow = gadget_action(build_gadget_I(math.pi / 3, math.pi / 2))
+    for coupled, (post, unitary, clifford) in ((False, (6, True, True)), (True, (5, True, False))):
+        circuit = CliffordCircuit.build(k, gates + [("CZ", (5, 6))] * coupled)
+        start = time.perf_counter()
+        action = gadget_action(Gadget(k, k - 1, HARD_U, (0,), circuit, (post,), (0,)))
+        assert time.perf_counter() - start < 2.0
+        assert (action.is_unitary, action.is_clifford) == (unitary, clifford)
+        assert action.gamma == pytest.approx(narrow.gamma if coupled else 1.0, rel=1e-12)
+
 # -- the two-qubit Clifford table the search shares ----------------------------------
 
 
@@ -565,12 +599,19 @@ def test_clifford_table_matches_the_word_by_word_products():
 
 
 def test_clifford_table_is_all_clifford():
-    # the d = 4 path of the matrix-first predicates, on the whole table
+    # the d = 4 path of the entry-wise predicates, on the whole table
     _, mats = gadgets._clifford_table()
     unitary, gamma = linalg.unitary_scale(mats)
     assert unitary.all() and np.max(np.abs(gamma - 1.0)) <= 1e-15
     assert linalg.is_clifford(mats).all()
     assert linalg.is_clifford(mats, gamma=gamma).all()
+    # against the matrix-first route: the same masks; gamma sums the four
+    # diagonal entries in order where np.trace sums them pairwise, so it may
+    # move by one ulp (it does on 5 of the 11,520)
+    ref_unitary, ref_gamma = oracles.matrix_first_unitary_scale(mats)
+    assert np.array_equal(unitary, ref_unitary)
+    assert np.all(np.abs(gamma - ref_gamma) <= np.spacing(ref_gamma))
+    assert np.array_equal(linalg.is_clifford(mats), oracles.matrix_first_is_clifford(mats))
 
 
 def test_clifford_table_is_read_only_and_built_once():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from cccsim import linalg
 from cccsim.errors import CapabilityError
 from cccsim.stabilizer import CliffordCircuit, PauliString
@@ -181,6 +182,51 @@ def test_predicates_read_strided_stacks_as_their_copies():
         assert np.max(np.abs(gamma - gamma_copy)) <= 1e-15 * np.max(gamma), name
         assert np.array_equal(linalg.is_clifford(view), linalg.is_clifford(copy)), name
     assert linalg.is_clifford(stack).tolist() == [True] * 6 + [False] * 6 + [True] * 6 + [False]
+
+
+def test_predicates_keep_the_bits_of_the_matrix_first_route():
+    # a seeded stack of Haar unitaries, scaled unitaries, random one-qubit
+    # Cliffords under random phases and scales, near-Cliffords on both sides
+    # of the 1e-9 Pauli bound and near-unitaries on both sides of the 1e-8 one
+    rng = np.random.default_rng(29)
+    haar = [random_unitary(rng) for _ in range(200)]
+    cliffords = [
+        to_unitary(random_clifford_circuit(1, rng)) * complex(*rng.normal(size=2)) for _ in range(200)
+    ]
+    eps = 10.0 ** rng.uniform(-11, -7, size=200)
+    stack = np.stack(
+        haar
+        + [u * rng.uniform(0.01, 100.0) for u in haar]
+        + cliffords
+        + [c @ linalg.rz(e) for c, e in zip(cliffords, eps)]
+        + [u + e * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) for u, e in zip(haar, eps * 100)]
+    )
+    unitary, gamma = linalg.unitary_scale(stack)
+    ref_unitary, ref_gamma = oracles.matrix_first_unitary_scale(stack)
+    assert np.array_equal(unitary, ref_unitary) and np.array_equal(gamma, ref_gamma)
+    clifford = linalg.is_clifford(stack)
+    assert np.array_equal(clifford, oracles.matrix_first_is_clifford(stack))
+    rows = np.flatnonzero(unitary)
+    with_scale = linalg.is_clifford(stack[rows], gamma=gamma[rows])
+    assert np.array_equal(with_scale, oracles.matrix_first_is_clifford(stack[rows], gamma=gamma[rows]))
+    # one matrix at a time, both go through `@` as the matrix-first route did
+    for m in stack[::5]:
+        assert linalg.unitary_scale(m) == oracles.matrix_first_unitary_scale(m)
+        assert linalg.is_clifford(m) == oracles.matrix_first_is_clifford(m)
+    # the near-unitaries straddle the unitarity bound, the near-Cliffords the Pauli one
+    assert 0 < unitary[800:].sum() < 400 and 0 < clifford[600:800].sum() < 200
+
+
+def test_predicates_refuse_non_finite_and_overflowing_inputs():
+    # a NaN in a^dag a or in a Pauli coefficient counts as above its bound
+    h, t = linalg.GATES["H"], linalg.GATES["T"]
+    stack = np.stack([h, t, h * np.nan, np.diag([np.inf, np.inf]).astype(complex), t * 1e300, np.zeros((2, 2))])
+    expected_unitary, expected_clifford = [True, True] + [False] * 4, [True] + [False] * 5
+    with np.errstate(all="ignore"):
+        assert linalg.unitary_scale(stack)[0].tolist() == expected_unitary
+        assert linalg.is_clifford(stack).tolist() == expected_clifford
+        assert [bool(linalg.unitary_scale(m)[0]) for m in stack] == expected_unitary
+        assert [bool(linalg.is_clifford(m)) for m in stack] == expected_clifford
 
 
 # -- the Clifford-membership predicate ---------------------------------------------
