@@ -27,10 +27,10 @@ from .stabilizer import (
     CliffordTableau,
     PauliString,
     apply_canonical_forms,
-    canonical_form,
+    canonical_forms,
     compile_measurement,
     pull_back_pauli,
-    stack_forms,
+    stack,
 )
 
 PWEAK = "PWEAK"
@@ -222,10 +222,13 @@ def tv_distance(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
 
 def _conjugated_state(instance: CccInstance) -> np.ndarray:
     """U-dagger^(x)n V U^(x)n |0^n>, with V applied as its canonical form."""
+    # the cap's refusal, then the batch's (n <= 31), before any amplitude
+    linalg.check_dense_cap(instance.n)
+    forms = canonical_forms(stack([instance.v]))
     state = linalg.zero_state(instance.n)
     for q in range(instance.n):
         state = linalg.apply_gate(state, instance.u, (q,))
-    state = apply_canonical_forms(stack_forms([canonical_form(instance.v)]), state[None])[0]
+    state = apply_canonical_forms(forms, state[None])[0]
     ud = instance.u.conj().T
     for q in range(instance.n):
         state = linalg.apply_gate(state, ud, (q,))

@@ -9,28 +9,28 @@ the image of X_i under conjugation (destabilizer), row n+i the image of Z_i
 phase-insensitive.  The tableau is held by columns: per qubit, its X bits and
 its Z bits over all 2n rows are one Python int each, so a gate is a few
 word-wise XOR/AND operations at any n.  The same columns as numpy int64
-arrays make a batch, one tableau per entry (n <= 31): the BFS frontiers of
-enumerate_clifford_words, and the anticoncentration trial's draws, which
-random_cliffords makes and canonical_forms reduces a whole chunk at a time.
+arrays make a batch, one tableau per entry (n <= 31; stack builds one):
+the BFS frontiers of enumerate_clifford_words, and the anticoncentration
+trial's draws, which random_cliffords makes a whole chunk at a time.
 
 On a dense state a tableau acts in its canonical form F1 . H_S . F2: two
 basis permutations with phases and |S| Hadamard passes, over a whole block
-of states at once (canonical_form or canonical_forms, then
-apply_canonical_forms on a batch of forms).  The sampler
-(compile_measurement) and the canonical form enter one GF(2) reduction of
-the stabilizers, _reduce_stabilizers: the pivots of its X block (_echelon)
-are both the coins of a Z-basis measurement and the Hadamard set S, and it
-checks that the stabilizers commute (_symplectic_block).  One bit-matrix
-transpose, masked block swaps on one int (_transpose), serves that
-reduction, its symmetry check and random_clifford.
+of states at once.  canonical_forms computes the forms of a batch, the
+dense model's one V as a batch of one, and apply_canonical_forms runs
+them; the replaying reference is canonical_form in tests/oracles.py.  The
+pivots of the stabilizers' reduced echelon X block are both the Hadamard
+set S and the coins of a Z-basis measurement (compile_measurement, which
+reduces with _echelon and checks commutation with _symplectic_block).  One
+bit-matrix transpose, masked block swaps on one int (_transpose), serves
+that reduction, its symmetry check and random_clifford.
 
 A gate is checked once, where it enters: circuit text in one loop
 (_read_circuit, under parse_circuit and parse_tableau; the CLI reads a
 --circuit file into a tableau with no CliffordCircuit), CliffordCircuit.build
 and CliffordTableau.apply.  The loop checks the common valid line inline and
 leaves any other to _checked_gate, the one source of the gate messages.  The
-native updates (_h, _cnot, ...) trust their qubits, so parse_tableau,
-canonical_form and the easy reduction apply them unchecked.
+native updates (_h, _cnot, ...) trust their qubits, so parse_tableau and
+the easy reduction apply them unchecked.
 
 A Clifford is a CliffordTableau, which everything here computes with; a
 CliffordCircuit is only a gadget's Gamma, a checked, printable gate word.
@@ -336,8 +336,8 @@ def _echelon(rows: Iterable[int], columns: int) -> tuple[dict[int, int], list[in
     return dict(sorted(pivots.items())), rest
 
 
-def _symplectic_block(pivots: dict[int, int], rest: list[int], n: int) -> dict[int, int]:
-    """Check that the echelon rows of the stabilizers commute; their block on S.
+def _symplectic_block(pivots: dict[int, int], rest: list[int], n: int) -> None:
+    """Raise InvariantError unless the echelon rows of the stabilizers commute.
 
     The rows are x | z << n (bits past 2n ride along), reduced by _echelon
     over the X bits.  Pivot s has X at s and at qubits outside S only, so
@@ -346,8 +346,8 @@ def _symplectic_block(pivots: dict[int, int], rest: list[int], n: int) -> dict[i
     with no X anticommutes with exactly those pivots, and pivots s and s2
     anticommute when bit s2 of N[s], the set for z_s, differs from bit s of
     N[s2].  The rows span the stabilizers, so these commute iff every row
-    with no X gives the empty set and N is symmetric.  Returns N, which
-    canonical_form reads; raises InvariantError if a pair anticommutes.
+    with no X gives the empty set and N, the block canonical_forms builds
+    its diagonal layer from, is symmetric.
     """
     smask = sum(1 << s for s in pivots)
     free = (1 << n) - 1 & ~smask  # the qubits outside S
@@ -365,26 +365,9 @@ def _symplectic_block(pivots: dict[int, int], rest: list[int], n: int) -> dict[i
                 v ^= xcols[q]
         return v
 
-    block = {s: odd_pivots(row) for s, row in pivots.items()}
-    square = [block.get(s, 0) for s in range(n)]
+    square = [odd_pivots(pivots[s]) if s in pivots else 0 for s in range(n)]
     if any(odd_pivots(row) for row in rest) or square != _transpose(square, n):
         raise InvariantError("the stabilizers do not commute")
-    return block
-
-
-def _reduce_stabilizers(t: CliffordTableau) -> tuple[dict[int, int], list[int], dict[int, int]]:
-    """(pivots, rest, block): the stabilizers' reduction, which
-    compile_measurement and canonical_form both read.
-
-    Stabilizer j is the row x | z << n, with the ride-along bit 2n + j that
-    records which stabilizers a reduced row is a product of.  pivots and
-    rest are _echelon's over the X bits, and block is _symplectic_block's,
-    which raises InvariantError if two stabilizers anticommute.
-    """
-    n = t.n
-    rows = _transpose([col >> n for col in (*t.xcol, *t.zcol)], n)
-    pivots, rest = _echelon((row | 1 << 2 * n + j for j, row in enumerate(rows)), (1 << n) - 1)
-    return pivots, rest, _symplectic_block(pivots, rest, n)
 
 
 def _transpose(rows: list[int], width: int) -> list[int]:
@@ -605,9 +588,10 @@ def compile_measurement(t: CliffordTableau) -> CompiledMeasurement:
     """Measure qubits 0..n-1 once, symbolically, for any number of draws.
 
     Only the stabilizers (rows n..2n-1) are read, as rows x | z << n, each
-    carrying the bitset of stabilizers it is a product of.  Their reduced
-    echelon X block (_reduce_stabilizers) has the coins as its pivots: the
-    Hadamard set S of canonical_form.  The rows left without X are products
+    carrying the bitset of stabilizers it is a product of (bit 2n + j for
+    stabilizer j).  Their reduced echelon X block (_echelon, then the
+    commutation check _symplectic_block) has the coins as its pivots: the
+    Hadamard set S of canonical_forms.  The rows left without X are products
     of stabilizers equal to +/- Z^z, each a parity constraint y.z = sign on
     the outcome.  Reduced over the qubits outside S, the constraint that holds
     qubit q fixes bit q as its sign (one _row_product) XOR the coins in its
@@ -618,7 +602,9 @@ def compile_measurement(t: CliffordTableau) -> CompiledMeasurement:
     n, low = t.n, (1 << t.n) - 1
     if t.odd >> n:
         raise InvariantError(f"stabilizer {_lowest(t.odd >> n)} is not Hermitian")
-    coins, constraints, _ = _reduce_stabilizers(t)
+    rows = _transpose([col >> n for col in (*t.xcol, *t.zcol)], n)
+    coins, constraints = _echelon((row | 1 << 2 * n + j for j, row in enumerate(rows)), low)
+    _symplectic_block(coins, constraints, n)
     coin_mask = sum(1 << q for q in coins)
     # commuting, a constraint is Z on coins only if it is the identity
     fixed, left = _echelon((v >> n for v in constraints), low & ~coin_mask)
@@ -656,49 +642,6 @@ def pull_back_pauli(t: CliffordTableau, p: PauliString) -> PauliString:
 # -- the canonical form F1 . H_S . F2 and its dense action --------------------
 
 
-def canonical_form(t: CliffordTableau) -> tuple[CliffordTableau, tuple[int, ...], CliffordTableau]:
-    """(F1, S, F2) with t's Clifford equal to F1 . H_S . F2 up to phase.
-
-    F1 and F2 are Hadamard-free: each maps every Z_j to +/- a string of Zs
-    (Bravyi and Maslov, arXiv:2003.09412).  S is the pivots of the reduced
-    echelon X block of the stabilizers (the images of Z_j, by
-    _reduce_stabilizers): the coins of compile_measurement.  On the output
-    side, CNOTs from each pivot s to the other X bits of its row leave
-    X_s Z^(M_s); the rows without X span the Z_t, t not in S, so only M on
-    S matters.  CNOT(s, u) maps Z_u to Z_s Z_u, so bit s of a Z part flips
-    with the parity of its bits at the targets of s: M on S is the block _symplectic_block returns, which
-    it checks is symmetric.  CZ(s, s') where M[s][s'] = 1 and S on s where
-    M[s][s] = 1 make the group <+/-X_s, +/-Z_t>.  With W those gates (the
-    CNOTs, then the diagonal CZ and S layer), F2 = H_S W t is Hadamard-free
-    and F1 = W^-1: S-dagger, CZ, then the CNOTs reversed.  Every gate is
-    applied natively to the tableau, so the signs are exact, except that
-    F1's diagonal layer is written at once: on the identity, it leaves row s
-    X at s and Z at the bits of M_s, so Y at s where M[s][s] = 1, with the
-    sign -1 there (S-dagger X S = -Y).
-    """
-    n, low = t.n, (1 << t.n) - 1
-    pivots, _, block = _reduce_stabilizers(t)
-    smask = sum(1 << s for s in pivots)
-    cnots = [(s, u) for s, row in pivots.items() for u in _bits(row & low & ~smask)]
-    czs = [(s, s2) for s, m in block.items() for s2 in _bits(m & ~((2 << s) - 1))]  # s2 > s
-    phases = [s for s, m in block.items() if m >> s & 1]
-    f2 = t.copy()
-    for c, u in cnots:
-        f2._cnot(c, u)
-    for a, b in czs:
-        f2._cz(a, b)
-    for s in phases:
-        f2._s(s)
-    for s in pivots:
-        f2._h(s)
-    # bit s of zcol[q] is M[s][q] = M[q][s], bit s of block[q]
-    zcol = [1 << n + q | block.get(q, 0) for q in range(n)]
-    f1 = CliffordTableau(n, [1 << q for q in range(n)], zcol, 0, sum(1 << s for s in phases))
-    for c, u in reversed(cnots):
-        f1._cnot(c, u)
-    return f1, tuple(sorted(pivots)), f2
-
-
 #: a batch holds each column of 2n row bits in one int64 per entry
 _BATCH_MAX_QUBITS = 31
 
@@ -710,7 +653,7 @@ def _check_batch_width(n: int) -> None:
         )
 
 
-def _stack(tableaux) -> CliffordTableau:
+def stack(tableaux) -> CliffordTableau:
     """The tableaux as one batch: columns of int64 arrays, an entry per tableau."""
     n = tableaux[0].n
     _check_batch_width(n)
@@ -718,26 +661,34 @@ def _stack(tableaux) -> CliffordTableau:
     return CliffordTableau(n, list(cols[:n]), list(cols[n : 2 * n]), cols[2 * n], cols[2 * n + 1])
 
 
-def stack_forms(forms) -> tuple[CliffordTableau, np.ndarray, CliffordTableau]:
-    """canonical_form results as one batch of forms, as canonical_forms gives them."""
-    f1s, hs, f2s = zip(*forms)
-    return _stack(f1s), np.array([sum(1 << s for s in h) for h in hs], dtype=np.int64), _stack(f2s)
-
-
 def canonical_forms(t: CliffordTableau) -> tuple[CliffordTableau, np.ndarray, CliffordTableau]:
-    """canonical_form of every entry of the batch t: (F1, S, F2), with F1
-    and F2 batches and S the (count,) bitsets of the Hadamard sets.
+    """(F1, S, F2) per entry of the batch t, its Clifford equal to
+    F1 . H_S . F2 up to phase: F1 and F2 batches and S the (count,)
+    bitsets of the Hadamard sets.
 
-    The stabilizers' X block goes to reduced echelon form by Gauss-Jordan,
-    one column at a time for the whole batch, each entry with its own pivot
-    row (the first free row holding the column).  Reduced echelon X parts
-    are unique, so they are _echelon's.  The Z parts can differ from
-    _echelon's only by rows with no X, which commute with every pivot, so
-    the block N, and F1, S and F2 with it, are canonical_form's, bit for
-    bit.  The commutation check is _symplectic_block's: a row with no X
-    must commute with every pivot, and N must be symmetric.  Each gate layer
-    is one masked update per qubit or pair of qubits some entry needs: the
-    CNOTs commute (controls in S, targets outside), CZ and S are diagonal.
+    F1 and F2 are Hadamard-free: each maps every Z_j to +/- a string of Zs
+    (Bravyi and Maslov, arXiv:2003.09412).  S is the pivots of the reduced
+    echelon X block of the stabilizers (the images of Z_j): the coins of
+    compile_measurement.  The block goes to that form by Gauss-Jordan, one
+    column at a time for the whole batch, each entry with its own pivot row
+    (the first free row holding the column).  On the output side, CNOTs from
+    each pivot s to the other X bits of its row leave X_s Z^(M_s); the rows
+    without X span the Z_t, t not in S, so only M on S matters.  CNOT(s, u)
+    maps Z_u to Z_s Z_u, so bit s of a Z part flips with the parity of its
+    bits at the targets of s: M on S is the block N.  Commutation is checked
+    as in _symplectic_block: a row with no X must commute with every pivot,
+    and N must be symmetric.  CZ(s, s') where M[s][s'] = 1 and S on s where
+    M[s][s] = 1 make the group <+/-X_s, +/-Z_t>.  With W those gates (the
+    CNOTs, then the diagonal CZ and S layer), F2 = H_S W t is Hadamard-free
+    and F1 = W^-1: S-dagger, CZ, then the CNOTs reversed.  Every gate is a
+    native update, masked to the entries that need it, so the signs are
+    exact; a layer is one update per qubit or pair some entry needs (the
+    CNOTs commute: controls in S, targets outside).  F1's diagonal layer is
+    written at once: on the identity, it leaves row s X at s and Z at the
+    bits of M_s, so Y at s where M[s][s] = 1, with the sign -1 there
+    (S-dagger X S = -Y).  The forms are those of canonical_form in
+    tests/oracles.py, which replays each gate through CliffordTableau.apply,
+    bit for bit.
     """
     n = t.n
     _check_batch_width(n)
@@ -774,7 +725,7 @@ def canonical_forms(t: CliffordTableau) -> tuple[CliffordTableau, np.ndarray, Cl
         _s_where(f2, s, k)
     for (s,), k in _needed(found):
         _h_where(f2, s, k)
-    # as in canonical_form: bit s of zcol[q] is M[q][s], and S-dagger's sign
+    # F1's diagonal layer: bit s of zcol[q] is M[q][s], and S-dagger's sign
     weights = 1 << np.arange(n, dtype=np.int64)
     zcol = list((1 << n + np.arange(n))[:, None] + (block * weights).sum(axis=2).T)
     xcol = [np.full(count, 1 << q, dtype=np.int64) for q in range(n)]
@@ -831,10 +782,10 @@ def apply_canonical_forms(forms, block: np.ndarray) -> np.ndarray:
     r of the block, up to a phase per row.
 
     forms is a batch of canonical forms: F1 and F2 batch tableaux and S the
-    bitsets of the Hadamard sets, one entry per row, as canonical_forms or
-    stack_forms gives them.  The Hadamard-free F2 and F1 are one scatter
-    with phases each over the whole block (_apply_hadamard_free), and H_S
-    one masked pass per qubit.
+    bitsets of the Hadamard sets, one entry per row, as canonical_forms
+    gives them.  The Hadamard-free F2 and F1 are one scatter with phases
+    each over the whole block (_apply_hadamard_free), and H_S one masked
+    pass per qubit.
     """
     f1, hs, f2 = forms
     block = _apply_hadamard_free(f2, block)

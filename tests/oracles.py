@@ -5,12 +5,15 @@ Each routine here is the direct, unoptimized form of something
 Aaronson–Gottesman measurement (`measure`, `sample_measurement`), one scalar
 draw per coin of a compiled measurement (`draw`), the greedy-elimination
 random Clifford draw (`random_clifford`), synthesis of a tableau as a gate
-word (`tableau_to_circuit`, with `inverse`; the reference for
-`canonical_form` and its dense action) and of a random Clifford
-(`random_clifford_circuit`), the canonical form with each CZ replayed as
-H CNOT H and each S-dagger as S^3 (`canonical_form`), building a tableau
-from row masks (`from_rows`), the anticoncentration trial's p values, one
-draw, one synthesized word and one statevector pass at a time
+word (`tableau_to_circuit`, with `inverse`; the reference for the
+canonical forms and their dense action) and of a random Clifford
+(`random_clifford_circuit`), the canonical form of one tableau by its own
+elimination, with every gate replayed through `CliffordTableau.apply`, each
+CZ as H CNOT H and each S-dagger as S^3 (`canonical_form`;
+`stabilizer.canonical_forms` is pinned to it bit for bit), such forms
+stacked into the batch `canonical_forms` returns (`stack_forms`), building
+a tableau from row masks (`from_rows`), the anticoncentration trial's p
+values, one draw, one synthesized word and one statevector pass at a time
 (`anticoncentration_p_values`), and the 4x4 unitaries of the gadget
 search's two-qubit Clifford words, each multiplied out gate by gate
 (`word_unitaries`), the BFS that finds those words with one tableau
@@ -196,7 +199,7 @@ def _local_image(name: str, before: PauliString) -> tuple[int, int, int]:
     raise InvariantError(f"{name} does not map {before} to a Pauli")
 
 
-# -- synthesis of a tableau as a gate word (the reference for canonical_form) --------
+# -- synthesis of a tableau as a gate word (the reference for canonical_forms) -------
 
 
 def tableau_to_circuit(t: CliffordTableau) -> CliffordCircuit:
@@ -261,8 +264,10 @@ def tableau_to_circuit(t: CliffordTableau) -> CliffordCircuit:
 
 
 def canonical_form(t: CliffordTableau) -> tuple[CliffordTableau, tuple[int, ...], CliffordTableau]:
-    """`stabilizer.canonical_form` with every gate replayed through
-    `CliffordTableau.apply`: each CZ as H CNOT H, each S-dagger as S^3."""
+    """(F1, S, F2) as `stabilizer.canonical_forms` gives it for one entry,
+    with S a sorted tuple: its own elimination of the stabilizers' X block,
+    and every gate replayed through `CliffordTableau.apply`, each CZ as
+    H CNOT H and each S-dagger as S^3."""
     n, low = t.n, (1 << t.n) - 1
     rows = [0] * n  # stabilizer j as x | z << n
     for q in range(n):
@@ -302,6 +307,13 @@ def canonical_form(t: CliffordTableau) -> tuple[CliffordTableau, tuple[int, ...]
     if any(v >> n for v in f2.xcol):
         raise InvariantError("the stabilizers do not commute: not a Clifford tableau")
     return f1, tuple(sorted(pivots)), f2
+
+
+def stack_forms(forms) -> tuple[CliffordTableau, np.ndarray, CliffordTableau]:
+    """canonical_form results as one batch of forms, as canonical_forms gives them."""
+    f1s, hs, f2s = zip(*forms)
+    hadamards = np.array([sum(1 << s for s in h) for h in hs], dtype=np.int64)
+    return stabilizer.stack(f1s), hadamards, stabilizer.stack(f2s)
 
 
 # -- measurement, one qubit at a time (the tableau of V doubles as V|0^n>) --------

@@ -393,6 +393,23 @@ def test_dense_distribution_matches_the_word_applied_gate_by_gate():
                 assert np.max(np.abs(dense - dense_by_gates(u, circuit))) <= 1e-15, (n, u)
 
 
+def test_dense_route_refuses_a_wide_v_before_any_amplitude(monkeypatch):
+    # under a raised cap, n=32 passes the cap but not the batch of one that
+    # holds V's canonical form: refused before 2^32 amplitudes are allocated
+    def allocate(n):
+        raise AssertionError(f"zero_state({n}) reached")
+
+    u = parse_unitary_spec("T").matrix
+    monkeypatch.setattr(linalg, "zero_state", allocate)
+    monkeypatch.setenv(linalg.DENSE_CAP_ENV, "32")
+    with pytest.raises(CapabilityError, match="n <= 31"):
+        dense_distribution(make_instance(u, CliffordTableau.identity(32)))
+    # under the default cap, the cap's own refusal comes first
+    monkeypatch.delenv(linalg.DENSE_CAP_ENV)
+    with pytest.raises(CapabilityError, match="exceeds the cap of 16"):
+        dense_distribution(make_instance(u, CliffordTableau.identity(32)))
+
+
 def test_easy_reduction_distribution_is_dyadic_and_capped():
     rng = np.random.default_rng(41)
     h = linalg.GATES["H"]

@@ -1,4 +1,5 @@
-"""The source tree itself, read with the stdlib parser: no helper without a caller."""
+"""The source tree itself, read with the stdlib parser: no helper without a
+caller, and no module that takes another module's private name."""
 import ast
 from pathlib import Path
 
@@ -53,6 +54,33 @@ def uncalled_functions(src: Path) -> list[str]:
     )
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_imports(src: Path) -> list[str]:
+    """Each "importer: module.name" where a module under src takes another
+    module's _-prefixed name (dunders exempt): by `from .module import
+    _name`, or as `module._name` on a module it imported with `from .
+    import module`."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules = {}  # the local name of each sibling module imported whole
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    elif _private(alias.name):
+                        found.append(f"{path.stem}: {node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in modules and _private(node.attr):
+                    found.append(f"{path.stem}: {modules[node.value.id]}.{node.attr}")
+    return sorted(found)
+
+
 def test_every_function_in_src_has_a_caller_in_src():
     assert uncalled_functions(SRC) == sorted(NO_CALLER_YET)
 
@@ -67,3 +95,15 @@ def test_the_caller_check_sees_a_helper_called_only_by_itself(tmp_path):
         "    def _h(self):\n        pass\n"
     )
     assert uncalled_functions(tmp_path) == ["m.recursive"]
+
+
+def test_no_module_in_src_takes_another_modules_private_name():
+    assert private_imports(SRC) == []
+
+
+def test_the_import_check_sees_a_private_name_taken_either_way(tmp_path):
+    (tmp_path / "a.py").write_text("def _helper():\n    return 1\n\ndef public():\n    return _helper()\n")
+    (tmp_path / "b.py").write_text("from .a import _helper, public\n")
+    (tmp_path / "c.py").write_text("from . import a as alias\n\ndef f():\n    return alias._helper(), alias.__doc__\n")
+    (tmp_path / "d.py").write_text("from __future__ import annotations\nfrom .a import public\n")
+    assert private_imports(tmp_path) == ["b: a._helper", "c: a._helper"]

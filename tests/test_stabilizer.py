@@ -17,7 +17,6 @@ from cccsim.stabilizer import (
     CliffordTableau,
     PauliString,
     apply_canonical_forms,
-    canonical_form,
     canonical_forms,
     compile_measurement,
     enumerate_clifford_words,
@@ -26,7 +25,7 @@ from cccsim.stabilizer import (
     pull_back_pauli,
     random_clifford,
     random_cliffords,
-    stack_forms,
+    stack,
 )
 import oracles
 from oracles import (
@@ -333,20 +332,20 @@ def test_compile_rejects_stabilizers_that_fix_no_state():
         compile_measurement(from_rows(3, [0, 0, 0, 1, 1, 0], [1, 2, 4, 0, 0, 4]))
     # stabilizers X_0, Z_0 Z_1 anticommute, though no constraint is left on
     # the coin alone; and X_0, Z_0 X_1, two pivots that anticommute, leave no
-    # constraint at all.  canonical_form runs the same check
+    # constraint at all.  canonical_forms runs the same check, and the
+    # replaying oracle refuses them too
     for broken in (from_rows(2, [0, 0, 1, 0], [1, 2, 0, 3]), from_rows(2, [0, 0, 1, 2], [1, 2, 0, 1])):
-        for reader in (compile_measurement, canonical_form):
+        for reader in (compile_measurement, oracles.canonical_form, batch_of_one):
             with pytest.raises(InvariantError, match="the stabilizers do not commute"):
                 reader(broken)
 
 
 def test_one_commutation_check_for_both_readers_of_the_echelon():
     # one stabilizer of a random Clifford replaced by a product of its rows:
-    # both readers raise exactly when some pair of stabilizers anticommutes,
-    # a pairwise check by commutes; otherwise canonical_form's F2 is
-    # Hadamard-free and compile_measurement raises only for a dependent set.
-    # canonical_forms, on a batch of one, runs its own reduction and check:
-    # the same verdict, and else the same forms.
+    # each reader raises exactly when some pair of stabilizers anticommutes,
+    # a pairwise check by commutes; otherwise the forms of canonical_forms,
+    # on a batch of one, are the replaying oracle's, whose F1 and F2 are
+    # Hadamard-free, and compile_measurement raises only for a dependent set.
     # The product takes destabilizer j, which anticommutes only with the
     # replaced stabilizer, at odds 1/2 and the others rarely, so both kinds
     # of set are common
@@ -367,12 +366,11 @@ def test_one_commutation_check_for_both_readers_of_the_echelon():
             anticommuting = not all(commutes(a, b) for a, b in itertools.combinations(rows[n:], 2))
             seen[anticommuting] += 1
             if anticommuting:
-                for reader in (compile_measurement, canonical_form, lambda t: canonical_forms(stabilizer._stack([t]))):
+                for reader in (compile_measurement, oracles.canonical_form, batch_of_one):
                     with pytest.raises(InvariantError, match="the stabilizers do not commute"):
                         reader(broken)
                 continue
-            assert_batch_forms(stabilizer._stack([broken]), [broken])
-            f1, _, f2 = canonical_form(broken)
+            [(f1, _, f2)] = assert_batch_forms(stack([broken]), [broken])
             assert _hadamard_free(f1) and _hadamard_free(f2)
             try:
                 compile_measurement(broken)
@@ -439,8 +437,9 @@ def _x_block_rref(t):
 
 
 def test_compiled_coins_are_the_hadamard_set():
-    # one reduction read twice: the coins are canonical_form's S, and bit q
-    # is the parity of the coins whose reduced X row has X at q
+    # the coins are the Hadamard set S of the canonical form (the replaying
+    # oracle's at every n, and canonical_forms' up to its 31 qubits), and
+    # bit q is the parity of the coins whose reduced X row has X at q
     rng = np.random.default_rng(47)
     tableaux = []
     for n in [*range(1, 13), 200]:
@@ -450,7 +449,9 @@ def test_compiled_coins_are_the_hadamard_set():
     for t in tableaux:
         pivots, reduced = _x_block_rref(t)
         terms = compile_measurement(t).terms
-        assert [q for q, term in enumerate(terms) if term is None] == pivots == list(canonical_form(t)[1])
+        assert [q for q, term in enumerate(terms) if term is None] == pivots == list(oracles.canonical_form(t)[1])
+        if t.n <= 31:
+            assert int(canonical_forms(stack([t]))[1][0]) == sum(1 << q for q in pivots)
         for q, term in enumerate(terms):
             if term is not None:
                 assert term[1] == sum(1 << k for k in np.flatnonzero(reduced[:, q]).tolist()), (t.n, q)
@@ -653,12 +654,16 @@ def _hadamard_free(f):
     return not any(v >> f.n for v in f.xcol)
 
 
+def batch_of_one(t):
+    return canonical_forms(stack([t]))
+
+
 def replayed_forms(tableaux):
-    """The canonical forms, each equal to the replaying oracle's (signs
-    included) and pinned to replay to its tableau bit for bit."""
-    forms = [canonical_form(t) for t in tableaux]
+    """The replaying oracle's canonical forms, which canonical_forms gives
+    for the stacked tableaux bit for bit (signs included), each pinned to
+    replay to its tableau bit for bit."""
+    forms = assert_batch_forms(stack(tableaux), tableaux)
     for t, (f1, hs, f2) in zip(tableaux, forms):
-        assert (f1, hs, f2) == oracles.canonical_form(t)
         assert _hadamard_free(f1) and _hadamard_free(f2)
         layer = tuple(("H", (s,)) for s in hs)
         word = tableau_to_circuit(f2).gates + layer + tableau_to_circuit(f1).gates
@@ -681,7 +686,7 @@ def check_canonical_forms(tableaux, rng):
     forms = replayed_forms(tableaux)
     states = random_states(rng, len(tableaux), tableaux[0].n)
     ref = np.array([apply_word(tableau_to_circuit(t), state) for t, state in zip(tableaux, states)])
-    assert_equal_up_to_phase(apply_canonical_forms(stack_forms(forms), states), ref)
+    assert_equal_up_to_phase(apply_canonical_forms(oracles.stack_forms(forms), states), ref)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -710,17 +715,16 @@ def test_canonical_form_of_every_two_qubit_class():
     states = random_states(np.random.default_rng(105), len(tableaux), 2)
     mats = oracles.word_unitaries([tableau_to_circuit(t).gates for t in tableaux])
     ref = np.einsum("kij,kj->ki", mats, states)
-    assert_equal_up_to_phase(apply_canonical_forms(stack_forms(forms), states), ref)
+    assert_equal_up_to_phase(apply_canonical_forms(oracles.stack_forms(forms), states), ref)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_canonical_form_matches_the_replaying_oracle(n):
-    # native CZ and S-dagger against H CNOT H and S^3 on tableaux: the same
-    # F1, S and F2, signs included, for 200 draws
+    # masked native CZ and S-dagger against H CNOT H and S^3 on tableaux:
+    # the same F1, S and F2, signs included, for 200 draws
     rng = np.random.default_rng(110 + n)
-    for _ in range(200):
-        t = random_clifford(n, rng)
-        assert canonical_form(t) == oracles.canonical_form(t)
+    tableaux = [random_clifford(n, rng) for _ in range(200)]
+    assert_batch_forms(stack(tableaux), tableaux)
 
 
 def test_echelon_is_reduced_and_spans_its_rows():
@@ -746,28 +750,33 @@ def test_canonical_form_rejects_anticommuting_stabilizers():
     # stabilizers X_0 and Z_0 cannot both be images of commuting Z_j; a
     # batch with that one entry among good ones is refused too
     broken = from_rows(2, [0, 0, 1, 0], [1, 2, 0, 1])
-    with pytest.raises(InvariantError):
-        canonical_form(broken)
+    for reader in (oracles.canonical_form, batch_of_one):
+        with pytest.raises(InvariantError):
+            reader(broken)
     rng = np.random.default_rng(125)
     good = [random_clifford(2, rng) for _ in range(6)]
     with pytest.raises(InvariantError, match="the stabilizers do not commute"):
-        canonical_forms(stabilizer._stack([*good[:4], broken, *good[4:]]))
-    canonical_forms(stabilizer._stack(good))
+        canonical_forms(stack([*good[:4], broken, *good[4:]]))
+    canonical_forms(stack(good))
 
 
 def assert_batch_forms(batch, tableaux):
-    """canonical_forms of the batch is canonical_form of each of its tableaux."""
+    """canonical_forms of the batch is the replaying oracle's canonical_form
+    of each of its tableaux, one at a time; returns the oracle's forms."""
     f1, hs, f2 = canonical_forms(batch)
-    for i, t in enumerate(tableaux):
-        g1, h, g2 = canonical_form(t)
+    forms = [oracles.canonical_form(t) for t in tableaux]
+    for i, (g1, h, g2) in enumerate(forms):
         assert (_entry(f1, i), int(hs[i]), _entry(f2, i)) == (g1, sum(1 << s for s in h), g2), i
+    return forms
 
 
 @pytest.mark.parametrize("n", [*range(1, 17), 31])
 def test_canonical_forms_are_the_scalar_forms(n):
+    # random_cliffords' batch as drawn, and the identity as a batch of one
     rng = np.random.default_rng(130 + n)
     batch = random_cliffords(n, rng, 50)
     assert_batch_forms(batch, [_entry(batch, i) for i in range(50)])
+    assert_batch_forms(stack([CliffordTableau.identity(n)]), [CliffordTableau.identity(n)])
 
 
 def test_canonical_forms_of_every_two_qubit_class():
@@ -776,7 +785,7 @@ def test_canonical_forms_of_every_two_qubit_class():
     tableaux = [circuit_to_tableau(CliffordCircuit(2, w)) for w in enumerate_clifford_words(2)[0]]
     for t in tableaux:
         t.sign = int(rng.integers(16))
-    assert_batch_forms(stabilizer._stack(tableaux), tableaux)
+    assert_batch_forms(stack(tableaux), tableaux)
 
 
 def _same_draw(n, seed):
@@ -861,7 +870,7 @@ def test_batches_stop_at_31_qubits():
     with pytest.raises(CapabilityError, match="n <= 31"):
         canonical_forms(CliffordTableau.identity(32))
     with pytest.raises(CapabilityError, match="n <= 31"):
-        stack_forms([canonical_form(CliffordTableau.identity(32))])
+        canonical_forms(stack([CliffordTableau.identity(32)]))
 
 
 def stabilizer_states_by_coins(n):
