@@ -146,16 +146,20 @@ def anticoncentration_trial(
     if not 0 <= a < 1:
         raise ValueError(f"a must lie in [0, 1), got {a}")
 
+    rng = np.random.default_rng(seed)
+    chunk = max(1, MAX_BLOCK_AMPLITUDES // 2**n)
+    # the first chunk is drawn before any 2^n array exists, so a width the
+    # batch cannot hold is refused before the states are built
+    forms = canonical_forms(random_cliffords(n, rng, min(chunk, num_samples)))
     u = np.asarray(u, dtype=complex)
     psi = reduce(np.kron, [u[:, 0]] * n)
     phi = reduce(np.kron, [u[:, int(bit)] for bit in y])
 
-    rng = np.random.default_rng(seed)
-    chunk = max(1, MAX_BLOCK_AMPLITUDES // 2**n)
     p_values = np.empty(num_samples)
     for start in range(0, num_samples, chunk):
         stop = min(start + chunk, num_samples)
-        forms = canonical_forms(random_cliffords(n, rng, stop - start))
+        if start:
+            forms = canonical_forms(random_cliffords(n, rng, stop - start))
         block = apply_canonical_forms(forms, np.tile(psi, (stop - start, 1)))
         p_values[start:stop] = np.abs(block @ phi.conj()) ** 2
 

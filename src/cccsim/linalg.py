@@ -72,7 +72,15 @@ def rx(theta: float) -> np.ndarray:
 def dense_cap() -> int:
     """Largest qubit count dense simulation will accept (env-overridable)."""
     raw = os.environ.get(DENSE_CAP_ENV)
-    return int(raw) if raw else DEFAULT_DENSE_CAP
+    if not raw:
+        return DEFAULT_DENSE_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise ValueError(f"{DENSE_CAP_ENV} must be a non-negative integer, got {raw!r}")
+    return cap
 
 
 def check_dense_cap(n: int, what: str = "dense statevector") -> None:

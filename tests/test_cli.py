@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +11,7 @@ import pytest
 from cccsim import __version__, cli, linalg
 from cccsim.cli import main
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
 H_16_DIGITS = "0.7071067811865476 0 0.7071067811865476 0 0.7071067811865476 0 -0.7071067811865476 0"
 
 
@@ -151,6 +150,13 @@ def test_dense_cap_flag_tightens_refusal(capsys):
     assert code == 3 and "cap of 1" in err
 
 
+@pytest.mark.parametrize("raw", ["-3", "abc"])
+def test_bad_dense_cap_variable_exits_2(capsys, monkeypatch, raw):
+    monkeypatch.setenv(linalg.DENSE_CAP_ENV, raw)
+    code, out, err = run_cli(capsys, ["simulate", "--u", "T", "--random-v", "2"])
+    assert code == 2 and not out and err.startswith("error: CCCSIM_DENSE_CAP must be a non-negative integer")
+
+
 def test_byte_identical_reruns(capsys):
     argv = ["sample", "--u", "T", "--random-v", "6", "--seed", "9", "--samples", "4"]
     _, out1, _ = run_cli(capsys, argv)
@@ -166,6 +172,32 @@ def test_circuit_file_input(tmp_path, capsys):
     assert abs(d["probabilities"]["11"] - 0.5) < 1e-12
     code, _, err = run_cli(capsys, ["simulate", "--u", "I", "--circuit", str(tmp_path / "nope")])
     assert code == 2
+    path.write_text("qubits 2\nH 0\nCNOT 0 2\n")
+    code, out, err = run_cli(capsys, ["sample", "--u", "H", "--circuit", str(path)])
+    assert code == 2 and not out and "line 3:" in err
+
+
+def test_circuit_file_gate_names_in_any_case(tmp_path, monkeypatch, capsys):
+    # all eight gates in lower case, with a comment and a blank line, against
+    # the same circuit written plainly; both files are v.txt, as config echoes the path
+    texts = {
+        "lower": "qubits 3\n# all eight gates\nh 0\ns 1\n\nsdg 2\nx 0\ny 1\nz 2\ncnot 0 1\ncz 1 2\n",
+        "plain": "qubits 3\nH 0\nS 1\nSDG 2\nX 0\nY 1\nZ 2\nCNOT 0 1\nCZ 1 2\n",
+    }
+    outputs = {}
+    for form, text in texts.items():
+        (tmp_path / form).mkdir()
+        (tmp_path / form / "v.txt").write_text(text)
+        monkeypatch.chdir(tmp_path / form)
+        outputs[form] = [
+            run_cli(capsys, argv)
+            for argv in (
+                ["sample", "--u", "H", "--circuit", "v.txt", "--seed", "3"],
+                ["simulate", "--method", "dense", "--u", "T", "--circuit", "v.txt"],
+            )
+        ]
+    assert all(code == 0 for code, _, _ in outputs["plain"])
+    assert outputs["lower"] == outputs["plain"]
 
 
 def test_marginal(capsys):
@@ -225,7 +257,8 @@ def test_gadget_analyze_refuses_u_with_a_builtin(capsys):
     "text, message",
     [("gadget k=2 l=1\nancilla 0\npost wire=1 bit=0\nqubits 2\nS 1\nCZ 0 5\n", "line 6: qubit 5 out of range in CZ for n=2"),
      ("gadget k=2 l=1\nancilla 0\npost wire=1 bit=0 bit=1\nqubits 2\nCZ 0 1\n", "line 3: repeated key 'bit'"),
-     ("gadget k=2 k=3 l=1\nancilla 0\npost wire=1 bit=0\nqubits 2\nCZ 0 1\n", "line 1: repeated key 'k'")],
+     ("gadget k=2 k=3 l=1\nancilla 0\npost wire=1 bit=0\nqubits 2\nCZ 0 1\n", "line 1: repeated key 'k'"),
+     ("gadget k=2 l=1\nancilla 0\nancilla 1\npost wire=1 bit=0\nqubits 2\nS 1\nCZ 0 1\n", "line 3: repeated 'ancilla' line")],
 )
 def test_gadget_analyze_names_the_file_line(tmp_path, capsys, text, message):
     path = tmp_path / "g.txt"
@@ -241,6 +274,15 @@ def test_gadget_search(capsys):
     assert d["num_classes"] == 0 and d["classes"] == []
     code, _, err = run_cli(capsys, ["gadget", "search", "--u", "T", "--k", "3"])
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "spec, classes",
+    [("rz=pi*1/3 rx=pi*1/2", 1152), ("rz=pi*1/4 rx=pi*1/4", 288), ("rz=1 rx=2", 432), ("H", 0)],
+)
+def test_gadget_search_class_counts(capsys, spec, classes):
+    d = run_json(capsys, ["gadget", "search", "--u", spec, "--k", "2", "--limit", "0"])
+    assert d["num_classes"] == classes and d["classes"] == []
 
 
 def test_anticonc_report_and_csv(tmp_path, capsys):
@@ -606,6 +648,9 @@ STDOUT_ARGVS = [argv for argv, _ in GOLDEN_DIGESTS] + [
     ["gadget", "search", "--u", "H"],
     ["mbqc", "check", "--theta", "pi*1/6"],
     ["mbqc", "check", "--theta", "pi*1/4"],
+    ["anticonc", "--n", "16", "--samples", "100", "--seed", "1"],
+    ["gadget", "analyze", "--builtin", "J", "--theta", "pi*1/3"],
+    ["simulate", "--method", "dense", "--u", "T", "--circuit", "v.txt"],
 ]
 STDOUT_IDS = DIGEST_IDS + [
     "simulate-dense-14",
@@ -617,6 +662,9 @@ STDOUT_IDS = DIGEST_IDS + [
     "gadget-search-empty",
     "mbqc-universal",
     "mbqc-exact-cosines",
+    "anticonc-dense-cap",
+    "gadget-analyze-builtin",
+    "simulate-dense-circuit",
 ]
 
 
@@ -624,6 +672,7 @@ STDOUT_IDS = DIGEST_IDS + [
 def test_stdout_is_json_dumps_of_the_payload(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "gadget.txt").write_text(GOLDEN_GADGET)
+    (tmp_path / "v.txt").write_text(GOLDEN_CIRCUIT)
     payloads = []
     dumps = cli._dumps
 
@@ -679,44 +728,11 @@ def test_anticonc_golden_output(capsys):
     }
 
 
-def _run_script(name, *args):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SCRIPTS.parent / "src"), os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, str(SCRIPTS / name), *args], capture_output=True, text=True, env=env)
-
-
-@pytest.mark.parametrize("script", sorted(SCRIPTS.glob("run_*.py")), ids=lambda p: p.name)
-def test_script_help_keeps_the_usage_line(script):
-    proc = _run_script(script.name, "--help")
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert any(line.startswith(f"Usage: python3 scripts/{script.name} ") for line in lines), proc.stdout
-
-
-def test_anticoncentration_script_table_and_csv(tmp_path):
-    csv = tmp_path / "p.csv"
-    proc = _run_script("run_anticoncentration.py", "--n-min", "2", "--n-max", "3", "--samples", "100", "--csv", str(csv))
-    assert proc.returncode == 0, proc.stderr
-    rows = [line.split() for line in proc.stdout.splitlines()[1:3]]
-    assert [row[0] for row in rows] == ["2", "3"] and all(len(row) == 7 for row in rows)
-    lines = csv.read_text().splitlines()
-    assert [line.split(",")[0] for line in lines] == ["2", "3"]
-    assert all(len(line.split(",")) == 101 for line in lines)
-
-
-@pytest.mark.parametrize(
-    "args, message",
-    [(["--samples", "50"], "--samples must be at least 100"), (["--n-min", "4", "--n-max", "3"], "--n-min 4 is above")],
-)
-def test_anticoncentration_script_rejects_bad_arguments(args, message):
-    proc = _run_script("run_anticoncentration.py", *args)
-    assert proc.returncode == 2 and message in proc.stderr and "Traceback" not in proc.stderr
-
-
 @pytest.mark.filterwarnings("ignore::UserWarning")  # [tool.setuptools] is marked beta
 def test_pyproject_reads_the_package_version():
     from setuptools.config.pyprojecttoml import read_configuration
 
     from cccsim import __version__
 
-    config = read_configuration(SCRIPTS.parent / "pyproject.toml")
+    config = read_configuration(ROOT / "pyproject.toml")
     assert config["project"]["version"] == __version__

@@ -235,6 +235,18 @@ def test_trial_validation():
         anticoncentration_trial(3, np.eye(2), "000", 200, a=1.5)
 
 
+def test_trial_past_the_batch_width_is_refused_before_any_state(monkeypatch):
+    # a raised cap lets n = 32 through check_dense_cap; the batch draw must
+    # refuse it before the 2^32-amplitude reference states are built
+    def no_states(*_):
+        raise AssertionError("a 2^n state was built")
+
+    monkeypatch.setenv(linalg.DENSE_CAP_ENV, "32")
+    monkeypatch.setattr(experiments, "reduce", no_states)
+    with pytest.raises(CapabilityError, match="n <= 31; got n=32"):
+        anticoncentration_trial(32, np.eye(2), "0" * 32, 200)
+
+
 # -- anticoncentration at n <= 2, exactly, over the whole Clifford group ----------
 
 # P(p >= 0.2 / 2^n) over every Clifford class mod phase, for the hard U; at

@@ -59,6 +59,13 @@ def test_dense_cap_env_override():
             os.environ[linalg.DENSE_CAP_ENV] = old
 
 
+@pytest.mark.parametrize("raw", ["-3", "abc"])
+def test_dense_cap_env_rejects_a_bad_value(monkeypatch, raw):
+    monkeypatch.setenv(linalg.DENSE_CAP_ENV, raw)
+    with pytest.raises(ValueError, match=f"CCCSIM_DENSE_CAP must be a non-negative integer, got '{raw}'"):
+        linalg.dense_cap()
+
+
 def test_apply_gate_matches_kron():
     rng = np.random.default_rng(3)
     state = rng.normal(size=8) + 1j * rng.normal(size=8)
