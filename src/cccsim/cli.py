@@ -80,8 +80,9 @@ def _fraction(text: str) -> Fraction:
 
 
 def _matrix_json(m: np.ndarray) -> list:
-    # + 0.0 turns the -0.0 that rounding noise of either sign leaves into 0.0
-    return [[[round(z.real, 10) + 0.0, round(z.imag, 10) + 0.0] for z in row] for row in m]
+    # + 0.0 turns the -0.0 that rounding noise of either sign leaves into 0.0;
+    # np.round rounds as round() does on a numpy float, and tolist() gives floats
+    return (np.stack([m.real, m.imag], axis=-1).round(10) + 0.0).tolist()
 
 
 def _bits(width: int) -> list[str]:
@@ -102,30 +103,54 @@ def _bitstrings(n: int) -> list[str]:
 _SCALARS = {str, int, float, bool, type(None)}
 
 
+def _is_array(v) -> bool:
+    """v is a non-empty list or tuple of such scalars or, again, such lists."""
+    return type(v) in (list, tuple) and bool(v) and all(type(x) in _SCALARS or _is_array(x) for x in v)
+
+
+def _array(v, tokens, pad: str) -> str:
+    """An _is_array value indented pad deep, from the iterator of its
+    scalars' tokens; a token carries the brackets its scalar opens and
+    closes, and no encoded scalar starts with [ or ends with ]."""
+    inner = pad + "  "
+    items = [_array(x, tokens, inner) if type(x) in (list, tuple) else next(tokens).strip("[]") for x in v]
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+
+
 def _dumps(obj, pad: str = "") -> str:
     """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for obj
     nested pad deep.  `indent` switches json to its pure-Python encoder, so
-    each non-empty container goes to the C encoder in one call that puts its
-    items one per line, and only its brackets are moved here."""
+    each non-empty container goes to the C encoder in one call, and only
+    its layout is done here: a container of scalars in one call that puts
+    its items one per line, and any other container in one call with a
+    newline between tokens (no encoded key or scalar holds one), which is
+    then indented.  Lists of scalars, nested to any depth, are written
+    from that call; each other value goes in as 0 and is written by its
+    own call."""
     if not isinstance(obj, (dict, list, tuple)) or not obj:
         return json.dumps(obj)
     inner = pad + "  "
     sep = ",\n" + inner
-    if set(map(type, obj.values() if isinstance(obj, dict) else obj)) <= _SCALARS:
+    is_dict = isinstance(obj, dict)
+    if set(map(type, obj.values() if is_dict else obj)) <= _SCALARS:
         text = json.dumps(obj, sort_keys=True, separators=(sep, ": "))
-    else:
-        # the C encoder writes each other value as 0, the last character of
-        # its line (no encoded key or scalar holds a newline), and that 0 is
-        # then replaced by the value's own text
-        keys = sorted(obj) if isinstance(obj, dict) else range(len(obj))
-        values = [obj[k] for k in keys]
-        flat = [v if type(v) in _SCALARS else 0 for v in values]
-        text = json.dumps(dict(zip(keys, flat)) if isinstance(obj, dict) else flat, separators=(sep, ": "))
-        lines = zip(text[1:-1].split(sep), values)
-        text = text[0] + sep.join(
-            line if type(v) in _SCALARS else line[:-1] + _dumps(v, inner) for line, v in lines
-        ) + text[-1]
-    return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
+    keys = sorted(obj) if is_dict else range(len(obj))
+    values = [obj[k] for k in keys]
+    flat = [v if type(v) in _SCALARS or _is_array(v) else 0 for v in values]
+    text = json.dumps(dict(zip(keys, flat)) if is_dict else flat, separators=("\n", "\n"))
+    tokens = iter(text[1:-1].split("\n"))
+    lines = []
+    for v, f in zip(values, flat):
+        key = next(tokens) + ": " if is_dict else ""
+        if f is not v:
+            next(tokens)
+            lines.append(key + _dumps(v, inner))
+        elif type(v) in _SCALARS:
+            lines.append(key + next(tokens))
+        else:
+            lines.append(key + _array(v, tokens, inner))
+    return f"{text[0]}\n{inner}{sep.join(lines)}\n{pad}{text[-1]}"
 
 
 def cmd_classify(args) -> dict:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,23 +164,49 @@ def _clifford_table() -> tuple[tuple, np.ndarray]:
     return tuple(words), mats
 
 
-def search_gadgets(u: np.ndarray, k: int) -> list[tuple[Gadget, GadgetAction]]:
+class GadgetClasses(Sequence):
+    """The classes of one search, in key order.  Each (Gadget, GadgetAction)
+    pair is built when it is read, so a caller that reads three of 1152
+    classes builds three."""
+
+    def __init__(self, u, words, rows, matrices, gammas):
+        self._u, self._words = u, words
+        self._rows = rows.tolist()  # (word index, ancilla bit, postselect bit) per class
+        self._matrices, self._gammas = matrices, gammas.tolist()
+        matrices.setflags(write=False)  # every read of a class shares its matrix
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        picked = range(len(self._rows))[i]
+        if isinstance(picked, range):
+            return [self[j] for j in picked]
+        idx, a_bit, b_bit = self._rows[picked]
+        gadget = Gadget(2, 1, self._u, (a_bit,), CliffordCircuit(2, self._words[idx]), (0,), (b_bit,))
+        return gadget, GadgetAction(self._matrices[picked], self._gammas[picked], True, False)
+
+
+def search_gadgets(u: np.ndarray, k: int) -> GadgetClasses:
     """All 2-to-1 gadget classes over U whose action is unitary non-Clifford.
 
     Enumerates every Clifford class modulo phase (11520 at k=2), every
-    ancilla bit, postselect wire and postselect bit.  The classes' words and
-    4x4 unitaries do not depend on U: they are built once per process, on
-    the first search, and every search after that only sandwiches them
-    between U and U-dagger.  Each of the 8 slices (postselect wire, ancilla
-    bit, postselect bit) is bilinear in the table, A = L[rows] M R[:, cols],
-    so one (4, 16) @ (16, 11520) product gives its 11520 actions as a
-    (2, 2, 11520) block, whose four entries are contiguous (11520,) rows.
-    The predicates read them entry by entry: unitarity and scale once, then
-    the Pauli-image test on the unitary actions with their scale, whose
-    square root also normalizes the keys.  The first (slice, index) found
-    for each key, up to scale and global phase, represents its class,
-    and a Gadget is built for the representatives alone.  Results are
-    sorted by canonical key, so the order is stable across runs.
+    ancilla bit and postselect bit, postselecting wire 0.  Postselecting
+    wire 1 after Gamma gives the action of postselecting wire 0 after
+    SWAP Gamma, another class of the table, so wire 1 adds no class.  The
+    classes' words and 4x4 unitaries do not depend on U: they are built
+    once per process, on the first search, and every search after that
+    only sandwiches them between U and U-dagger.  Each of the 4 slices
+    (ancilla bit, postselect bit) is bilinear in the table,
+    A = L[rows] M R[:, cols], so one (4, 16) @ (16, 11520) product gives
+    its 11520 actions as a (2, 2, 11520) block, whose four entries are
+    contiguous (11520,) rows.  The predicates read them entry by entry:
+    unitarity and scale once, then the Pauli-image test on the unitary
+    actions with their scale, whose square root also normalizes the keys.
+    The first (slice, index) found for each key, up to scale and global
+    phase, represents its class.  Classes are sorted by canonical key, so
+    the order is stable across runs, and returned as a GadgetClasses whose
+    length is the class count.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2) or not linalg.is_unitary(u, linalg.GATE_UNITARY_TOL):
@@ -197,27 +224,28 @@ def search_gadgets(u: np.ndarray, k: int) -> list[tuple[Gadget, GadgetAction]]:
     words, mats = _clifford_table()
     table = mats.reshape(len(mats), 16).T  # column i is word i's unitary, row-major
     eye = np.eye(4, dtype=complex)
+    left = linalg.apply_gate(eye, u.conj().T, (0,))  # U-dagger on the postselected wire 0
     right = linalg.apply_gate(eye, u, (1,))  # U feeds the ancilla wire (wire 1)
-    found: dict[bytes, tuple] = {}
-    for post_wire, a_bit, b_bit in itertools.product((0, 1), repeat=3):
-        left = linalg.apply_gate(eye, u.conj().T, (post_wire,))
-        rows = [2 * b_bit, 2 * b_bit + 1] if post_wire == 0 else [b_bit, 2 + b_bit]
+    rows, picked, gammas, first, start = [], [], [], {}, 0
+    for a_bit, b_bit in itertools.product((0, 1), repeat=2):
+        out_rows = [2 * b_bit, 2 * b_bit + 1]  # wire 0 = b, wire 1 = output
         cols = [a_bit, 2 + a_bit]  # input wire 0 = i, wire 1 = a
-        actions = (np.kron(left[rows], right[:, cols].T) @ table).reshape(2, 2, len(mats))
-        unitary, gammas = linalg.unitary_scale(np.moveaxis(actions, -1, 0))
+        actions = (np.kron(left[out_rows], right[:, cols].T) @ table).reshape(2, 2, len(mats))
+        unitary, gamma = linalg.unitary_scale(np.moveaxis(actions, -1, 0))
         unitary = np.flatnonzero(unitary)
-        clifford = linalg.is_clifford(np.moveaxis(actions[:, :, unitary], -1, 0), gamma=gammas[unitary])
+        clifford = linalg.is_clifford(np.moveaxis(actions[:, :, unitary], -1, 0), gamma=gamma[unitary])
         keep = unitary[~clifford]
-        picked, gammas = np.moveaxis(actions[:, :, keep], -1, 0).copy(), gammas[keep]
-        keys = _phase_canonical_keys(picked / np.sqrt(gammas)[:, None, None])
-        for j, (idx, key) in enumerate(zip(keep.tolist(), keys)):
-            if key not in found:
-                found[key] = (post_wire, a_bit, b_bit, idx, picked[j], gammas[j])
-    results = []
-    for _, (post_wire, a_bit, b_bit, idx, matrix, gamma) in sorted(found.items()):
-        gadget = Gadget(2, 1, u, (a_bit,), CliffordCircuit(2, words[idx]), (post_wire,), (b_bit,))
-        results.append((gadget, GadgetAction(matrix, float(gamma), True, False)))
-    return results
+        rows.append(np.column_stack([keep, np.full((len(keep), 2), (a_bit, b_bit))]))
+        picked.append(np.moveaxis(actions[:, :, keep], -1, 0))
+        gammas.append(gamma[keep])
+        keys = _phase_canonical_keys(picked[-1] / np.sqrt(gammas[-1])[:, None, None])
+        # each key's first position: the slice's dict is filled last to
+        # first, and in the union the earlier slices' entries win
+        first = dict(zip(reversed(keys), range(start + len(keys) - 1, start - 1, -1))) | first
+        start += len(keys)
+    rows, picked, gammas = np.concatenate(rows), np.concatenate(picked), np.concatenate(gammas)
+    order = [first[key] for key in sorted(first)]
+    return GadgetClasses(u, words, rows[order], picked[order], gammas[order])
 
 
 # -- bounded-budget word search (stand-in for a real compiler) -----------------

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cccsim import __version__, cli, linalg
+from cccsim import __version__, cli, gadgets, linalg
 from cccsim.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -274,6 +274,21 @@ def test_gadget_search(capsys):
     assert d["num_classes"] == 0 and d["classes"] == []
     code, _, err = run_cli(capsys, ["gadget", "search", "--u", "T", "--k", "3"])
     assert code == 3
+
+
+def test_gadget_search_builds_only_the_classes_it_prints(capsys, monkeypatch):
+    # the search returns its classes unbuilt; the CLI reads --limit of them
+    built = []
+    post_init = gadgets.Gadget.__post_init__
+
+    def counted(gadget):
+        built.append(gadget)
+        post_init(gadget)
+
+    monkeypatch.setattr(gadgets.Gadget, "__post_init__", counted)
+    d = run_json(capsys, ["gadget", "search", "--u", "rz=pi*1/3 rx=pi*1/2", "--k", "2", "--limit", "3"])
+    assert d["num_classes"] == 1152 and len(d["classes"]) == 3
+    assert len(built) <= 3
 
 
 @pytest.mark.parametrize(

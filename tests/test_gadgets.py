@@ -389,7 +389,7 @@ def test_search_classes_are_distinct_up_to_phase():
 
 def test_search_empty_for_easy_unitaries():
     for u in (linalg.GATES["H"], linalg.GATES["T"], linalg.rz(0.9)):
-        assert search_gadgets(u, 2) == []
+        assert len(search_gadgets(u, 2)) == 0
 
 
 def test_search_matches_classification_verdict():
@@ -404,7 +404,7 @@ def test_search_is_deterministic():
     # a search with another U in between: the shared table carries nothing of U
     u = case_iv_u()
     first = search_gadgets(u, 2)
-    assert search_gadgets(linalg.GATES["H"], 2) == []
+    assert len(search_gadgets(linalg.GATES["H"], 2)) == 0
     second = search_gadgets(u, 2)
     assert len(first) == len(second)
     for (g1, a1), (g2, a2) in zip(first, second):
@@ -446,7 +446,11 @@ ROUTE_US = {
     "H": linalg.GATES["H"],
     "T": linalg.GATES["T"],
     "quarter": linalg.rz(math.pi / 4) @ linalg.rx(math.pi / 4),
+    "rz1-rx2": linalg.rz(1) @ linalg.rx(2),
     "near-clifford": linalg.rz(3e-9),
+    # ill-conditioned: 240 of its 1592 classes come first from ancilla bit 1,
+    # so the first-occurrence order is pinned where it depends most on slices
+    "near-half-pi": linalg.rz(1) @ linalg.rx(math.pi / 2 + 1e-9),
     **{f"haar-{seed}": haar_u(seed) for seed in (3, 17, 29)},
 }
 
@@ -466,6 +470,44 @@ def test_search_matches_three_predicate_route(name):
         assert np.max(np.abs(a.matrix - a_ref.matrix)) <= 1e-15
         assert abs(a.gamma - a_ref.gamma) <= 1e-15
         assert (a.is_unitary, a.is_clifford) == (True, False)
+
+
+@pytest.mark.parametrize("name", list(ROUTE_US))
+def test_postselecting_wire_1_is_wire_0_after_a_swap(name):
+    # the search classifies wire 0 only: postselecting wire 1 after M acts as
+    # postselecting wire 0 after SWAP M, a class of the table up to phase
+    _, mats = gadgets._clifford_table()
+    swapped_mats = np.eye(4)[[0, 2, 1, 3]] @ mats
+    position = {key: i for i, key in enumerate(gadgets._phase_canonical_keys(mats))}
+    swapped = [position[key] for key in gadgets._phase_canonical_keys(swapped_mats)]
+    # the table entry is e^{i phi} SWAP M, and tr((SWAP M)^dag e^{i phi} SWAP M) = 4 e^{i phi}
+    phase = np.einsum("nij,nij->n", swapped_mats.conj(), mats[swapped]) / 4
+    assert np.max(np.abs(np.abs(phase) - 1)) <= 1e-12
+    actions = {(w, a, b): acts for w, a, b, acts in oracles.search_actions(ROUTE_US[name])}
+    for a_bit, b_bit in itertools.product((0, 1), repeat=2):
+        wire1, wire0 = actions[1, a_bit, b_bit], actions[0, a_bit, b_bit][swapped]
+        assert np.max(np.abs(wire0 - phase[:, None, None] * wire1)) <= 1e-12
+
+
+def test_search_result_builds_each_class_on_read():
+    found = search_gadgets(HARD_U, 2)
+    pairs = list(found)
+    assert len(pairs) == len(found) == 1152
+    for i in (0, 1, 1151, -1, -1152):
+        g, a = found[i]
+        g_ref, a_ref = pairs[i]
+        assert g.gamma.gates == g_ref.gamma.gates and np.array_equal(a.matrix, a_ref.matrix)
+    for part, ref in ((found[2:5], pairs[2:5]), (found[1150:2000], pairs[1150:]), (found[::-500], pairs[::-500])):
+        assert [g.gamma.gates for g, _ in part] == [g.gamma.gates for g, _ in ref]
+    assert found[3:0] == []
+    for i in (1152, -1153):
+        with pytest.raises(IndexError):
+            found[i]
+    g, a = found[0]
+    assert g.postselect_set == (0,) and isinstance(a.gamma, float)
+    assert all(type(b) is int for b in (*g.ancilla_bits, *g.postselect_bits))
+    with pytest.raises(ValueError):
+        a.matrix[0, 0] = 0.0  # each read of a class shares its matrix
 
 
 @pytest.mark.parametrize("name", list(ROUTE_US))
