@@ -17,7 +17,7 @@ from .errors import CapabilityError, InvariantError, ParseError
 from .gadgets import build_gadget_I, build_gadget_J, gadget_action, search_gadgets
 from .stabilizer import CliffordCircuit, CliffordTableau, PauliString, random_clifford
 
-__version__ = "0.4.4"
+__version__ = "0.4.5"
 
 __all__ = [
     "CapabilityError",

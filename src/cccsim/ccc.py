@@ -131,6 +131,18 @@ def decompose_unitary(u: np.ndarray) -> UnitaryDecomposition:
     # that sliver costs at most ~2e-9, hence the loose internal bound here
     residual = np.max(np.abs(dec.recompose() - u))
     if not residual < 1e-8:
+        # near theta = pi, u00 and u11 are too small to carry alpha's phase:
+        # read it from u10 instead, and probe u00 for the branch (the flip
+        # phi+pi, lam+pi leaves u10 and u01 alone)
+        phi, lam = (sum_pl + dif_pl) / 2, (sum_pl - dif_pl) / 2
+        alpha = cmath.phase(u[1, 0]) + math.pi / 2 - dif_pl / 2
+        probe = euler_matrix(alpha, phi, theta, lam)[0, 0]
+        if abs(probe - u[0, 0]) > abs(probe + u[0, 0]):
+            phi += math.pi
+            lam += math.pi
+        dec = _tagged(alpha, phi, theta, lam)
+        residual = np.max(np.abs(dec.recompose() - u))
+    if not residual < 1e-8:
         raise InvariantError(f"Euler angles recompose the input only to {residual:.2e}")
     return dec
 

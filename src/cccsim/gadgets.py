@@ -130,13 +130,13 @@ def _phase_canonical_keys(stack: np.ndarray) -> list[bytes]:
 
     Each matrix is rotated so its first entry above 1e-6 in modulus is real
     positive, then rounded.  Rounding a tiny negative part gives -0.0, whose
-    bytes differ from those of 0.0; `+ 0.0` turns it into 0.0.
+    bytes differ from those of 0.0; `+ 0.0` turns it into 0.0.  Each key is
+    its matrix's row of bytes, read as one void scalar.
     """
     flat = stack.reshape(len(stack), stack.shape[-2] * stack.shape[-1])
     lead = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > 1e-6, axis=1)]
     canon = np.round(flat * (lead.conj() / np.abs(lead))[:, None], _SEARCH_KEY_DECIMALS) + 0.0
-    raw, width = canon.tobytes(), canon.itemsize * canon.shape[1]
-    return [raw[i : i + width] for i in range(0, len(raw), width)]
+    return canon.view(np.dtype((np.void, canon.itemsize * canon.shape[1]))).ravel().tolist()
 
 
 @functools.cache
@@ -261,8 +261,10 @@ def compile_word(
 
     Breadth-first with beam pruning by distance to the target; deduplication
     is up to global phase.  The beam is one (B, 2, 2) stack, expanded by one
-    matmul per level (child i is generator i % G after beam entry i // G) and
-    kept in stable distance order.  Because expansion is deterministic and
+    linalg.product_2x2 per level (child i is generator i % G after beam entry
+    i // G) and kept in stable distance order.  Words are not carried: each
+    level keeps its survivors' child indices, and the best word is read back
+    through them once, at the end.  Because expansion is deterministic and
     pruning depends only on the level, a longer budget explores a superset
     of a shorter one, so the returned distance is monotone in max_length.
     """
@@ -278,31 +280,38 @@ def compile_word(
             f"word budget {max_length} exceeds the cap of {WORD_LENGTH_CAP}"
         )
 
-    stack, count = np.stack(gens)[None], len(gens)
+    stack, count = np.stack(gens), len(gens)
     beam = np.eye(2, dtype=complex)[None]
-    words: list[tuple[int, ...]] = [()]
-    best_word: tuple[int, ...] = ()
     best_dist = float(linalg.phase_invariant_distance_batch(beam, target)[0])
+    best = None  # (level, child index) of the best word, if it is not the empty one
+    links = []  # per level, the child index of each beam entry
     seen = set(_phase_canonical_keys(beam))
-    for _ in range(max_length):
-        expanded = np.matmul(stack, beam[:, None]).reshape(-1, 2, 2)
-        keep = []
-        for i, key in enumerate(_phase_canonical_keys(expanded)):
-            if key not in seen:
-                seen.add(key)
-                keep.append(i)
-        if not keep:
+    for level in range(max_length):
+        expanded = linalg.product_2x2(stack, beam[:, None]).reshape(-1, 2, 2)
+        # the first child of each key not seen before (set.add returns None)
+        keys = _phase_canonical_keys(expanded)
+        keep = np.array([i for i, key in enumerate(keys) if key not in seen and not seen.add(key)], np.intp)
+        if not keep.size:
             break
-        beam = expanded[keep]
-        words = [words[i // count] + (i % count,) for i in keep]
-        dists = linalg.phase_invariant_distance_batch(beam, target)
-        for word, d in zip(words, dists):
-            if d < best_dist - 1e-12:
-                best_dist, best_word = float(d), word
+        children = expanded[keep]
+        dists = linalg.phase_invariant_distance_batch(children, target)
+        # in child order, each child that beats the best so far by 1e-12 replaces it
+        hits = np.flatnonzero(dists < best_dist - 1e-12)
+        while hits.size:
+            i = hits[0]
+            best_dist, best = float(dists[i]), (level, int(keep[i]))
+            hits = i + 1 + np.flatnonzero(dists[i + 1 :] < best_dist - 1e-12)
         order = np.argsort(dists, kind="stable")[:beam_width]
-        beam = beam[order]
-        words = [words[i] for i in order]
-    return best_word, best_dist
+        beam = children[order]
+        links.append(keep[order])
+    if best is None:
+        return (), best_dist
+    level, child = best
+    word = [child % count]
+    for link in reversed(links[:level]):
+        child = int(link[child // count])
+        word.append(child % count)
+    return tuple(reversed(word)), best_dist
 
 
 # -- gadget description files ---------------------------------------------------

@@ -258,6 +258,17 @@ def is_clifford(a: np.ndarray, gamma: np.ndarray | None = None) -> np.ndarray:
     return clifford
 
 
+def product_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for broadcastable (..., 2, 2) stacks, formed entry by entry as
+    a[:, 0] b[0, :] + a[:, 1] b[1, :], two whole-array multiplies and one
+    add, not a small GEMM per matrix.  Each entry's arithmetic does not
+    depend on the stack's shape, so a stack's products equal the same
+    products taken one at a time bit for bit.  They may differ from `@` in
+    the last bit: BLAS rounds its sums its own way (H H leaves -2.2e-17 off
+    the diagonal under `@`, 0 here)."""
+    return a[..., :, 0, None] * b[..., None, 0, :] + a[..., :, 1, None] * b[..., None, 1, :]
+
+
 def eigenphase_gap(m: np.ndarray) -> np.ndarray:
     """The arc in [0, pi] between the two eigenphases a, b of each 2x2
     unitary of a (..., 2, 2) stack: 2 atan2(|sin((a-b)/2)|, |cos((a-b)/2)|),
@@ -274,6 +285,7 @@ def phase_invariant_distance_batch(stack: np.ndarray, b: np.ndarray) -> np.ndarr
 
     The optimal phase sits midway between the two eigenphases of b^dag a,
     so the distance is 2 sin(arc/4) of the arc between them
-    (eigenphase_gap).  Inputs are not checked for unitarity.
+    (eigenphase_gap).  b^dag a is formed by product_2x2.  Inputs are not
+    checked for unitarity.
     """
-    return 2.0 * np.sin(eigenphase_gap(b.conj().T @ stack) / 4.0)
+    return 2.0 * np.sin(eigenphase_gap(product_2x2(b.conj().T, stack)) / 4.0)

@@ -34,9 +34,11 @@ one broadcast `(d, d, N)` product per inner index
 (`matrix_first_unitary_scale`, `matrix_first_is_clifford`); the entry-wise
 predicates must give their masks and gammas bit for bit.
 So is the beam compiler's first form, one `(matrix, word)` tuple per
-candidate, each product formed on its own and the beam sorted with a
-key (`compile_word`); `gadgets.compile_word` must return its word and
-distance exactly.
+candidate, each product formed on its own by `linalg.product_2x2` (which
+keeps a product's bits whether it is taken alone or in a stack) and the
+beam sorted with a key (`compile_word`); `gadgets.compile_word`, which
+carries only its beam's matrices and each level's child indices, must
+return its word and distance exactly.
 
 The rest are helpers only tests call: a gate word replayed gate by gate
 into a tableau (`circuit_to_tableau`; `stabilizer.parse_tableau` is pinned
@@ -713,7 +715,7 @@ def compile_word(
     beam: list[tuple[np.ndarray, tuple[int, ...]]] = [(np.eye(2, dtype=complex), ())]
     seen = set(gadgets._phase_canonical_keys(np.eye(2, dtype=complex)[None]))
     for _ in range(max_length):
-        expanded = [(g @ m, word + (gi,)) for m, word in beam for gi, g in enumerate(gens)]
+        expanded = [(linalg.product_2x2(g, m), word + (gi,)) for m, word in beam for gi, g in enumerate(gens)]
         candidates: list[tuple[np.ndarray, tuple[int, ...]]] = []
         for cand, key in zip(expanded, gadgets._phase_canonical_keys(np.stack([m for m, _ in expanded]))):
             if key in seen:

@@ -89,6 +89,21 @@ def test_decompose_degenerate_antidiagonal():
     assert d.lam.pi_multiple == 0
 
 
+@settings(max_examples=150, deadline=None)
+@given(angles, angles, angles, st.floats(-12.0, -5.0), st.booleans(), st.integers(0, 2**32 - 1))
+# near theta = pi, u00 and u11 have modulus eps/2, and the rounding of the
+# round trip through C moves their phases by about 1e-16/eps: this draw
+# recomposed only to 1.6e-7 by the diagonal's phases
+@example(1.0, 0.5, 2.0, -9.0, True, 0)
+def test_decompose_survives_rounding_near_the_pi_lattice(alpha, phi, lam, log_eps, near_pi, seed):
+    eps = 10.0**log_eps
+    m = euler_matrix(alpha, phi, math.pi - eps if near_pi else eps, lam)
+    c = random_unitary(np.random.default_rng(seed))
+    u = c @ (c.conj().T @ m)
+    d = decompose_unitary(u)
+    assert np.max(np.abs(d.recompose() - u)) < 1e-8
+
+
 def test_decompose_rejects_non_unitary():
     with pytest.raises(ValueError):
         decompose_unitary(np.array([[1, 0], [0, 0.5]], dtype=complex))

@@ -41,6 +41,14 @@ def test_classify_cases(capsys):
     assert d["command"] == "classify" and d["version"]
 
 
+def test_classify_eight_reals_near_theta_pi(capsys):
+    # unitary within 1e-10, with u00 and u11 of modulus 5e-10: too small to
+    # carry alpha's phase, which once failed the recomposition with a traceback
+    d = run_json(capsys, ["classify", "--u", "5e-10 0 1 0 1 0 -5e-10 5e-11"])
+    assert d["case"] == "i" and d["class"] == "PWEAK"
+    assert d["decomposition"]["theta"] == "pi*1/1"
+
+
 def test_classify_bad_spec_exits_2(capsys):
     code, _, err = run_cli(capsys, ["classify", "--u", "wat"])
     assert code == 2 and "error:" in err

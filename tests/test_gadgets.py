@@ -525,6 +525,28 @@ def test_predicates_keep_the_bits_of_the_matrix_first_route(name):
     assert np.array_equal(with_scale, oracles.matrix_first_is_clifford(stack[rows], gamma=gamma[rows]))
 
 
+@pytest.mark.parametrize("name", [*ROUTE_US, "rz=pi*1/4 rx=1e-9"])
+def test_verdict_class_keeps_the_model_symmetries(name):
+    # (CU)^dag V (CU) = U^dag (C^dag V C) U for a one-qubit Clifford C, and a
+    # diagonal Rz(d) on the right only moves the phases of U|0> and <y|U^dag,
+    # so C U Rz(d) has U's class.  The products go in as matrices, carrying
+    # their rounding as a user's eight reals do; near theta = pi that once
+    # broke the decomposition (4 of the 24 C U for rz=pi*1/4 rx=1e-9)
+    u = ROUTE_US[name] if name in ROUTE_US else parse_unitary_spec(name).matrix
+    expected = classify(decompose_unitary(u)).complexity_class
+    cliffords = []
+    for word in enumerate_clifford_words(1)[0]:
+        c = np.eye(2, dtype=complex)
+        for gate, _ in word:
+            c = linalg.GATES[gate] @ c
+        cliffords.append(c)
+    assert len(cliffords) == 24
+    for c in cliffords:
+        for delta in (0.0, 0.37, math.pi / 2):
+            got = classify(decompose_unitary(c @ u @ linalg.rz(delta))).complexity_class
+            assert got == expected, (name, delta)
+
+
 def test_search_peak_memory_stays_small():
     # one warm search holds one slice of 11520 actions at a time, and the
     # predicates read it one (11520,) entry at a time: a predicate that formed

@@ -326,6 +326,52 @@ def test_phase_invariant_distance_batch_agrees():
         assert np.max(np.abs(batch - single)) <= 2e-15
 
 
+def haar_stack(rng, count):
+    z = rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def test_product_2x2_stack_keeps_the_bits_of_each_product():
+    # oracles.compile_word takes the products one at a time and must match
+    # the beam's stacked ones to the last bit
+    rng = np.random.default_rng(41)
+    gens, beam = haar_stack(rng, 3), haar_stack(rng, 301)
+    one_at_a_time = np.array([[linalg.product_2x2(g, m) for g in gens] for m in beam])
+    broadcast = linalg.product_2x2(gens[None], beam[:, None])
+    assert broadcast.shape == (301, 3, 2, 2)
+    assert broadcast.tobytes() == one_at_a_time.tobytes()
+    a, b = haar_stack(rng, 301), haar_stack(rng, 301)
+    flat = linalg.product_2x2(a, b)
+    assert flat.tobytes() == np.array([linalg.product_2x2(x, y) for x, y in zip(a, b)]).tobytes()
+    left = linalg.product_2x2(gens[0], b)  # one matrix onto a stack, as b^dag a in the distance
+    assert left.tobytes() == np.array([linalg.product_2x2(gens[0], y) for y in b]).tobytes()
+
+
+def test_product_2x2_is_matmul_within_rounding():
+    rng = np.random.default_rng(42)
+    a, b = haar_stack(rng, 200_000), haar_stack(rng, 200_000)
+    assert np.max(np.abs(linalg.product_2x2(a, b) - a @ b)) <= 4.4e-16
+
+
+def test_product_2x2_is_matmul_on_exact_entries():
+    # the one-qubit Clifford gates and the words of up to four H and S, on
+    # either side of a gate with entries in {0, +-1, +-i}: every entry product
+    # is exact, so both routes round only the sum.  (H H is not such a pair:
+    # `@` leaves -2.2e-17 off the diagonal, the helper 0.)
+    gates = linalg.GATES
+    unit = np.array([gates[name] for name in ("I", "X", "Y", "Z", "S", "SDG")])
+    mats = [gates[name] for name in ("I", "X", "Y", "Z", "H", "S", "SDG")]
+    frontier = [np.eye(2, dtype=complex)]
+    for _ in range(4):
+        frontier = [g @ m for m in frontier for g in (gates["H"], gates["S"])]
+        mats += frontier
+    stack = np.array(mats)
+    assert np.array_equal(linalg.product_2x2(stack[:, None], unit[None]), stack[:, None] @ unit[None])
+    assert np.array_equal(linalg.product_2x2(unit[:, None], stack[None]), unit[:, None] @ stack[None])
+
+
 @given(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))
 def test_rz_composition(a, b):
     assert np.allclose(linalg.rz(a) @ linalg.rz(b), linalg.rz(a + b))
