@@ -93,8 +93,12 @@ def decompose_unitary(u: np.ndarray) -> UnitaryDecomposition:
     """Euler angles of a 2x2 unitary, with rational-pi tags where they exist.
 
     Angles are kept as the exact floats the extraction produces; the
-    rational-pi tag rides along separately, so recomposition reproduces the
-    input to 1e-10 even when a tag is approximate.
+    rational-pi tag rides along separately, even when it is approximate.
+    Recomposition reproduces the input to within 1e-8, the bound checked
+    below, and raises InvariantError past it.  Most inputs recompose to
+    about 1e-15, but near theta = pi the diagonal route's phases are read
+    from entries of modulus about |pi - theta| / 2 and are accepted up to
+    that bound (9.97e-9 has been seen).
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
@@ -126,9 +130,10 @@ def decompose_unitary(u: np.ndarray) -> UnitaryDecomposition:
         phi += math.pi
         lam -= math.pi
     dec = _tagged(alpha, phi, theta, lam)
-    # folding is lossless except when theta falls in the reconstruction
-    # window of 0 or pi without hitting the entrywise degeneracy tolerance;
-    # that sliver costs at most ~2e-9, hence the loose internal bound here
+    # folding theta in the reconstruction window of 0 or pi without hitting
+    # the entrywise degeneracy tolerance costs at most ~2e-9; near theta = pi
+    # the phases read from the small u00 and u11 cost more (9.97e-9 seen),
+    # hence the loose internal bound here
     residual = np.max(np.abs(dec.recompose() - u))
     if not residual < 1e-8:
         # near theta = pi, u00 and u11 are too small to carry alpha's phase:

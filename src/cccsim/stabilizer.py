@@ -27,8 +27,9 @@ that reduction, its symmetry check and random_clifford.
 A gate is checked once, where it enters: circuit text in one loop
 (_read_circuit, under parse_circuit and parse_tableau; the CLI reads a
 --circuit file into a tableau with no CliffordCircuit), CliffordCircuit.build
-and CliffordTableau.apply.  The loop checks the common valid line inline and
-leaves any other to _checked_gate, the one source of the gate messages.  The
+and CliffordTableau.apply.  The loop applies a line whose fields all hit its
+lookups of names and qubit indices and leaves any other to _checked_gate,
+the one source of the gate messages.  The
 native updates (_h, _cnot, ...) trust their qubits, so parse_tableau and
 the easy reduction apply them unchecked.
 
@@ -517,12 +518,31 @@ def _checked_gate(n: int, name: str, qubits: tuple[int, ...]) -> tuple[str, tupl
 
 def _read_circuit(text: str, start):
     """Feed each gate of the circuit text to ops[name](*qubits); start(n) gives
-    (result, ops) once the header gives n.  The common valid line is checked
-    inline; any other goes through int and _checked_gate, whose ValueError
-    becomes a ParseError naming the line.
+    (result, ops) once the header gives n.
+
+    The header also gives three lookups: the one- and two-qubit names, as
+    CLIFFORD_GATES writes them, to their ops, and str(q) to q for each qubit
+    q (up to len(text), so the table costs no more than the text).  A line
+    of two or three fields that all hit, with distinct qubits, is a valid
+    gate and is applied at once.  Any other line (the header, a comment, a
+    lower-case name, "01", a glued "#", anything invalid) goes through
+    upper, int and _checked_gate, whose ValueError becomes a ParseError
+    naming the line.
     """
     n = None
+    one = two = index = {}  # empty before the header: every line takes the long way
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        f = raw.split()
+        if len(f) == 2:
+            op, q = one.get(f[0]), index.get(f[1])
+            if op and q is not None:
+                op(q)
+                continue
+        elif len(f) == 3:
+            op, a, b = two.get(f[0]), index.get(f[1]), index.get(f[2])
+            if op and a is not None and b is not None and a != b:
+                op(a, b)
+                continue
         fields = raw.split("#", 1)[0].split()
         if not fields:
             continue
@@ -536,22 +556,11 @@ def _read_circuit(text: str, start):
             if n < 1:
                 raise ParseError(f"line {lineno}: qubit count must be positive")
             result, ops = start(n)
+            one = {name: ops[name] for name, k in _ARITY.items() if k == 1}
+            two = {name: ops[name] for name, k in _ARITY.items() if k == 2}
+            index = {str(q): q for q in range(min(n, len(text)))}
             continue
         name = fields[0].upper()
-        k = _ARITY.get(name)
-        try:  # the common valid line, checked inline
-            if k == 1 == len(fields) - 1:
-                q = int(fields[1])
-                if 0 <= q < n:
-                    ops[name](q)
-                    continue
-            elif k == 2 == len(fields) - 1:
-                a, b = int(fields[1]), int(fields[2])
-                if a != b and 0 <= a < n and 0 <= b < n:
-                    ops[name](a, b)
-                    continue
-        except ValueError:  # from int: the index is reported below
-            pass
         try:
             qubits = tuple(map(int, fields[1:]))
         except ValueError:
@@ -594,10 +603,13 @@ def compile_measurement(t: CliffordTableau) -> CompiledMeasurement:
     Hadamard set S of canonical_forms.  The rows left without X are products
     of stabilizers equal to +/- Z^z, each a parity constraint y.z = sign on
     the outcome.  Reduced over the qubits outside S, the constraint that holds
-    qubit q fixes bit q as its sign (one _row_product) XOR the coins in its
-    z.  Those affine forms are unique, so the coins in it are earlier ones
-    and the terms are those measuring qubit by qubit (Aaronson-Gottesman)
-    would give.
+    qubit q fixes bit q as its sign XOR the coins in its z.  The sign is
+    that of the product of its stabilizers, multiplied in row order from the
+    rows already transposed: row j is i^(2 sign_j + |Y_j|) X^x_j Z^z_j, and
+    moving X^x_j left past the product's Z^z so far costs
+    (-1)^|z & x_j|.  Those affine forms are unique, so the coins in it are
+    earlier ones and the terms are those measuring qubit by qubit
+    (Aaronson-Gottesman) would give.
     """
     n, low = t.n, (1 << t.n) - 1
     if t.odd >> n:
@@ -612,9 +624,16 @@ def compile_measurement(t: CliffordTableau) -> CompiledMeasurement:
         raise InvariantError("the stabilizers are dependent")
     index = {q: k for k, q in enumerate(coins)}  # coin qubit -> coin index
     terms: list[tuple[int, int] | None] = [None] * n
+    signs = t.sign >> n
     for q, v in fixed.items():  # v = z | (its stabilizers) << n; q: every qubit not a coin
-        # a product of commuting Hermitian stabilizers: its phase is +/-1
-        sign = t._row_product(v & ~low).phase >> 1
+        # a product of commuting Hermitian stabilizers, in row order: its phase is +/-1
+        phase = x = z = 0
+        for j in _bits(v >> n):
+            xj, zj = rows[j] & low, rows[j] >> n
+            phase += 2 * (signs >> j & 1) + (xj & zj).bit_count() + 2 * (z & xj).bit_count()
+            x ^= xj
+            z ^= zj
+        sign = (phase - (x & z).bit_count()) % 4 >> 1
         terms[q] = (sign, sum(1 << index[c] for c in _bits(v & coin_mask)))
     return CompiledMeasurement(tuple(terms))
 

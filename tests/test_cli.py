@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cccsim import __version__, cli, gadgets, linalg
+from cccsim import __version__, ccc, cli, gadgets, linalg
 from cccsim.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,6 +47,50 @@ def test_classify_eight_reals_near_theta_pi(capsys):
     d = run_json(capsys, ["classify", "--u", "5e-10 0 1 0 1 0 -5e-10 5e-11"])
     assert d["case"] == "i" and d["class"] == "PWEAK"
     assert d["decomposition"]["theta"] == "pi*1/1"
+
+
+def _near_pi_specs(count, seed):
+    """count --u specs as eight reals: euler_matrix(alpha, phi, pi - eps,
+    lambda) after a round trip C (C-dagger M) through a Haar C, eps
+    log-uniform in 1e-10..1e-7, where u00 and u11 are too small to carry
+    their phases through the rounding."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for _ in range(count):
+        alpha, phi, lam = rng.uniform(-math.pi, math.pi, size=3)
+        m = ccc.euler_matrix(alpha, phi, math.pi - 10.0 ** rng.uniform(-10, -7), lam)
+        z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        q, r = np.linalg.qr(z)
+        c = q * (np.diag(r) / np.abs(np.diag(r)))
+        u = c @ (c.conj().T @ m)
+        specs.append(" ".join(repr(float(part)) for entry in u.ravel() for part in (entry.real, entry.imag)))
+    return specs
+
+
+NEAR_PI_ARGVS = [
+    ["classify"],
+    ["simulate", "--random-v", "3", "--seed", "1"],
+    ["sample", "--random-v", "3", "--samples", "2", "--seed", "1"],
+    ["marginal", "--random-v", "3", "--qubit", "1", "--seed", "1"],
+    ["audit", "--random-v", "3", "--seed", "1"],
+    ["gadget", "analyze", "--file", "g.txt"],
+    ["gadget", "search", "--k", "2", "--limit", "1"],
+    ["anticonc", "--n", "2", "--samples", "100", "--seed", "1"],
+]
+
+
+@pytest.mark.parametrize("spec", _near_pi_specs(6, 17), ids=range(6))
+def test_every_u_command_takes_eight_reals_near_theta_pi(capsys, tmp_path, monkeypatch, spec):
+    # every command that takes --u (compile, params and mbqc take none)
+    # decomposes it; none may raise on a valid U, and what exits 0 prints one
+    # JSON document
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text("gadget k=2 l=1\nancilla 0\npost wire=0 bit=0\nqubits 2\nCZ 0 1\n")
+    for argv in NEAR_PI_ARGVS:
+        code, out, err = run_cli(capsys, [*argv, "--u", spec])
+        assert code in (0, 2, 3), (argv, code, err)
+        if code == 0:
+            assert json.loads(out)["command"] == " ".join(argv[: 2 if argv[0] == "gadget" else 1])
 
 
 def test_classify_bad_spec_exits_2(capsys):

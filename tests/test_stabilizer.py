@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -305,6 +306,47 @@ def test_compiled_sampler_matches_past_the_dense_cap():
     ):
         oracle, compiled = _oracle_and_compiled(t, 42, 3)
         assert oracle == compiled
+
+
+def _hadamard_frame(n, rng, mixing, core):
+    """The easy route's tableau for U = H on V = W M W^-1: an H layer, then
+    V as a random word over all eight gates (so X, Y and Z flip signs), then
+    an H layer.  A short core M leaves many bits fixed, each a product of
+    many stabilizers."""
+    names = list(stabilizer.CLIFFORD_GATES)
+
+    def word(length):
+        gates = []
+        for _ in range(length):
+            name = names[rng.integers(len(names))]
+            qubits = rng.choice(n, size=len(linalg.GATES[name]).bit_length() - 1, replace=False)
+            gates.append((name, tuple(map(int, qubits))))
+        return gates
+
+    w = word(mixing)
+    undo = [({"S": "SDG", "SDG": "S"}.get(name, name), qubits) for name, qubits in reversed(w)]
+    layer = [("H", (q,)) for q in range(n)]
+    return circuit_to_tableau(CliffordCircuit.build(n, layer + w + word(core) + undo + layer))
+
+
+@pytest.mark.parametrize("n", [64, 200])
+def test_compiled_signs_of_long_products(n):
+    # each fixed bit's sign is the sign of a product of stabilizers; the
+    # oracle measures qubit by qubit and multiplies rows through _row_product
+    rng = np.random.default_rng(n)
+    t = _hadamard_frame(n, rng, 20 * n, n // 2)
+    sampler = compile_measurement(t)
+    assert {term[0] for term in sampler.terms if term} == {0, 1}
+    coins = [q for q, term in enumerate(sampler.terms) if term is None]
+    members = []
+    for q, term in enumerate(sampler.terms):
+        if term:
+            # V-dagger Z^z V = +/- Z at the stabilizers whose product is Z^z
+            z = 1 << q | sum(1 << c for k, c in enumerate(coins) if term[1] >> k & 1)
+            members.append(pull_back_pauli(t, PauliString(n, 0, z)).z.bit_count())
+    assert max(members) >= 8
+    oracle, compiled = _oracle_and_compiled(t, 44, 3)
+    assert oracle == compiled
 
 
 def test_compiled_sampler_terms():
@@ -1036,6 +1078,9 @@ PARSE_ERRORS = {
     "qubits 3\nCZ -1 0\n": "line 2: qubit -1 out of range in CZ for n=3",
     "qubits 3\nCNOT 1 1\n": "line 2: CNOT takes two distinct qubits",
     "qubits 3\n# c\nCZ 2 +2\n": "line 3: CZ takes two distinct qubits",
+    # shaped like a valid line, but a field misses the lookups
+    "qubits 3\nCNOT 1 01": "line 2: CNOT takes two distinct qubits",
+    "qubits 3\nS 3#x": "line 2: qubit 3 out of range in S for n=3",
 }
 
 
@@ -1051,18 +1096,22 @@ def test_parse_circuit_rejects(bad):
 @st.composite
 def written_circuits(draw):
     """(n, gates, text): gates over all eight names, written with names in
-    mixed case, comments, blank lines and stray whitespace."""
+    mixed case, indices as int reads them but str does not write them ("+1",
+    "01", "0_1", Arabic-Indic digits), comments, a "#" glued to the last
+    field, blank lines and stray whitespace."""
     n = draw(st.integers(1, 5))
     names = [name for name in stabilizer.CLIFFORD_GATES if len(linalg.GATES[name]) <= 2**n]
     filler = st.lists(st.sampled_from(["", "  ", "# a comment", "\t# CNOT 0 0"]), max_size=2)
     gates, lines = [], draw(filler) + [f"qubits {n}"]
+    spellings = [str, str, "+{}".format, "0{}".format, "0_{}".format, lambda q: chr(0x660 + q)]
     for _ in range(draw(st.integers(0, 40))):
         name = draw(st.sampled_from(names))
         qubits = tuple(draw(st.permutations(range(n)))[: len(linalg.GATES[name]).bit_length() - 1])
         written = "".join(draw(st.sampled_from([c.lower(), c])) for c in name)
         sep = draw(st.sampled_from([" ", "  ", "\t"]))
-        end = draw(st.sampled_from(["", " ", "\t", "# note", " # H 9"]))
-        lines += draw(filler) + [sep.join([written, *map(str, qubits)]) + end]
+        end = draw(st.sampled_from(["", " ", "\t", "# note", " # H 9", "#x", "#"]))
+        indices = [draw(st.sampled_from(spellings))(q) for q in qubits]
+        lines += draw(filler) + [sep.join([written, *indices]) + end]
         gates.append((written, qubits))
     return n, gates, "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
@@ -1084,6 +1133,21 @@ def test_one_loop_reads_what_build_checks(circuit):
 def test_parse_errors_name_their_line(line, message):
     with pytest.raises(ParseError, match=f"^line 4: {message}"):
         parse_circuit(f"qubits 2\n# comment\nH 0\n{line}\nS 1\n")
+
+
+def test_parse_reads_qubits_past_the_lookup_table():
+    # the str(q) lookup stops at len(text) entries, so a huge qubit count
+    # costs no memory, and a qubit past the lookup still reads
+    text = "qubits 1000000\nH 999999\nCNOT 0 999999\n"
+    tracemalloc.start()
+    try:
+        circuit = parse_circuit(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert circuit.gates == (("H", (999999,)), ("CNOT", (0, 999999)))
+    assert peak < 100_000
+    assert parse_tableau("qubits 40\nCZ 39 0\n") == circuit_to_tableau(CliffordCircuit.build(40, [("CZ", (39, 0))]))
 
 
 def test_parse_matches_build():
