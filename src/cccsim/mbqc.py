@@ -3,10 +3,9 @@ rotation-angle extraction, and the rational-angle universality decision.
 
 Every gadget here is contracted numerically from its circuit, wire by wire;
 the closed forms the tests compare against are computed independently.  The
-universality decision, by contrast, is pure arithmetic on exact angles: it
-reduces to whether cos of the induced rotation angle lands in {0, +-1/2,
-+-1}, the only values a rational-multiple-of-pi rotation can take with a
-rational cosine.
+universality decision, by contrast, is pure arithmetic on exact angles: for
+theta in pi Q, a gate's rotation angle lies in pi Q only when theta is a
+multiple of pi/4, by an algebraic-integer argument (universality_check).
 """
 from __future__ import annotations
 
@@ -115,10 +114,15 @@ def universality_check(theta: ExactAngle) -> UniversalityVerdict:
 
     Requires a rational multiple of pi: the decision is arithmetic.  The
     Bloch rotation angles of the two gates satisfy cos(angle0) = -cos^2
-    theta and cos(angle1) = -sin^2 theta; a rational rotation with rational
-    cosine forces the cosine into {0, +-1/2, +-1}, which happens exactly
-    when theta is a multiple of pi/4.  Off those multiples both gates rotate
-    by irrational multiples of pi, which is what universality needs.
+    theta and cos(angle1) = -sin^2 theta, so 2 cos(angle0) = -(1 + cos 2
+    theta) and 2 cos(angle1) = -(1 - cos 2 theta).  If either angle is in
+    pi Q, its 2 cos is a root of unity plus its inverse, an algebraic
+    integer, and then so is cos 2 theta.  With theta in pi Q, the conjugates
+    of cos 2 theta are cosines, all in [-1, 1], so its norm, an integer, is
+    0 or +-1; that forces cos 2 theta into {0, +-1}, that is theta into
+    (pi/4) Z.  Off those multiples both gates rotate by irrational
+    multiples of pi, which is what universality needs.  (A rational cosine
+    is no part of it: at theta = pi/5, cos(angle0) = -(3 + sqrt 5)/8.)
     """
     if theta.pi_multiple is None:
         raise ValueError(

@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress, islice
+from itertools import compress
 
 import numpy as np
 
@@ -857,9 +857,9 @@ def _apply_hadamard_free(f: CliffordTableau, block: np.ndarray) -> np.ndarray:
 # -- uniform random Cliffords ------------------------------------------------
 
 
-#: the most coins random_clifford or random_cliffords asks of the generator
-#: in one call, so a draw at large n (about 2n^2 coins) holds only a bounded
-#: block of them
+#: the most coins _coin_windows asks of the generator in one call while a
+#: draw's planned coins last, so the int64 coins of a draw at large n (about
+#: 2n^2 of them) become bytes one bounded block at a time
 _COIN_BLOCK = 1 << 14
 
 
@@ -879,33 +879,27 @@ def random_clifford(n: int, rng: np.random.Generator) -> CliffordTableau:
     order would drop: the echelon tops of span(c, d), where c and d are the
     coefficient vectors of v and w.
 
-    Coins.  Step j reads 2n - 2j coins for v, again while they are all 0,
-    then as many for w; the 2n sign coins come last.  They are the coins of
-    rng.integers(0, 2, size=m) calls, one per read, in that order (the
-    greedy `random_clifford` in tests/oracles.py).  Such calls join end to
-    end, so the coins are drawn as one stream in blocks of at most
-    _COIN_BLOCK: the draw and the generator state after it are those of the
-    per-read calls.  A draw takes 2n(n + 2) coins, plus 2n - 2j for each
-    retry at step j, and the stream never draws a coin the draw does not
-    read.  The coins are default-dtype integers(0, 2); a uint8 dtype draws
-    another stream.
+    Coins.  Step j's v and w windows and the 2n signs are read from
+    _coin_windows(n, rng, 1), whose docstring states the order, the retries
+    and the blocking; random_cliffords reads the same scan.
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    coins, starts = _coin_windows(n, rng, 1)
+    coins, starts = memoryview(coins), starts[0].tolist()
+
+    def picked(k: int, m: int):  # the indices of the 1s in window k, of m coins
+        return compress(range(m), coins[starts[k] : starts[k] + m])
+
     low = (1 << n) - 1
     basis = [1 << i for i in range(2 * n)]
     rows = [0] * (2 * n)
-    take = _coin_stream(rng, 2 * n * (n + 2))
     for j in range(n):
         m2 = len(basis)
-        while True:
-            picked = list(compress(range(m2), take(m2)))
-            if picked:
-                break
-        c, v = _combine(basis, picked)
+        c, v = _combine(basis, picked(2 * j, m2))
         v_swapped = v >> n | (v & low) << n
         pairs_v = [(b & v_swapped).bit_count() & 1 for b in basis]
-        d, w = _combine(basis, compress(range(m2), take(m2)))
+        d, w = _combine(basis, picked(2 * j + 1, m2))
         if not (w & v_swapped).bit_count() & 1:
             i0 = pairs_v.index(1)  # w = u + w0, w0 the first basis vector pairing with v
             d, w = d ^ 1 << i0, w ^ basis[i0]
@@ -920,29 +914,8 @@ def random_clifford(n: int, rng: np.random.Generator) -> CliffordTableau:
         del basis[max(hi, lo)], basis[min(hi, lo)]
         rows[j], rows[n + j] = v, w
     cols = _transpose(rows, 2 * n)
-    sign = sum(1 << i for i in compress(range(2 * n), take(2 * n)))
+    sign = sum(1 << i for i in picked(2 * n, 2 * n))
     return CliffordTableau(n, cols[:n], cols[n:], 0, sign)
-
-
-def _coin_stream(rng: np.random.Generator, planned: int):
-    """take(k) -> the next k coins of rng, as a list of 0/1 ints.
-
-    The first planned coins are drawn in blocks of at most _COIN_BLOCK (or
-    one take's k, if more); past them, a take draws only the coins it lacks.
-    """
-    block = iter(())
-
-    def take(k: int) -> list[int]:
-        nonlocal block, planned
-        coins = list(islice(block, k))
-        if len(coins) < k:
-            size = max(k - len(coins), min(planned, _COIN_BLOCK))
-            planned -= size
-            block = iter(rng.integers(0, 2, size=size).tolist())
-            coins += islice(block, k - len(coins))
-        return coins
-
-    return take
 
 
 def random_cliffords(n: int, rng: np.random.Generator, count: int) -> CliffordTableau:
@@ -999,15 +972,21 @@ def random_cliffords(n: int, rng: np.random.Generator, count: int) -> CliffordTa
 def _coin_windows(n: int, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
     """(coins, starts): the coins of count random_clifford draws, as uint8,
     and where each draw's windows start, one row per draw: per step its v
-    and w windows, then its 2n signs.
+    and w windows, then its 2n signs.  random_clifford (count 1) and
+    random_cliffords read the generator only through this scan.
 
-    The scan reads random_clifford's windows in its order, a v window again
-    while it is all 0.  It draws the coins as _coin_stream does, with
-    default-dtype rng.integers(0, 2, size=k): the planned 2n(n + 2) per
-    draw in blocks of at most _COIN_BLOCK, past them only the coins a
-    window lacks.  A window needs at most 2m coins past its start (its own
-    m and the next m, which a retry or the w window reads), so no coin is
-    drawn that no window reads.
+    Step j of a draw reads 2n - 2j coins for v, again while they are all 0,
+    then as many for w; the 2n sign coins come last.  They are the coins of
+    rng.integers(0, 2, size=m) calls, one per read, in that order (the
+    greedy `random_clifford` in tests/oracles.py); the coins are
+    default-dtype integers(0, 2), and a uint8 dtype draws another stream.
+    Such calls join end to end, so the scan draws one stream: the planned
+    2n(n + 2) coins per draw in blocks of at most _COIN_BLOCK, past them
+    only the coins a window lacks.  A window needs at most 2m coins past its
+    start (its own m and the next m, which a retry or the w window reads),
+    so no coin is drawn that no window reads, and the draws and the
+    generator state after them are those of the per-read calls.  A draw
+    takes 2n(n + 2) coins, plus 2n - 2j for each retry at step j.
     """
     coins = bytearray()
     planned = 2 * n * (n + 2) * count

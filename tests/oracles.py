@@ -51,9 +51,12 @@ the finite-n Paley-Zygmund bound from a mean and second moment
 a factor (`proportional_up_to_phase`), the checked distance up to phase
 between two unitaries by an eigensolver (`phase_invariant_distance`; the
 reference for the 2x2 closed form), a gadget's output wires
-(`output_wires`), a PWEAK verdict's matrix (`canonical_matrix`), one dense
-outcome probability (`outcome_probability`) and the I and J gadgets
-multiplied out by hand (`gadget_I_closed_form`, `gadget_J_closed_form`).
+(`output_wires`), a PWEAK verdict's matrix (`canonical_matrix`), the
+verdict class read from U Z U-dagger alone, with no Euler angle
+(`verdict_by_bloch`), the 24 one-qubit Cliffords as words and matrices
+(`one_qubit_cliffords`), one dense outcome probability
+(`outcome_probability`) and the I and J gadgets multiplied out by hand
+(`gadget_I_closed_form`, `gadget_J_closed_form`).
 """
 from __future__ import annotations
 
@@ -63,7 +66,7 @@ from functools import reduce
 import numpy as np
 
 from cccsim import gadgets, linalg, stabilizer
-from cccsim.ccc import CccInstance, ClassificationVerdict, dense_distribution
+from cccsim.ccc import PH_SUPREME, PWEAK, CccInstance, ClassificationVerdict, dense_distribution
 from cccsim.errors import CapabilityError, InvariantError
 from cccsim.gadgets import Gadget, GadgetAction
 from cccsim.stabilizer import (
@@ -792,6 +795,30 @@ def canonical_matrix(verdict: ClassificationVerdict) -> np.ndarray | None:
         np.matmul, [linalg.GATES[g] for g in verdict.gamma_word], np.eye(2, dtype=complex)
     )
     return gamma @ linalg.rz(float(verdict.canonical_lam))
+
+
+def verdict_by_bloch(u: np.ndarray) -> str:
+    """The verdict class by the model's symmetries, reading no Euler angle.
+
+    A diagonal on U's right and a one-qubit Clifford on its left keep the
+    class, so U is PWEAK iff U|0> is a one-qubit stabilizer state: iff
+    U Z U-dagger is within 1e-9 of +-X, +-Y or +-Z.
+    """
+    u = np.asarray(u, dtype=complex)
+    image = u @ linalg.GATES["Z"] @ u.conj().T
+    paulis = [sign * linalg.GATES[name] for name in "XYZ" for sign in (1, -1)]
+    return PWEAK if any(np.max(np.abs(image - p)) <= 1e-9 for p in paulis) else PH_SUPREME
+
+
+def one_qubit_cliffords() -> list[tuple[tuple[str, ...], np.ndarray]]:
+    """The 24 one-qubit Cliffords modulo phase, from the BFS over H and S:
+    each as its gate names, first gate first, and its matrix."""
+    out = []
+    for word in enumerate_clifford_words(1):
+        names = tuple(name for name, _ in word)
+        c = reduce(lambda acc, name: linalg.GATES[name] @ acc, names, np.eye(2, dtype=complex))
+        out.append((names, c))
+    return out
 
 
 def dense_by_gates(u: np.ndarray, circuit: CliffordCircuit) -> np.ndarray:

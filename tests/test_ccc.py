@@ -26,12 +26,14 @@ from cccsim.ccc import (
 )
 from cccsim.errors import CapabilityError, ParseError
 from cccsim.stabilizer import (
+    CLIFFORD_GATES,
     CliffordCircuit,
     CliffordTableau,
     random_clifford,
 )
 from oracles import canonical_matrix, circuit_to_tableau, dense_by_gates, outcome_probability
 from oracles import proportional_up_to_phase, random_clifford_circuit, sample_measurement, tableau_to_circuit
+from oracles import one_qubit_cliffords, verdict_by_bloch
 
 angles = st.floats(-math.pi, math.pi, allow_nan=False)
 
@@ -222,6 +224,21 @@ def test_case_predicates_match_angle_lattices():
                 assert v.case_tag == "iii"
             else:
                 assert v.case_tag == "iv"
+
+
+def test_verdict_by_bloch_matches_classify():
+    # symmetry (d): PWEAK iff U Z U-dagger is a signed Pauli, with no Euler
+    # angle read; over the exact (pi/8)Z grid and Haar U
+    for a in range(16):
+        for b in range(16):
+            for lam in ("0", "pi*1/8", "pi*3/8"):
+                spec = parse_unitary_spec(f"rz=pi*{a}/8 rx=pi*{b}/8 rz={lam}")
+                expected = classify(spec.decomposition).complexity_class
+                assert verdict_by_bloch(spec.matrix) == expected, (a, b, lam)
+    rng = np.random.default_rng(19)
+    for _ in range(500):
+        u = random_unitary(rng)
+        assert verdict_by_bloch(u) == classify(decompose_unitary(u)).complexity_class
 
 
 # -- instances and distributions --------------------------------------------------
@@ -503,6 +520,49 @@ def test_marginal_matches_the_sampler_past_the_dense_cap(spec):
             assert abs(ones[j] - p1) <= 5 * se + 1e-12, (spec, j, ones[j], p1)
             certain += abs(p1 - 0.5) > 0.25
     assert certain >= n // 4, (spec, certain)
+
+
+def conjugated_by_layers(v, word):
+    """The tableau of C-dagger^(x)n V C^(x)n, for C the product of word's
+    gates, first gate first: C's layers prepended, then C-dagger's native
+    updates, each over the word in reverse (as _easy_reduction does)."""
+    t = v.copy()
+    for g in reversed(word):
+        t.prepend_layer(g)
+    for g in reversed(word):
+        update = getattr(t, CLIFFORD_GATES["SDG" if g == "S" else g])
+        for q in range(t.n):
+            update(q)
+    return t
+
+
+HARD_U = parse_unitary_spec("rz=pi*1/3 rx=pi*1/2").matrix
+
+
+def test_distribution_keeps_the_clifford_on_the_left():
+    # symmetry (c): (C U)^(x)n conjugating V is U^(x)n conjugating
+    # V' = C-dagger^(x)n V C^(x)n, so p_{CU,V} = p_{U,V'} for every C
+    rng = np.random.default_rng(23)
+    for n in range(3, 7):
+        v = random_clifford(n, rng)
+        for word, c in one_qubit_cliffords():
+            got = dense_distribution(make_instance(c @ HARD_U, v)).probs
+            expected = dense_distribution(make_instance(HARD_U, conjugated_by_layers(v, word))).probs
+            assert np.max(np.abs(got - expected)) <= 1e-12, (n, word)
+
+
+def test_marginals_keep_the_clifford_on_the_left_past_the_dense_cap():
+    # symmetry (c) at n=64, where only the Pauli pull-back reaches.  A
+    # random V puts every marginal at 1/2 here; a shallow word keeps bits
+    # certain, and there C U and U on V itself disagree (by up to 0.36)
+    n = 64
+    assert n > linalg.dense_cap()
+    rng = np.random.default_rng(29)
+    for v in (random_clifford(n, rng), shallow_tableau(n, rng, n)):
+        for word, c in one_qubit_cliffords():
+            left, right = make_instance(c @ HARD_U, v), make_instance(HARD_U, conjugated_by_layers(v, word))
+            for j in (0, 17, 63):
+                assert abs(marginal_single_qubit(left, j) - marginal_single_qubit(right, j)) <= 1e-12, (word, j)
 
 
 def test_marginal_validates_qubit_index():

@@ -1,11 +1,15 @@
 """The source tree itself, read with the stdlib parser: no helper without a
-caller, and no module that takes another module's private name."""
+caller, no module that takes another module's private name, and no test
+cited by the CI workflow that the suite no longer defines."""
 import ast
+import re
 from pathlib import Path
 
 from cccsim import stabilizer
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "cccsim"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cccsim"
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 
 # the functions that may have no caller in src/, each with its reason
 NO_CALLER_YET = {
@@ -107,3 +111,27 @@ def test_the_import_check_sees_a_private_name_taken_either_way(tmp_path):
     (tmp_path / "c.py").write_text("from . import a as alias\n\ndef f():\n    return alias._helper(), alias.__doc__\n")
     (tmp_path / "d.py").write_text("from __future__ import annotations\nfrom .a import public\n")
     assert private_imports(tmp_path) == ["b: a._helper", "c: a._helper"]
+
+
+def cited_tests(text: str) -> list[str]:
+    """Each test_... name in text, in order, skipping module names (a name
+    followed by .py, as in "test_ccc.py's")."""
+    return re.findall(r"\b(test_\w+)\b(?!\.py)", text)
+
+
+def test_the_citation_reader_skips_module_names():
+    assert cited_tests("test_ccc.py's test_a_b, test_c\n# test_d (x) test_e.py") == ["test_a_b", "test_c", "test_d"]
+
+
+def test_every_test_the_workflow_cites_is_defined():
+    # the workflow's comments name the Tier-1 tests that hold the console
+    # checks CI no longer runs itself; a rename must not leave them stale
+    cited = cited_tests(WORKFLOW.read_text())
+    assert "test_console_script_runs" in cited
+    defined = {
+        node.name
+        for path in (ROOT / "tests").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert sorted(set(cited) - defined) == []
